@@ -50,7 +50,6 @@ class RunConfig:
     a_values: tuple = ()
     t_long: float = SWEEP_T_LONG
     horizon: float = 10.0
-    workers: int | None = None
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -62,8 +61,6 @@ class RunConfig:
             raise ValidationError("--t-start must be strictly less than --t-end")
         if self.direction not in ("forward", "backward"):
             raise ValidationError(f"unknown direction {self.direction!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ValidationError("--workers must be at least 1")
         if self.command == "tmin-sweep" and not self.a_values:
             raise ValidationError("tmin-sweep needs a nonempty --a-values list")
         if self.command != "tmin-sweep" and self.input_path is None:
@@ -177,7 +174,7 @@ def _cmd_bracket_flow(cfg):
 def _cmd_grf(cfg):
     p = load_problem(cfg.input_path)
     direction = 1 if cfg.direction == "forward" else -1
-    traj = integrate_grf(p.mu, p.g, p.H, 1, (cfg.t_start, cfg.t_end),
+    traj = integrate_grf(p.mu, p.g, p.H, (cfg.t_start, cfg.t_end),
                          _controls(cfg), direction=direction)
     print(f"generalized ricci flow on {p.name}: "
           f"t {_fmt_num(cfg.t_start)} -> {_fmt_num(cfg.t_end)} ({cfg.direction})")
@@ -195,7 +192,7 @@ def _cmd_grf(cfg):
 
 def _cmd_tmin_sweep(cfg):
     rows = tmin_sweep(cfg.a_values, t_long=cfg.t_long, horizon_back=cfg.horizon,
-                      controls=_controls(cfg), workers=cfg.workers)
+                      controls=_controls(cfg))
     print(f"{'a':>12} {'T_min':>14} {'g3(t_long)':>14} {'g1(t_long)':>14}  status")
     for r in rows:
         tmin = format(r.t_min, ".8f") if r.t_min is not None else "none"
@@ -284,7 +281,6 @@ def _build_parser():
     s.add_argument("--t-long", type=float, default=SWEEP_T_LONG)
     s.add_argument("--horizon", type=float, default=10.0,
                    help="backward search budget")
-    s.add_argument("--workers", type=int, default=None)
     s.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     s.add_argument("--atol", type=float, default=DEFAULT_ATOL)
     s.add_argument("--out", help="sweep CSV path")
@@ -306,8 +302,7 @@ def _config_from_args(args):
     for name, key in (("t_start", "t_start"), ("t_end", "t_end"),
                       ("rtol", "rtol"), ("atol", "atol"), ("out", "out_csv"),
                       ("svg", "out_svg"), ("svg_x", "svg_x"), ("svg_y", "svg_y"),
-                      ("t_long", "t_long"), ("horizon", "horizon"),
-                      ("workers", "workers")):
+                      ("t_long", "t_long"), ("horizon", "horizon")):
         if hasattr(args, name) and getattr(args, name) is not None:
             kw[key] = getattr(args, name)
     if hasattr(args, "a_values"):

@@ -1,9 +1,10 @@
 """Numeric defaults, collected in one place.
 
 Every tolerance and horizon the library uses is defined here so that the
-values can be audited (and overridden per call) without hunting through the
-modules.  All are plain module constants; functions take them as keyword
-defaults.
+values can be audited without hunting through the modules.  All are plain
+module constants.  DEFAULT_RTOL, DEFAULT_ATOL, MAX_STEPS and BISECT_TOL are
+the defaults of IntegratorControls and can be overridden per call; the
+others are fixed.
 
 ========================  ==========  =================================================
 constant                  value       used for
@@ -14,8 +15,12 @@ METRIC_SYMMETRY_TOL       1e-12       max allowed asymmetry of a metric matrix
 SKEW_TOL                  1e-8        max allowed relative symmetry leak in bracket/form input
 DEFAULT_RTOL              1e-9        adaptive integrator, relative error per step
 DEFAULT_ATOL              1e-10       adaptive integrator, absolute error per step
-STEP_FLOOR                1e-13       smallest accepted step before declaring failure
-MAX_STEPS                 1_000_000   hard cap on accepted steps per integration
+INITIAL_STEP              0.1         first trial step, capped by the span or horizon
+STEP_FLOOR                1e-13       smallest trial step before declaring failure
+SAFETY                    0.9         step controller: safety factor on ratio^(-1/5)
+MIN_SHRINK                0.2         step controller: smallest step factor (and after a failed RHS)
+MAX_GROW                  5.0         step controller: largest step factor
+MAX_STEPS                 1_000_000   hard cap on attempted steps (accepted plus rejected)
 STRUCTURE_TOL             1e-7        Jacobi / closedness residual allowed along GBF runs
 BLOWUP_NORM               1e8         sup-norm of the state that counts as blowup
 EIG_FLOOR                 1e-10       smallest metric eigenvalue that counts as alive
@@ -33,7 +38,11 @@ SKEW_TOL = 1e-8
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-10
+INITIAL_STEP = 0.1
 STEP_FLOOR = 1e-13
+SAFETY = 0.9
+MIN_SHRINK = 0.2
+MAX_GROW = 5.0
 MAX_STEPS = 1_000_000
 STRUCTURE_TOL = 1e-7
 

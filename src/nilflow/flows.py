@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,12 @@ from .config import (
     DEFAULT_HORIZON,
     DEFAULT_RTOL,
     EIG_FLOOR,
+    INITIAL_STEP,
+    MAX_GROW,
     MAX_PROBLEM_DIM,
     MAX_STEPS,
+    MIN_SHRINK,
+    SAFETY,
     STEP_FLOOR,
     STRUCTURE_TOL,
     SWEEP_T_LONG,
@@ -77,39 +80,27 @@ def _as_phi(spec):
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Step-size and safety knobs for the RK4 drivers.
+    """Tolerances and budgets for the RK4 drivers.
 
     fixed_step disables the error controller and takes uniform steps; used
-    for order-of-convergence measurements.
+    for order-of-convergence measurements.  max_steps caps attempted steps,
+    accepted plus rejected.  The controller's other constants live in config.
     """
 
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    initial_step: float | None = None
-    step_floor: float = STEP_FLOOR
     max_steps: int = MAX_STEPS
-    structure_tol: float = STRUCTURE_TOL
-    blowup_norm: float = BLOWUP_NORM
-    eig_floor: float = EIG_FLOOR
     bisect_tol: float = BISECT_TOL
     fixed_step: float | None = None
-    safety: float = 0.9
-    min_shrink: float = 0.2
-    max_grow: float = 5.0
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "step_floor", "structure_tol", "blowup_norm",
-                     "eig_floor", "bisect_tol", "safety"):
+        for name in ("rtol", "atol", "bisect_tol"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"integrator control {name} must be positive")
-        if self.initial_step is not None and not self.initial_step > 0:
-            raise ValidationError("initial_step must be positive when given")
         if self.fixed_step is not None and not self.fixed_step > 0:
             raise ValidationError("fixed_step must be positive when given")
         if self.max_steps < 1:
             raise ValidationError("max_steps must be at least 1")
-        if not 0 < self.min_shrink < 1 or self.max_grow <= 1:
-            raise ValidationError("need 0 < min_shrink < 1 < max_grow")
 
 
 @dataclass(frozen=True)
@@ -352,6 +343,16 @@ def _error_ratio(y, y_big, y_half, controls):
     return float(np.max(np.abs(y_half - y_big) / scale)) / 15.0
 
 
+def _next_step(h, ratio):
+    """Size of the step after a trial of size h with the given error ratio.
+
+    A rejected trial (ratio > 1) gives a factor of at most SAFETY, so the
+    step shrinks; an accepted one may grow, by at most MAX_GROW.
+    """
+    grow = MAX_GROW if ratio == 0.0 else SAFETY * ratio ** -0.2
+    return h * min(max(grow, MIN_SHRINK), MAX_GROW)
+
+
 def _integrate(f, t0, y0, t_end, controls, on_accept):
     """Drive f over [t0, t_end]; on_accept(t, y) sees every accepted state.
 
@@ -383,7 +384,7 @@ def _integrate(f, t0, y0, t_end, controls, on_accept):
             accepted += 1
             on_accept(t, y)
         return accepted, rejected
-    h = controls.initial_step if controls.initial_step is not None else min(0.1, span or 0.1)
+    h = min(INITIAL_STEP, span or INITIAL_STEP)
     while True:
         remaining = t_end - t
         if remaining <= 0:
@@ -393,18 +394,17 @@ def _integrate(f, t0, y0, t_end, controls, on_accept):
                 f"step budget {controls.max_steps} exhausted at t={t:.9g}")
         landing = h >= remaining
         h_use = remaining if landing else h
-        if h_use < controls.step_floor:
+        if h_use < STEP_FLOOR:
             raise NumericalError(
                 f"step size underflow at t={t:.9g}; last accepted state is valid")
         try:
             y_big, y_half = _pair_step(f, t, y, h_use)
+            finite = np.all(np.isfinite(y_big)) and np.all(np.isfinite(y_half))
         except _RhsFailure:
+            finite = False
+        if not finite:
             rejected += 1
-            h = h_use * controls.min_shrink
-            continue
-        if not (np.all(np.isfinite(y_big)) and np.all(np.isfinite(y_half))):
-            rejected += 1
-            h = h_use * controls.min_shrink
+            h = h_use * MIN_SHRINK
             continue
         ratio = _error_ratio(y, y_big, y_half, controls)
         if ratio <= 1.0:
@@ -412,11 +412,9 @@ def _integrate(f, t0, y0, t_end, controls, on_accept):
             y = y_half
             accepted += 1
             on_accept(t, y)
-            grow = controls.max_grow if ratio == 0.0 else controls.safety * ratio ** -0.2
-            h = h_use * min(max(grow, controls.min_shrink), controls.max_grow)
         else:
             rejected += 1
-            h = h_use * min(max(controls.safety * ratio ** -0.2, controls.min_shrink), 0.9)
+        h = _next_step(h_use, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +486,7 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
 
     The initial bracket must satisfy Jacobi and H0 must be closed for it;
     both residuals are re-checked at every accepted step (NumericalError if
-    integration drift ever pushes them past controls.structure_tol).
+    integration drift ever pushes them past STRUCTURE_TOL).
     """
     spec = _as_phi(spec)
     controls = controls if controls is not None else IntegratorControls()
@@ -496,11 +494,11 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     n = m0.shape[0]
     h0 = _as_form3(H0, n)
     jr = jacobi_residual(m0)
-    if jr > controls.structure_tol:
+    if jr > STRUCTURE_TOL:
         raise ValidationError(
             f"initial bracket violates Jacobi (residual {jr:.3e})")
     cr = ce_differential(h0, m0).norm_inf
-    if cr > controls.structure_tol:
+    if cr > STRUCTURE_TOL:
         raise ValidationError(
             f"initial 3-form is not closed for the initial bracket "
             f"(residual {cr:.3e})")
@@ -520,15 +518,15 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
         m = y[:n3].reshape(n, n, n).copy()
         hd = y[n3:].reshape(n, n, n)
         res = jacobi_residual(m)
-        if res > controls.structure_tol:
+        if res > STRUCTURE_TOL:
             raise NumericalError(
-                f"Jacobi residual {res:.3e} exceeded {controls.structure_tol:.1e} "
+                f"Jacobi residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
                 f"at t={t:.9g}")
         Hk = _pack3(hd, n)
         res = ce_differential(Hk, m).norm_inf
-        if res > controls.structure_tol:
+        if res > STRUCTURE_TOL:
             raise NumericalError(
-                f"closedness residual {res:.3e} exceeded {controls.structure_tol:.1e} "
+                f"closedness residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
                 f"at t={t:.9g}")
         times.append(t)
         states.append(BracketState(mu=m, H=Hk))
@@ -586,14 +584,11 @@ def _grf_rhs_arrays(m, gmat, hcoeffs, n):
     return dg, -dh.coeffs
 
 
-def grf_rhs(mu, state, orientation=1):
+def grf_rhs(mu, state):
     """Time derivative (dg, dH) of the flow dg = -2 Rc + (1/2) H o H, dH = -Lap H.
 
-    orientation is accepted for interface symmetry with the Hodge helpers;
-    the Laplacian applies the star twice, so both orientations agree.
+    Orientation plays no part: the Laplacian applies the Hodge star twice.
     """
-    if orientation not in (1, -1):
-        raise ValidationError(f"orientation must be +1 or -1, got {orientation!r}")
     if not isinstance(state, GrfState):
         raise ValidationError("grf_rhs expects a GrfState")
     m = bracket_coeffs(mu)
@@ -605,7 +600,14 @@ def grf_rhs(mu, state, orientation=1):
     return dg, KForm(n, 3, dh)
 
 
-def _grf_setup(mu, g0, H0, controls):
+def _grf_setup(mu, g0, H0, direction):
+    """Check the initial data; return (n, y0, f) for the flat state y = (g, H).
+
+    f(t, y) is the flow's right-hand side, reversed in time when
+    direction is -1.
+    """
+    if direction not in (1, -1):
+        raise ValidationError(f"direction must be +1 or -1, got {direction!r}")
     m = _skew_bracket_array(mu)
     n = m.shape[0]
     met0 = Metric(g0) if not isinstance(g0, Metric) else g0
@@ -614,19 +616,24 @@ def _grf_setup(mu, g0, H0, controls):
             f"metric dimension {met0.dim} does not match bracket dimension {n}")
     h0 = _as_form3(H0, n)
     cr = ce_differential(h0, m).norm_inf
-    if cr > controls.structure_tol:
+    if cr > STRUCTURE_TOL:
         raise ValidationError(
             f"initial 3-form is not closed for the bracket (residual {cr:.3e})")
     y0 = np.concatenate([met0.entries.ravel(), h0.coeffs])
-    return m, n, met0, h0, y0
+
+    def f(t, y):
+        dg, dh = _grf_rhs_arrays(m, y[:n * n].reshape(n, n), y[n * n:], n)
+        return direction * np.concatenate([dg.ravel(), dh])
+
+    return n, y0, f
 
 
-def _grf_unpack(y, n):
-    return y[:n * n].reshape(n, n), y[n * n:]
+def _grf_state(y, n):
+    """GrfState of a flat state; ValidationError if g is not positive definite."""
+    return GrfState(g=Metric(y[:n * n].reshape(n, n)), H=KForm(n, 3, y[n * n:]))
 
 
-def integrate_grf(mu, g0, H0, orientation=1, t_span=None, controls=None,
-                  direction=1):
+def integrate_grf(mu, g0, H0, t_span, controls=None, direction=1):
     """Integrate the gauge-fixed flow from (g0, H0) over t_span.
 
     g0 must be positive definite and H0 closed for mu; positive
@@ -635,86 +642,60 @@ def integrate_grf(mu, g0, H0, orientation=1, t_span=None, controls=None,
     time-reversed right-hand side, so the state recorded at clock time s is
     the flow state at signed time t_span[0] - (s - t_span[0]).
     """
-    if orientation not in (1, -1):
-        raise ValidationError(f"orientation must be +1 or -1, got {orientation!r}")
-    if direction not in (1, -1):
-        raise ValidationError(f"direction must be +1 or -1, got {direction!r}")
-    if t_span is None:
-        raise ValidationError("t_span=(t_start, t_end) is required")
     controls = controls if controls is not None else IntegratorControls()
-    m, n, met0, h0, y0 = _grf_setup(mu, g0, H0, controls)
+    n, y0, f = _grf_setup(mu, g0, H0, direction)
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-
-    def f(t, y):
-        gmat, hc = _grf_unpack(y, n)
-        dg, dh = _grf_rhs_arrays(m, gmat, hc, n)
-        return direction * np.concatenate([dg.ravel(), dh])
-
     times, states = [], []
 
     def on_accept(t, y):
-        gmat, hc = _grf_unpack(y, n)
         try:
-            met = Metric(gmat.copy())
+            state = _grf_state(y, n)
         except ValidationError:
             last = f" (last valid time t={times[-1]:.9g})" if times else ""
             raise NumericalError(
                 f"metric degenerated at t={t:.9g}{last}") from None
         times.append(t)
-        states.append(GrfState(g=met, H=KForm(n, 3, hc.copy())))
+        states.append(state)
 
     accepted, rejected = _integrate(f, t0, y0, t1, controls, on_accept)
     return Trajectory(times=np.array(times), states=tuple(states), kind="grf",
                       accepted=accepted, rejected=rejected)
 
 
-def _candidate_bad(y, n, controls):
+def _candidate_bad(y, n):
     """Classify a trial state: None if usable, else a blowup reason."""
     if not np.all(np.isfinite(y)):
         return "norm"
-    if float(np.max(np.abs(y))) > controls.blowup_norm:
+    if float(np.max(np.abs(y))) > BLOWUP_NORM:
         return "norm"
-    gmat, _ = _grf_unpack(y, n)
+    gmat = y[:n * n].reshape(n, n)
     sym = (gmat + gmat.T) / 2.0
-    if float(np.min(np.linalg.eigvalsh(sym))) < controls.eig_floor:
+    if float(np.min(np.linalg.eigvalsh(sym))) < EIG_FLOOR:
         return "metric-degenerate"
     return None
 
 
-def blowup_time(mu, g0, H0, orientation=1, direction=-1, horizon=DEFAULT_HORIZON,
-                controls=None):
+def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None):
     """Locate the singular time of the gauge-fixed flow in one time direction.
 
     Integrates with adaptive steps; a trial state is rejected as singular
     when it leaves the finite range, exceeds the magnitude threshold, or
     drops a metric eigenvalue under the floor.  The last good/bad interval
     is narrowed by step halving until it is shorter than bisect_tol, and
-    the midpoint is reported.  A collapse of the accepted step below
-    step_floor is reported as blowup where the walk stalled.  If nothing
-    singular happens before the horizon, time is None and reason "horizon".
+    the midpoint is reported.  STEP_FLOOR is checked only after an
+    error-ratio rejection: when the shrunken retry step falls below it, the
+    search stops with reason "step-underflow" at the last accepted time.
+    Accepted steps are not checked, so they may shrink below the floor, to
+    where s + h == s.  If nothing singular happens before the horizon, time
+    is None and reason "horizon".
     """
-    if orientation not in (1, -1):
-        raise ValidationError(f"orientation must be +1 or -1, got {orientation!r}")
-    if direction not in (1, -1):
-        raise ValidationError(f"direction must be +1 or -1, got {direction!r}")
     if not horizon > 0:
         raise ValidationError("horizon must be positive")
     controls = controls if controls is not None else IntegratorControls()
-    m, n, met0, h0, y0 = _grf_setup(mu, g0, H0, controls)
-
-    def base(y):
-        gmat, hc = _grf_unpack(y, n)
-        dg, dh = _grf_rhs_arrays(m, gmat, hc, n)
-        return np.concatenate([dg.ravel(), dh])
-
-    f = _guarded(lambda t, y: direction * base(y))
-
-    def snapshot(y):
-        gmat, hc = _grf_unpack(y, n)
-        return GrfState(g=Metric(gmat.copy()), H=KForm(n, 3, hc.copy()))
-
+    n, y0, f = _grf_setup(mu, g0, H0, direction)
+    f = _guarded(f)
     s, y = 0.0, y0
-    h = controls.initial_step if controls.initial_step is not None else min(0.1, horizon)
+    h = min(INITIAL_STEP, horizon)
     steps = 0
     while s < horizon:
         steps += 1
@@ -730,26 +711,23 @@ def blowup_time(mu, g0, H0, orientation=1, direction=-1, horizon=DEFAULT_HORIZON
         except _RhsFailure as e:
             bad = "metric-degenerate" if e.kind == "metric" else "norm"
         if bad is None:
-            bad = _candidate_bad(y_half, n, controls)
+            bad = _candidate_bad(y_half, n)
         if bad is not None:
             if h_use <= controls.bisect_tol:
                 return BlowupReport(time=direction * (s + h_use / 2.0), reason=bad,
-                                    t_last=direction * s, state=snapshot(y))
+                                    t_last=direction * s, state=_grf_state(y, n))
             h = h_use / 2.0
             continue
         ratio = _error_ratio(y, y_big, y_half, controls)
+        h = _next_step(h_use, ratio)
         if ratio <= 1.0:
             s = horizon if landing else s + h_use
             y = y_half
-            grow = controls.max_grow if ratio == 0.0 else controls.safety * ratio ** -0.2
-            h = h_use * min(max(grow, controls.min_shrink), controls.max_grow)
-        else:
-            h = h_use * min(max(controls.safety * ratio ** -0.2, controls.min_shrink), 0.9)
-            if h < controls.step_floor:
-                return BlowupReport(time=direction * s, reason="step-underflow",
-                                    t_last=direction * s, state=snapshot(y))
+        elif h < STEP_FLOOR:
+            return BlowupReport(time=direction * s, reason="step-underflow",
+                                t_last=direction * s, state=_grf_state(y, n))
     return BlowupReport(time=None, reason="horizon", t_last=direction * horizon,
-                        state=snapshot(y))
+                        state=_grf_state(y, n))
 
 
 # ---------------------------------------------------------------------------
@@ -762,29 +740,29 @@ def _heisenberg_bracket():
     return m
 
 
-def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=10.0, controls=None,
-               workers=None):
+def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=10.0, controls=None):
     """Backward singular time and long-run forward state per family parameter.
 
     For each a: run blowup_time backward (horizon horizon_back) and a
     forward integration to t_long on the Heisenberg bracket with 3-form
     coefficient a and the identity initial metric.  Rows come back sorted
     by a; per-a failures land in the row status instead of raising.
-    Independent rows may be computed concurrently (workers threads).
     """
     avals = sorted(float(a) for a in a_values)
     if not avals:
         raise ValidationError("a_values must be nonempty")
     if not t_long > 0:
         raise ValidationError("t_long must be positive")
+    if not horizon_back > 0:
+        raise ValidationError("horizon_back must be positive")
 
     def run_one(a):
         mu = _heisenberg_bracket()
         g0 = np.eye(3)
         H = KForm(3, 3, np.array([a]))
         try:
-            rep = blowup_time(mu, g0, H, 1, -1, horizon_back, controls)
-            traj = integrate_grf(mu, g0, H, 1, (0.0, t_long), controls)
+            rep = blowup_time(mu, g0, H, horizon=horizon_back, controls=controls)
+            traj = integrate_grf(mu, g0, H, (0.0, t_long), controls)
             G = traj.final.g.entries
             status = "ok" if rep.time is not None else "no backward blowup within horizon"
             return SweepRow(a=a, t_min=rep.time, g3_limit=float(G[2, 2]),
@@ -793,7 +771,4 @@ def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=10.0, controls=None,
             return SweepRow(a=a, t_min=None, g3_limit=float("nan"),
                             g1_long=float("nan"), status=f"error: {exc}")
 
-    if workers is not None and int(workers) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as ex:
-            return list(ex.map(run_one, avals))
     return [run_one(a) for a in avals]

@@ -148,7 +148,7 @@ def hodge_star(omega, g, orientation=1):
     return KForm(n, n - k, out)
 
 
-def codifferential(omega, mu, g, orientation=1):
+def codifferential(omega, mu, g):
     """Codifferential d* = (-1)^{n(k+1)+1} star d star on k-forms; zero on 0-forms.
 
     The two stars cancel the orientation, so the result is orientation-free.
@@ -160,8 +160,8 @@ def codifferential(omega, mu, g, orientation=1):
     if k > n:
         return KForm.zero(n, k - 1)  # the form itself is identically zero
     sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
-    inner = hodge_star(omega, gm, orientation)
-    return sign * hodge_star(ce_differential(inner, mu), gm, orientation)
+    inner = hodge_star(omega, gm)
+    return sign * hodge_star(ce_differential(inner, mu), gm)
 
 
 def hodge_laplacian(omega, mu, g):

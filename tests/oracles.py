@@ -136,6 +136,18 @@ def ricci_riemann(m, G):
     return np.einsum('ijki->jk', R)
 
 
+def _heisenberg_time_integral(a):
+    """K = |1 - a^2| and F, the antiderivative of s^2/(s^2-a^2)^3 (see below)."""
+    K = abs(1.0 - a * a)
+
+    def F(s):
+        d2 = (s - a) * (s + a)
+        return (math.log((s + a) / abs(s - a)) / (16.0 * a ** 3)
+                - s * (s * s + a * a) / (8.0 * a * a * d2 * d2))
+
+    return K, F
+
+
 def heisenberg_grf_exact(a, t):
     """Exact GRF solution on heis3 from g(0) = I, H = a e^123: (g1, g3) at t.
 
@@ -151,12 +163,7 @@ def heisenberg_grf_exact(a, t):
     """
     if not (a > 0.0 and a != 1.0 and t >= 0.0):
         raise ValueError("need a > 0, a != 1 and t >= 0")
-    K = abs(1.0 - a * a)
-
-    def F(s):
-        d2 = (s - a) * (s + a)
-        return (math.log((s + a) / abs(s - a)) / (16.0 * a ** 3)
-                - s * (s * s + a * a) / (8.0 * a * a * d2 * d2))
+    K, F = _heisenberg_time_integral(a)
 
     def elapsed(z):
         return K * K * abs(F(1.0) - F(z))
@@ -172,6 +179,20 @@ def heisenberg_grf_exact(a, t):
             far = mid
     z = far
     return K * z / abs((z - a) * (z + a)), z
+
+
+def heisenberg_tmin_exact(a):
+    """Backward singular time T_min of the heis3 GRF from g(0) = I, H = a e^123.
+
+    Domain: a > 0, a != 1.  t(z) = K^2 |F(1) - F(z)| of heisenberg_grf_exact
+    also holds backward, where z = g3 moves away from a: to infinity for
+    a < 1 and to 0 for a > 1, and x = K z / |z^2 - a^2| goes to 0 at both
+    ends.  F tends to 0 at both ends, so T_min = -K^2 |F(1)|.
+    """
+    if not (a > 0.0 and a != 1.0):
+        raise ValueError("need a > 0 and a != 1")
+    K, F = _heisenberg_time_integral(a)
+    return -K * K * abs(F(1.0))
 
 
 # ---------------------------------------------------------------------------

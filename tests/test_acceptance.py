@@ -65,9 +65,9 @@ def gbf_runs():
 def grf_runs():
     out = {}
     for a in (0.0, 1.0):
-        out[a] = integrate_grf(HEIS, Metric.identity(3), _flux(a), 1, (0.0, 10.0))
+        out[a] = integrate_grf(HEIS, Metric.identity(3), _flux(a), (0.0, 10.0))
     for a in (0.5, 2.0):
-        out[a] = integrate_grf(HEIS, Metric.identity(3), _flux(a), 1, (0.0, 50.0))
+        out[a] = integrate_grf(HEIS, Metric.identity(3), _flux(a), (0.0, 50.0))
     return out
 
 
@@ -121,12 +121,12 @@ def test_05_decay_bound(gbf_runs):
 
 def test_06_grf_closed_forms():
     elapsed0 = _best_time(
-        lambda: integrate_grf(HEIS, Metric.identity(3), _flux(0.0), 1, (0.0, 10.0)),
+        lambda: integrate_grf(HEIS, Metric.identity(3), _flux(0.0), (0.0, 10.0)),
         repeats=3)
     elapsed1 = _best_time(
-        lambda: integrate_grf(HEIS, Metric.identity(3), _flux(1.0), 1, (0.0, 10.0)),
+        lambda: integrate_grf(HEIS, Metric.identity(3), _flux(1.0), (0.0, 10.0)),
         repeats=3)
-    traj0 = integrate_grf(HEIS, Metric.identity(3), _flux(0.0), 1, (0.0, 10.0))
+    traj0 = integrate_grf(HEIS, Metric.identity(3), _flux(0.0), (0.0, 10.0))
     for t, st in zip(traj0.times, traj0.states):
         G = st.g.entries
         g1 = (1.0 + 3.0 * t) ** (1.0 / 3.0)
@@ -134,7 +134,7 @@ def test_06_grf_closed_forms():
         assert abs(G[0, 0] - g1) <= 1e-6 * g1
         assert abs(G[1, 1] - g1) <= 1e-6 * g1
         assert abs(G[2, 2] - g3) <= 1e-6 * g3
-    traj1 = integrate_grf(HEIS, Metric.identity(3), _flux(1.0), 1, (0.0, 10.0))
+    traj1 = integrate_grf(HEIS, Metric.identity(3), _flux(1.0), (0.0, 10.0))
     for t, st in zip(traj1.times, traj1.states):
         G = st.g.entries
         g1 = math.sqrt(1.0 + 4.0 * t)
@@ -230,7 +230,7 @@ def test_13_integrator_order():
     exact = math.sqrt(41.0)
     errs = []
     for h in (1e-2, 5e-3, 2.5e-3):
-        traj = integrate_grf(HEIS, Metric.identity(3), _flux(1.0), 1,
+        traj = integrate_grf(HEIS, Metric.identity(3), _flux(1.0),
                              (0.0, 10.0),
                              controls=IntegratorControls(fixed_step=h))
         errs.append(abs(traj.final.g.entries[0, 0] - exact))

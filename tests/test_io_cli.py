@@ -141,7 +141,7 @@ def test_load_problem_paths(tmp_path):
 
 def _grf_traj(a=1.0, t_end=1.0):
     return integrate_grf(HEIS, Metric.identity(3),
-                         KForm(3, 3, np.array([a])), 1, (0.0, t_end))
+                         KForm(3, 3, np.array([a])), (0.0, t_end))
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -248,7 +248,7 @@ def test_run_config_validation():
     with pytest.raises(ValidationError):
         RunConfig(command="tmin-sweep", a_values=())
     with pytest.raises(ValidationError):
-        RunConfig(command="tmin-sweep", a_values=(1.0,), workers=0)
+        RunConfig(command="tmin-sweep", a_values=(1.0,), horizon=0.0)
     with pytest.raises(ValidationError):
         RunConfig(command="ricci")
 
@@ -361,7 +361,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["check", "--input", str(bad)]) == 2
     assert main(["grf", "--input", "heisenberg3", "--t-start", "2",
                  "--t-end", "1"]) == 2
-    assert main(["tmin-sweep", "--a-values", "1", "--workers", "0"]) == 2
+    assert main(["tmin-sweep", "--a-values", "1", "--horizon", "0"]) == 2
     # argparse usage errors also land on 2
     assert main(["bracket-flow", "--input", "heisenberg3", "--phi", "warp"]) == 2
     assert main([]) == 2
