@@ -22,7 +22,7 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
-from .lie import KForm, bracket_coeffs, ce_differential, gl_action
+from .lie import KForm, bracket_coeffs, ce_differential, gl_action, _planned_einsum
 
 __all__ = [
     "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
@@ -74,7 +74,7 @@ def h_circ_h(H, g):
     gm = as_metric(g)
     Hd = _dense3(H, gm.dim)
     ginv = gm.inverse
-    out = np.einsum('rl,st,irs,jlt->ij', ginv, ginv, Hd, Hd, optimize=True)
+    out = _planned_einsum('rl,st,irs,jlt->ij', ginv, ginv, Hd, Hd)
     return symmetric_part(out)
 
 

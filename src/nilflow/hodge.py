@@ -6,19 +6,24 @@ The star is defined by alpha wedge star(beta) = <alpha, beta>_g vol_g with
 vol_g = orientation * sqrt(det g) e^{1...n}; the codifferential uses the sign
 (-1)^{n(k+1)+1} star d star on k-forms, which is the adjoint of d for the
 unimodular (in particular nilpotent) brackets this library targets.
+
+The star is a compound matrix of g^-1 followed by a signed permutation of
+packed slots (complement tuples with their shuffle signs); the permutation
+depends only on (n, k) and is built once per (n, k) and cached read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import METRIC_SYMMETRY_TOL
 from .errors import ValidationError
-from .lie import (KForm, bracket_coeffs, ce_differential, complement,
-                  compound_matrix, index_tuples, shuffle_sign, _tuple_rank)
+from .lie import (KForm, ce_differential, complement, compound_matrix, index_tuples,
+                  shuffle_sign, _frozen, _tuple_rank)
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,19 @@ def _check_orientation(orientation):
         raise ValidationError(f"orientation must be +1 or -1, got {orientation!r}")
 
 
+@lru_cache(maxsize=None)
+def _star_tables(n, k):
+    """For each increasing k-tuple I: the rank of its complement Ic among the
+    (n-k)-tuples, and the shuffle sign of (I, Ic)."""
+    ranks_c = _tuple_rank(n, n - k)
+    dest, sign = [], []
+    for I in index_tuples(n, k):
+        Ic = complement(I, n)
+        dest.append(ranks_c[Ic])
+        sign.append(shuffle_sign(I, Ic))
+    return _frozen(np.array(dest, dtype=np.intp), np.array(sign, dtype=float))
+
+
 def hodge_star(omega, g, orientation=1):
     """Hodge star: the unique (n-k)-form with alpha wedge star(omega) = <alpha, omega> vol."""
     gm = as_metric(g)
@@ -139,12 +157,9 @@ def hodge_star(omega, g, orientation=1):
         raise ValidationError(f"cannot star a degree-{k} form on R^{n}")
     comp = compound_matrix(gm.inverse, k)
     inner = comp @ omega.coeffs  # <e^I, omega>_g over increasing I
-    scale = orientation * gm.sqrt_det
-    ranks_c = _tuple_rank(n, n - k)
+    dest, sign = _star_tables(n, k)
     out = np.zeros(math.comb(n, n - k))
-    for r, I in enumerate(index_tuples(n, k)):
-        Ic = complement(I, n)
-        out[ranks_c[Ic]] = shuffle_sign(I, Ic) * scale * inner[r]
+    out[dest] = sign * (orientation * gm.sqrt_det) * inner
     return KForm(n, n - k, out)
 
 

@@ -10,6 +10,12 @@ The GL_n change-of-basis action is (A.mu)(X, Y) = A mu(A^-1 X, A^-1 Y) on
 brackets and (A.w)(X_1, ..., X_k) = w(A^-1 X_1, ..., A^-1 X_k) on forms; pi
 is its derivative at the identity, so curves A(s) = exp(s phi) satisfy
 d/ds A(s).mu = pi(phi) mu at s = 0.
+
+The index bookkeeping of the form calculus does not depend on the bracket,
+the metric or the coefficients, only on (n, k).  ce_differential,
+compound_matrix and KForm.unpack therefore gather through integer tables
+built once per (n, k) and cached (read-only, shared by every caller), and
+einsum contraction orders are planned once per (subscripts, shapes).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,7 +42,37 @@ def index_tuples(n, k):
 
 @lru_cache(maxsize=None)
 def _tuple_rank(n, k):
-    return {t: r for r, t in enumerate(index_tuples(n, k))}
+    return MappingProxyType({t: r for r, t in enumerate(index_tuples(n, k))})
+
+
+def _frozen(*arrays):
+    """Mark cached tables read-only, so no caller can corrupt them for later calls."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _index_array(n, k):
+    """index_tuples(n, k) as a read-only (C(n, k), k) integer array."""
+    (arr,) = _frozen(np.array(index_tuples(n, k), dtype=np.intp).reshape(-1, k))
+    return arr
+
+
+@lru_cache(maxsize=None)
+def _einsum_path(subscripts, *shapes):
+    """The contraction order einsum(optimize=True) plans, planned once per shapes.
+
+    Passing it as ``optimize=`` runs the same pairwise contractions without
+    planning them again on every call.
+    """
+    dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *dummies, optimize=True)[0])
+
+
+def _planned_einsum(subscripts, *operands):
+    return np.einsum(subscripts, *operands,
+                     optimize=_einsum_path(subscripts, *(op.shape for op in operands)))
 
 
 def sort_sign(indices):
@@ -72,22 +109,17 @@ def shuffle_sign(first, second):
 def compound_matrix(mat, k):
     """k-th compound of a square matrix: entry (R, C) = det(mat[R rows, C cols]).
 
-    Rows and columns run over index_tuples(n, k).  For an SPD inverse metric
-    this is the Gram matrix of the induced inner product on k-forms:
-    <e^R, e^C>_g = det(g^{r_a c_b}).
+    Rows and columns run over index_tuples(n, k); k > n gives an empty matrix.
+    For an SPD inverse metric this is the Gram matrix of the induced inner
+    product on k-forms: <e^R, e^C>_g = det(g^{r_a c_b}).
     """
     mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"compound_matrix needs a square matrix, got shape {mat.shape}")
     if k == 0:
         return np.ones((1, 1))
-    idx = index_tuples(n, k)
-    m = len(idx)
-    subs = np.empty((m, m, k, k))
-    for r, rows in enumerate(idx):
-        sliced = mat[list(rows), :]
-        for c, cols in enumerate(idx):
-            subs[r, c] = sliced[:, list(cols)]
-    return np.linalg.det(subs)
+    rows = _index_array(mat.shape[0], k)
+    return np.linalg.det(mat[rows[:, None, :, None], rows[None, :, None, :]])
 
 
 def _alternation(arr):
@@ -100,6 +132,24 @@ def _alternation(arr):
         _, sign = sort_sign(perm)
         out += sign * np.transpose(arr, perm)
     return out / math.factorial(k)
+
+
+@lru_cache(maxsize=None)
+def _unpack_tables(n, k):
+    """Scatter of KForm.unpack: for every permutation of every increasing
+    k-tuple, its flat index in the dense (n,) * k tensor, the tuple's rank and
+    the permutation sign."""
+    flat, src, sign = [], [], []
+    for r, base in enumerate(index_tuples(n, k)):
+        for perm in itertools.permutations(base):
+            pos = 0
+            for i in perm:
+                pos = pos * n + i
+            flat.append(pos)
+            src.append(r)
+            sign.append(sort_sign(perm)[1])
+    return _frozen(np.array(flat, dtype=np.intp), np.array(src, dtype=np.intp),
+                   np.array(sign, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -183,15 +233,11 @@ class KForm:
     def unpack(self):
         """Dense fully alternating tensor of shape (dim,) * degree."""
         n, k = self.dim, self.degree
-        dense = np.zeros((n,) * k)
-        for r, base in enumerate(index_tuples(n, k)):
-            v = self.coeffs[r]
-            if v == 0.0:
-                continue
-            for perm in itertools.permutations(base):
-                _, sign = sort_sign(perm)
-                dense[perm] = sign * v
-        return dense
+        flat, src, sign = _unpack_tables(n, k)
+        dense = np.zeros(n ** k)
+        # + 0.0 turns the -0.0 of a negated zero coefficient into the +0.0 of an unset entry
+        dense[flat] = sign * self.coeffs[src] + 0.0
+        return dense.reshape((n,) * k)
 
     def component(self, indices):
         """Value on basis vectors e_{i_1}, ..., e_{i_k} (0-based, any order)."""
@@ -365,6 +411,35 @@ def nilpotency_step(mu, rank_tol_factor=RANK_TOL_FACTOR):
         step += 1
 
 
+@lru_cache(maxsize=None)
+def _ce_tables(n, k):
+    """Index tables of d on k-forms of R^n; they do not depend on the bracket.
+
+    For output tuple T = index_tuples(n, k + 1)[r] and its j-th slot pair
+    p < q (lexicographic): I[r, j] = T[p] and J[r, j] = T[q], so m[I, J] holds
+    the coefficients mu(e_T[p], e_T[q])_l over l; w((l,) + T without p, q) is
+    sign[r, j, l] * coeffs[src[r, j, l]], with sign 0 where l repeats an index;
+    odd[j] is the parity of p + q.
+    """
+    outs = index_tuples(n, k + 1)
+    pairs = tuple(itertools.combinations(range(k + 1), 2))
+    ranks = _tuple_rank(n, k)
+    I = np.zeros((len(outs), len(pairs)), dtype=np.intp)
+    J = np.zeros_like(I)
+    src = np.zeros((len(outs), len(pairs), n), dtype=np.intp)
+    sign = np.zeros(src.shape)
+    for r, T in enumerate(outs):
+        for j, (p, q) in enumerate(pairs):
+            I[r, j], J[r, j] = T[p], T[q]
+            rest = T[:p] + T[p + 1:q] + T[q + 1:]
+            for l in range(n):
+                key, s = sort_sign((l,) + rest)
+                if s:
+                    src[r, j, l], sign[r, j, l] = ranks[key], s
+    odd = np.array([(p + q) % 2 == 1 for p, q in pairs], dtype=bool)
+    return _frozen(I, J, src, sign, odd)
+
+
 def ce_differential(omega, mu):
     """Chevalley-Eilenberg differential of a k-form.
 
@@ -375,23 +450,19 @@ def ce_differential(omega, mu):
     n, k = omega.dim, omega.degree
     if m.shape[0] != n:
         raise ValidationError("form and bracket dimensions differ")
-    out_tuples = index_tuples(n, k + 1)
-    out = np.zeros(len(out_tuples))
-    for r, T in enumerate(out_tuples):
-        acc = 0.0
-        for p in range(k + 1):
-            for q in range(p + 1, k + 1):
-                rest = T[:p] + T[p + 1:q] + T[q + 1:]
-                inner = 0.0
-                for l in range(n):
-                    c = m[T[p], T[q], l]
-                    if c != 0.0:
-                        inner += c * omega.component((l,) + rest)
-                if (p + q) % 2:
-                    acc -= inner
-                else:
-                    acc += inner
-        out[r] = acc
+    I, J, src, sign, odd = _ce_tables(n, k)
+    terms = m[I, J] * (sign * omega.coeffs[src])
+    # Sum over l, then over the pairs (p, q) in order, as the definition reads:
+    # any other order (a matrix product, numpy's pairwise sums) moves the last bits.
+    inner = np.zeros(I.shape)
+    for l in range(n):
+        inner += terms[:, :, l]
+    out = np.zeros(len(I))
+    for j, is_odd in enumerate(odd):
+        if is_odd:
+            out -= inner[:, j]
+        else:
+            out += inner[:, j]
     return KForm(n, k + 1, out)
 
 
@@ -417,10 +488,11 @@ def wedge(alpha, beta):
     return KForm(n, k + l, out)
 
 
-def _checked_inverse(A):
+def _checked_inverse(A, n):
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(f"basis change must be a square matrix, got shape {A.shape}")
+    if A.shape != (n, n):
+        raise ValidationError(f"basis change on R^{n} must be an ({n}, {n}) matrix, "
+                              f"got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValidationError("basis change entries must be finite")
     try:
@@ -435,14 +507,14 @@ def _checked_inverse(A):
 def gl_action(A, mu):
     """Basis change on brackets: (A.mu)(X, Y) = A mu(A^-1 X, A^-1 Y)."""
     m = bracket_coeffs(mu)
-    A, Ainv = _checked_inverse(A)
-    out = np.einsum('ai,bj,kl,abl->ijk', Ainv, Ainv, A, m, optimize=True)
+    A, Ainv = _checked_inverse(A, m.shape[0])
+    out = _planned_einsum('ai,bj,kl,abl->ijk', Ainv, Ainv, A, m)
     return LieBracket(out)
 
 
 def gl_action_form(A, omega):
     """Basis change on forms: (A.w)(X_1, ..., X_k) = w(A^-1 X_1, ..., A^-1 X_k)."""
-    _, Ainv = _checked_inverse(A)
+    _, Ainv = _checked_inverse(A, omega.dim)
     comp = compound_matrix(Ainv, omega.degree)
     return KForm(omega.dim, omega.degree, comp.T @ omega.coeffs)
 
@@ -464,6 +536,8 @@ def pi_form(phi, omega):
     """Derivative of gl_action_form at the identity: minus phi inserted slotwise."""
     P = np.asarray(phi, dtype=float)
     n, k = omega.dim, omega.degree
+    if P.shape != (n, n):
+        raise ValidationError(f"pi_form on R^{n} needs an ({n}, {n}) matrix, got shape {P.shape}")
     tups = index_tuples(n, k)
     out = np.zeros(len(tups))
     for r, T in enumerate(tups):

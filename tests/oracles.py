@@ -68,6 +68,50 @@ def dense_ce(omega_dense, m):
     return out
 
 
+def packed_ce(coeffs, m, k):
+    """Packed coefficients of d omega, for a k-form given by packed coefficients.
+
+    The same alternating sum as dense_ce, evaluated only on increasing
+    (k+1)-tuples, with omega read off its packed slots through perm_sign.  Its
+    cost grows like C(n, k+1) rather than n^(k+1), so it reaches n = 10.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    slots = dict(zip(itertools.combinations(range(n), k), coeffs))
+
+    def omega(idx):
+        if len(set(idx)) < len(idx):
+            return 0.0
+        order = sorted(range(len(idx)), key=lambda r: idx[r])
+        return perm_sign(order) * float(slots[tuple(idx[r] for r in order)])
+
+    out = []
+    for T in itertools.combinations(range(n), k + 1):
+        acc = 0.0
+        for p in range(k + 1):
+            for q in range(p + 1, k + 1):
+                rest = tuple(T[r] for r in range(k + 1) if r != p and r != q)
+                inner = 0.0
+                for l in range(n):
+                    c = m[T[p], T[q], l]
+                    if c != 0.0:
+                        inner += c * omega((l,) + rest)
+                acc += (-1) ** (p + q) * inner
+        out.append(acc)
+    return np.array(out)
+
+
+def compound(mat, k):
+    """k-th compound matrix by one determinant per pair of increasing index tuples."""
+    mat = np.asarray(mat, dtype=float)
+    tups = list(itertools.combinations(range(mat.shape[0]), k))
+    out = np.zeros((len(tups), len(tups)))
+    for r, rows in enumerate(tups):
+        for c, cols in enumerate(tups):
+            out[r, c] = np.linalg.det(mat[np.ix_(rows, cols)]) if k else 1.0
+    return out
+
+
 def dense_inner(a_dense, b_dense, G):
     """<a, b>_g = (1/k!) a_{I} b_{J} g^{i1 j1} ... g^{ik jk}."""
     a = np.asarray(a_dense, dtype=float)

@@ -125,7 +125,7 @@ def test_star_table_identity_metric():
 
 
 def test_star_matches_epsilon_oracle(rng):
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6, 7):
         G = oc.random_spd(rng, n)
         g = Metric(G)
         for o in (1, -1):

@@ -25,6 +25,7 @@ from nilflow import (
     shuffle_sign,
     wedge,
 )
+from nilflow import hodge, lie
 
 import oracles as oc
 
@@ -70,6 +71,14 @@ def test_compound_matrix(rng):
         lhs = compound_matrix(A @ B, k)
         rhs = compound_matrix(A, k) @ compound_matrix(B, k)
         assert np.allclose(lhs, rhs, atol=1e-10)
+    n = 7
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    for k in range(0, n + 2):  # k > n: no index tuples, an empty matrix
+        got = compound_matrix(A, k)
+        assert got.shape == (math.comb(n, k),) * 2
+        assert np.allclose(got, oc.compound(A, k), atol=1e-10)
+        assert np.allclose(compound_matrix(A @ B, k), got @ compound_matrix(B, k), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +114,17 @@ def test_kform_zero_and_overdegree():
 
 
 def test_kform_dense_round_trip(rng):
-    for n in (3, 4, 5):
-        for k in range(1, n + 1):
-            w = KForm(n, k, oc.random_form_coeffs(rng, n, k))
-            back = KForm.from_dense(w.unpack())
-            assert back.allclose(w, tol=1e-13)
+    cases = [(n, k) for n in (3, 4, 5) for k in range(1, n + 1)]
+    cases += [(10, k) for k in (1, 2, 3, 4)]  # n = MAX_PROBLEM_DIM
+    for n, k in cases:
+        w = KForm(n, k, oc.random_form_coeffs(rng, n, k))
+        dense = w.unpack()
+        assert dense.shape == (n,) * k
+        for r, T in enumerate(index_tuples(n, k)):
+            perm = list(rng.permutation(k))
+            assert dense[tuple(T[i] for i in perm)] == oc.perm_sign(perm) * w.coeffs[r]
+        back = KForm.from_dense(dense)
+        assert back.allclose(w, tol=1e-13)
 
 
 def test_kform_from_dense_rejects_non_alternating():
@@ -231,13 +246,21 @@ def test_ce_differential_on_zero_forms():
 
 
 def test_ce_differential_matches_dense_oracle(rng):
-    for n in (3, 4, 5):
+    # every degree up to n = 7, and n = 10 (MAX_PROBLEM_DIM) at the edge degrees;
+    # the dense oracle where n^(k+1) is small, the packed one everywhere.  The
+    # packed oracle adds in the definition's order, as ce_differential does, so
+    # the two agree to the last bit.
+    cases = [(n, k) for n in range(2, 8) for k in range(0, n + 1)]
+    cases += [(10, k) for k in (0, 1, 2, 9)]
+    for n, k in cases:
         mu = oc.random_nilpotent(rng, n)
         raw = oc.random_skew_bracket(rng, n)  # non-Lie; d is still defined
         for m in (mu.coeffs, raw):
-            for k in range(1, n):
-                w = KForm(n, k, oc.random_form_coeffs(rng, n, k))
-                got = ce_differential(w, m)
+            w = KForm(n, k, oc.random_form_coeffs(rng, n, k))
+            got = ce_differential(w, m)
+            assert got.degree == k + 1 and got.coeffs.shape == (math.comb(n, k + 1),)
+            assert np.array_equal(got.coeffs, oc.packed_ce(w.coeffs, m, k))
+            if 1 <= k < n and n ** (k + 1) <= 4096:
                 want = oc.dense_ce(w.unpack(), m)
                 assert np.allclose(got.unpack(), want, atol=1e-12)
 
@@ -345,6 +368,31 @@ def test_gl_action_rejects_singular():
     with pytest.raises(ValidationError):
         gl_action_form(np.diag([1.0, 1.0, 0.0]),
                        KForm.from_entries(3, 1, [((1,), 1.0)]))
+    # a non-square matrix, or one of the wrong size
+    e1 = KForm(3, 1, [1.0, 0.0, 0.0])
+    for call in (lambda: compound_matrix(np.ones((2, 3)), 2),
+                 lambda: compound_matrix(np.ones(3), 1),
+                 lambda: gl_action(np.eye(2), np.zeros((3, 3, 3))),
+                 lambda: gl_action(np.ones((3, 2)), np.zeros((3, 3, 3))),
+                 lambda: gl_action_form(np.eye(2), e1),
+                 lambda: gl_action_form(np.eye(4), e1),
+                 lambda: pi_form(np.eye(4), e1),
+                 lambda: pi_form(np.eye(2), e1),
+                 lambda: pi_form(np.ones((3, 2)), e1)):
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_cached_index_tables_are_read_only():
+    # the tables are shared by every later call with the same (n, k)
+    tables = (*lie._ce_tables(4, 2), lie._index_array(4, 2), *lie._unpack_tables(4, 2),
+              *hodge._star_tables(4, 2))
+    for table in tables:
+        assert table.size
+        with pytest.raises(ValueError):
+            table[...] = 0
+    with pytest.raises(TypeError):
+        lie._tuple_rank(4, 2)[(0, 1)] = 5
 
 
 def test_pi_identity_and_zero_and_derivation():
