@@ -22,7 +22,7 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
-from .lie import KForm, bracket_coeffs, ce_differential, gl_action, _planned_einsum
+from .lie import KForm, bracket_coeffs, ce_differential, form_dense, gl_action, _planned_einsum
 
 __all__ = [
     "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
@@ -72,7 +72,7 @@ def rc_metric(mu, g):
 def h_circ_h(H, g):
     """Symmetric form (H.H)_ij = g^{rl} g^{st} H_{irs} H_{jlt}; PSD for any H."""
     gm = as_metric(g)
-    Hd = _dense3(H, gm.dim)
+    Hd = form_dense(H, gm.dim, 3)
     ginv = gm.inverse
     out = _planned_einsum('rl,st,irs,jlt->ij', ginv, ginv, Hd, Hd)
     return symmetric_part(out)
@@ -80,7 +80,8 @@ def h_circ_h(H, g):
 
 def h_squared_neutral(H):
     """Orthonormal-frame square (H^2)_ij = H_{ikl} H_{jkl} (no metric, no 1/4)."""
-    Hd = _dense3(H, H.dim if isinstance(H, KForm) else None)
+    n = H.dim if isinstance(H, KForm) else len(np.atleast_1d(H))
+    Hd = form_dense(H, n, 3)
     out = np.einsum('ikl,jkl->ij', Hd, Hd)
     return symmetric_part(out)
 
@@ -108,7 +109,7 @@ def bismut_nabla_theta(mu, g, H, theta):
     """
     gm = as_metric(g)
     n = gm.dim
-    Hd = _dense3(H, n)
+    Hd = form_dense(H, n, 3)
     th = _theta_vector(theta, n)
     gam_plus = christoffels(mu, gm) + 0.5 * np.einsum('ijl,lk->ijk', Hd, gm.inverse)
     return -np.einsum('ijk,k->ij', gam_plus, th)
@@ -137,23 +138,12 @@ def generalized_ricci_plus(mu, g, H, theta):
     return rc - 0.25 * hh - 0.5 * dstar + 0.5 * nab
 
 
-def _dense3(H, n):
-    if isinstance(H, KForm):
-        if H.degree != 3:
-            raise ValidationError(f"expected a 3-form, got degree {H.degree}")
-        return H.unpack()
-    arr = np.asarray(H, dtype=float)
-    if n is not None and arr.shape != (n, n, n):
-        raise ValidationError(f"dense 3-form must have shape {(n, n, n)}, got {arr.shape}")
-    return arr
-
-
 def _as_3form(H, n):
     if isinstance(H, KForm):
         if H.degree != 3 or H.dim != n:
             raise ValidationError("flux form must be a 3-form matching the metric dimension")
         return H
-    return KForm.from_dense(_dense3(H, n))
+    return KForm.from_dense(form_dense(H, n, 3))
 
 
 def _theta_vector(theta, n):

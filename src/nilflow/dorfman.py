@@ -13,14 +13,13 @@ how badly corrupted data fails these identities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import ValidationError
-from .lie import KForm, LieBracket, bracket_coeffs, ce_differential, jacobi_residual
+from .lie import KForm, LieBracket, bracket_coeffs, ce_differential, form_dense, jacobi_residual
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,16 @@ class GeneralizedVector:
         vals = [abs(float(x)) for x in (*self.vec, *self.covec)]
         return max(vals) if vals else 0.0
 
+    def _check_compatible(self, other):
+        if not isinstance(other, GeneralizedVector) or other.dim != self.dim:
+            raise ValidationError("generalized vectors must have matching dimension")
+
     def __add__(self, other):
+        self._check_compatible(other)
         return GeneralizedVector(self.vec + other.vec, self.covec + other.covec)
 
     def __sub__(self, other):
+        self._check_compatible(other)
         return GeneralizedVector(self.vec - other.vec, self.covec - other.covec)
 
     def __mul__(self, scalar):
@@ -91,25 +96,15 @@ class GeneralizedVector:
 
 def neutral_pairing(z1, z2):
     """Signature-(n, n) pairing <X + xi, Y + eta> = (eta(X) + xi(Y)) / 2."""
+    z1._check_compatible(z2)
     return 0.5 * (float(z1.covec @ z2.vec) + float(z2.covec @ z1.vec))
-
-
-def _dense_h(H, n):
-    if isinstance(H, KForm):
-        if H.degree != 3 or H.dim != n:
-            raise ValidationError("H must be a 3-form matching the bracket dimension")
-        return H.unpack()
-    arr = np.asarray(H, dtype=float)
-    if arr.shape != (n, n, n):
-        raise ValidationError(f"dense 3-form must have shape {(n, n, n)}, got {arr.shape}")
-    return arr
 
 
 def dorfman_eval(mu, H, z1, z2):
     """The bracket muH(z1, z2) of two generalized vectors."""
     m = bracket_coeffs(mu)
     n = m.shape[0]
-    Hd = _dense_h(H, n)
+    Hd = form_dense(H, n, 3)
     if z1.dim != n or z2.dim != n:
         raise ValidationError("generalized vectors do not match the bracket dimension")
     X, xi = z1.vec, z1.covec
@@ -126,13 +121,15 @@ def dorfman_structure_constants(mu, H):
 
     Basis order: vectors e_1..e_n first (indices 0..n-1), covectors e^1..e^n
     second (indices n..2n-1).  Blocks: T[vec,vec,vec] = H, T[vec,vec,cov] = mu,
-    and every entry with two or more covector indices vanishes.  T is totally
-    skew; the expansion muH(E_a, E_b) = sum_k T[a,b,n+k] e_k + T[a,b,k] e^k
-    reconstructs the bracket.
+    and every entry with two or more covector indices vanishes.  For any input,
+    raw non-skew brackets and non-alternating dense H included, the expansion
+    muH(E_a, E_b) = sum_k T[a,b,n+k] e_k + T[a,b,k] e^k reproduces dorfman_eval
+    on basis pairs, so the residuals below read their data off T.  T is totally
+    skew only when mu is skew and H alternating.
     """
     m = bracket_coeffs(mu)
     n = m.shape[0]
-    Hd = _dense_h(H, n)
+    Hd = form_dense(H, n, 3)
     T = np.zeros((2 * n, 2 * n, 2 * n))
     T[:n, :n, :n] = Hd
     T[:n, :n, n:] = m
@@ -143,16 +140,7 @@ def dorfman_structure_constants(mu, H):
 
 def dorfman_total_skew_residual(mu, H):
     """Deviation of <muH(E_a, E_b), E_c> from total skewness; ~0 for valid data."""
-    m = bracket_coeffs(mu)
-    n = m.shape[0]
-    N = 2 * n
-    basis = [GeneralizedVector.basis(n, a) for a in range(N)]
-    P = np.zeros((N, N, N))
-    for a in range(N):
-        for b in range(N):
-            w = dorfman_eval(m, H, basis[a], basis[b])
-            P[a, b, :n] = 0.5 * w.covec
-            P[a, b, n:] = 0.5 * w.vec
+    P = 0.5 * dorfman_structure_constants(mu, H)
     alt = np.zeros_like(P)
     for perm, sign in (('abc', 1), ('acb', -1), ('bac', -1),
                        ('bca', 1), ('cab', 1), ('cba', -1)):
@@ -164,22 +152,13 @@ def dorfman_total_skew_residual(mu, H):
 def dorfman_jacobi_residual(mu, H):
     """Sup-norm Leibniz defect muH(a, muH(b, c)) - muH(muH(a, b), c) - muH(b, muH(a, c))
     over all basis triples of the doubled space."""
-    m = bracket_coeffs(mu)
-    n = m.shape[0]
-    Hd = _dense_h(H, n)
-    N = 2 * n
-    basis = [GeneralizedVector.basis(n, a) for a in range(N)]
-    pair = [[dorfman_eval(m, Hd, basis[a], basis[b]) for b in range(N)] for a in range(N)]
-    worst = 0.0
-    for a in range(N):
-        for b in range(N):
-            ab = pair[a][b]
-            for c in range(N):
-                defect = (dorfman_eval(m, Hd, basis[a], pair[b][c])
-                          - dorfman_eval(m, Hd, ab, basis[c])
-                          - dorfman_eval(m, Hd, basis[b], pair[a][c]))
-                worst = max(worst, defect.norm_inf)
-    return worst
+    T = dorfman_structure_constants(mu, H)
+    # C[a, b, e]: coefficient of E_e in muH(E_a, E_b), vectors first
+    C = np.roll(T, T.shape[0] // 2, axis=2)
+    defect = (np.einsum('bce,aef->abcf', C, C)
+              - np.einsum('abe,ecf->abcf', C, C)
+              - np.einsum('ace,bef->abcf', C, C))
+    return float(np.max(np.abs(defect))) if defect.size else 0.0
 
 
 def closedness_residual(mu, H):
@@ -189,7 +168,7 @@ def closedness_residual(mu, H):
     if isinstance(H, KForm):
         form = H
     else:
-        form = KForm.from_dense(_dense_h(H, n))
+        form = KForm.from_dense(form_dense(H, n, 3))
     return ce_differential(form, m).norm_inf
 
 
@@ -209,7 +188,7 @@ class DorfmanBracket:
             object.__setattr__(self, "mu", LieBracket(bracket_coeffs(self.mu)))
         n = self.mu.dim
         if not isinstance(self.H, KForm):
-            object.__setattr__(self, "H", KForm.from_dense(_dense_h(self.H, n)))
+            object.__setattr__(self, "H", KForm.from_dense(form_dense(self.H, n, 3)))
         if self.H.dim != n or self.H.degree != 3:
             raise ValidationError("H must be a 3-form matching the bracket dimension")
         jac = jacobi_residual(self.mu)

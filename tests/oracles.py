@@ -239,6 +239,54 @@ def heisenberg_tmin_exact(a):
     return -K * K * abs(F(1.0))
 
 
+def dorfman_residuals(m, Hd):
+    """(total-skew residual, Leibniz residual) of the Dorfman bracket of (m, Hd).
+
+    Evaluates muH(X + xi, Y + eta) = mu(X, Y) - eta . ad(X) + xi . ad(Y)
+    + iota_Y iota_X H with matrix products on whole generalized vectors, then
+    loops over basis triples: the skew residual alternates the pairing
+    <muH(E_a, E_b), E_c> over the six permutations, and the Leibniz residual
+    brackets basis vectors against the computed brackets.  Raw (non-skew)
+    m and non-alternating Hd are evaluated as given.
+    """
+    m = np.asarray(m, dtype=float)
+    Hd = np.asarray(Hd, dtype=float)
+    n = m.shape[0]
+    N = 2 * n
+
+    def bracket(z1, z2):
+        (X, xi), (Y, eta) = z1, z2
+        adX = np.tensordot(X, m, axes=1)  # adX[k, l]: e^l of mu(X, e_k)
+        adY = np.tensordot(Y, m, axes=1)
+        HX = np.tensordot(X, Hd, axes=1)  # HX[j, k] = H(X, e_j, e_k)
+        return Y @ adX, -(adX @ eta) + adY @ xi + Y @ HX
+
+    def basis(a):
+        z = np.zeros(N)
+        z[a] = 1.0
+        return z[:n], z[n:]
+
+    def pairing(z1, z2):
+        return 0.5 * (z1[1] @ z2[0] + z2[1] @ z1[0])
+
+    E = [basis(a) for a in range(N)]
+    br = [[bracket(E[a], E[b]) for b in range(N)] for a in range(N)]
+    perms = (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
+             ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1))
+    skew = leibniz = 0.0
+    for abc in itertools.product(range(N), repeat=3):
+        a, b, c = abc
+        p = pairing(br[a][b], E[c])
+        alt = sum(s * pairing(br[abc[i]][abc[j]], E[abc[k]]) for (i, j, k), s in perms) / 6.0
+        skew = max(skew, abs(p - alt))
+        lhs = bracket(E[a], br[b][c])
+        r1 = bracket(br[a][b], E[c])
+        r2 = bracket(E[b], br[a][c])
+        for part in range(2):
+            leibniz = max(leibniz, float(np.max(np.abs(lhs[part] - r1[part] - r2[part]))))
+    return skew, leibniz
+
+
 # ---------------------------------------------------------------------------
 # reference brackets (0-based entry rows (i, j, k, value), i < j)
 

@@ -171,6 +171,16 @@ def test_h_squared_neutral_examples(rng):
                        atol=1e-13)
 
 
+def test_flux_terms_reject_mismatched_forms():
+    H4 = KForm(4, 3, np.ones(4))
+    with pytest.raises(ValidationError):
+        h_circ_h(H4, Metric.identity(3))
+    with pytest.raises(ValidationError):
+        bismut_nabla_theta(np.zeros((3, 3, 3)), Metric.identity(3), H4, np.zeros(3))
+    with pytest.raises(ValidationError):
+        h_squared_neutral(np.ones((3, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Bismut term
 

@@ -66,6 +66,13 @@ def test_generalized_vector_validation():
     z = GeneralizedVector.basis(3, 0)
     with pytest.raises(ValueError):
         z.vec[0] = 5.0
+    w = GeneralizedVector.basis(4, 0)
+    with pytest.raises(ValidationError):
+        z + w
+    with pytest.raises(ValidationError):
+        z - w
+    with pytest.raises(ValidationError):
+        neutral_pairing(z, w)
 
 
 def test_neutral_pairing_examples():
@@ -183,15 +190,18 @@ def test_structure_constants_totally_skew():
         assert np.array_equal(np.transpose(T, perm), sign * T)
 
 
-def test_structure_constants_reconstruct_bracket():
-    T = dorfman_structure_constants(HEIS, _h3_flux(0.7))
+def test_structure_constants_reconstruct_bracket(rng):
+    # also for a raw non-skew bracket with a dense non-alternating flux
     n = 3
+    raw = (rng.standard_normal((n, n, n)), rng.standard_normal((n, n, n)))
     basis = [GeneralizedVector.basis(n, a) for a in range(2 * n)]
-    for a in range(2 * n):
-        for b in range(2 * n):
-            w = dorfman_eval(HEIS, _h3_flux(0.7), basis[a], basis[b])
-            assert np.allclose(w.vec, T[a, b, n:], atol=1e-14)
-            assert np.allclose(w.covec, T[a, b, :n], atol=1e-14)
+    for mu, H in ((HEIS, _h3_flux(0.7)), raw):
+        T = dorfman_structure_constants(mu, H)
+        for a in range(2 * n):
+            for b in range(2 * n):
+                w = dorfman_eval(mu, H, basis[a], basis[b])
+                assert np.allclose(w.vec, T[a, b, n:], atol=1e-14)
+                assert np.allclose(w.covec, T[a, b, :n], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +263,18 @@ def test_jacobi_iff_lie_and_closed(rng):
     if c_open > 1e-8:
         assert dorfman_jacobi_residual(mu, open_H) > 1e-8
     assert dorfman_jacobi_residual(mu, closed_H) <= 1e-10
+
+
+def test_residuals_match_loop_oracle(rng):
+    # raw non-skew brackets and non-alternating dense fluxes: both residuals
+    # are of order one, so the comparison is relative
+    for n in range(1, 8):
+        m = rng.uniform(-1.0, 1.0, size=(n, n, n))
+        Hd = rng.uniform(-1.0, 1.0, size=(n, n, n))
+        want_skew, want_leibniz = oc.dorfman_residuals(m, Hd)
+        assert min(want_skew, want_leibniz) > 1e-2
+        assert dorfman_total_skew_residual(m, Hd) == pytest.approx(want_skew, rel=1e-12, abs=0)
+        assert dorfman_jacobi_residual(m, Hd) == pytest.approx(want_leibniz, rel=1e-12, abs=0)
 
 
 def test_closedness_residual_examples():
