@@ -2,9 +2,9 @@
 
 Every tolerance and horizon the library uses is defined here so that the
 values can be audited without hunting through the modules.  All are plain
-module constants.  DEFAULT_RTOL, DEFAULT_ATOL, MAX_STEPS and BISECT_TOL are
-the defaults of IntegratorControls and can be overridden per call; the
-others are fixed.
+module constants.  DEFAULT_RTOL, DEFAULT_ATOL and MAX_STEPS are the
+defaults of IntegratorControls and can be overridden per call; the others
+are fixed.
 
 ========================  ==========  =================================================
 constant                  value       used for
@@ -16,16 +16,13 @@ SKEW_TOL                  1e-8        max allowed relative symmetry leak in brac
 DEFAULT_RTOL              1e-9        adaptive integrator, relative error per step
 DEFAULT_ATOL              1e-10       adaptive integrator, absolute error per step
 INITIAL_STEP              0.1         first trial step, capped by the span or horizon
-STEP_FLOOR                1e-13       smallest trial step before declaring failure
+STEP_FLOOR                1e-13       smallest trial step; below it the run stops (singular time)
 SAFETY                    0.9         step controller: safety factor on ratio^(-1/5)
 MIN_SHRINK                0.2         step controller: smallest step factor (and after a failed RHS)
 MAX_GROW                  5.0         step controller: largest step factor
 MAX_STEPS                 1_000_000   hard cap on attempted steps (accepted plus rejected)
 STRUCTURE_TOL             1e-7        Jacobi / closedness residual allowed along GBF runs
-BLOWUP_NORM               1e8         sup-norm of the state that counts as blowup
-EIG_FLOOR                 1e-10       smallest metric eigenvalue that counts as alive
-BISECT_TOL                1e-5        absolute bracket width when localizing a blowup time
-DEFAULT_HORIZON           1000.0      forward time budget for blowup scans
+DEFAULT_HORIZON           1000.0      clock-time budget of a blowup_time search
 SWEEP_T_LONG              50.0        forward horizon used by the T_min sweep asymptotics
 MAX_PROBLEM_DIM           10          largest dimension accepted by the problem loader
 ==========================================================================================
@@ -46,9 +43,6 @@ MAX_GROW = 5.0
 MAX_STEPS = 1_000_000
 STRUCTURE_TOL = 1e-7
 
-BLOWUP_NORM = 1e8
-EIG_FLOOR = 1e-10
-BISECT_TOL = 1e-5
 DEFAULT_HORIZON = 1000.0
 SWEEP_T_LONG = 50.0
 

@@ -165,10 +165,9 @@ def closedness_residual(mu, H):
     """Sup-norm of d_mu H; zero exactly when the 3-form flux is closed."""
     m = bracket_coeffs(mu)
     n = m.shape[0]
-    if isinstance(H, KForm):
-        form = H
-    else:
-        form = KForm.from_dense(form_dense(H, n, 3))
+    form = H if isinstance(H, KForm) else KForm.from_dense(form_dense(H, n, 3))
+    if form.dim != n or form.degree != 3:
+        raise ValidationError("H must be a 3-form matching the bracket dimension")
     return ce_differential(form, m).norm_inf
 
 

@@ -7,7 +7,8 @@ and a sweep utility over the Heisenberg one-parameter family.
 The integrator is classical RK4 with step-doubling error control; no local
 extrapolation is applied, so the accepted state is the two-half-step result.
 Backward-in-time runs reverse the right-hand side instead of stepping with
-negative h.
+negative h.  One adaptive loop serves every driver; near a singular time its
+trial step falls below STEP_FLOOR, which is where blowup_time stops.
 """
 
 from __future__ import annotations
@@ -19,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
-    BISECT_TOL,
-    BLOWUP_NORM,
     DEFAULT_ATOL,
     DEFAULT_HORIZON,
     DEFAULT_RTOL,
-    EIG_FLOOR,
     INITIAL_STEP,
     MAX_GROW,
     MAX_PROBLEM_DIM,
@@ -90,11 +88,10 @@ class IntegratorControls:
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
     max_steps: int = MAX_STEPS
-    bisect_tol: float = BISECT_TOL
     fixed_step: float | None = None
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "bisect_tol"):
+        for name in ("rtol", "atol"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"integrator control {name} must be positive")
         if self.fixed_step is not None and not self.fixed_step > 0:
@@ -188,9 +185,10 @@ class BlowupReport:
     """Outcome of a singular-time search.
 
     time is the signed blowup time, or None when the horizon was reached
-    first (reason "horizon").  Other reasons: "norm" (state magnitude
-    escape), "metric-degenerate" (an eigenvalue of g fell under the floor),
-    "step-underflow" (the error controller collapsed the step).
+    first (reason "horizon").  Otherwise the reason is read off the last
+    accepted state: "metric-degenerate" (g's smallest eigenvalue shrank by
+    a larger factor than the state's sup-norm grew) or "norm" (the other
+    way round).
     """
 
     time: float | None
@@ -309,6 +307,14 @@ class _RhsFailure(Exception):
         self.kind = kind
 
 
+class _Stalled(NumericalError):
+    """Internal: the trial step fell below STEP_FLOOR; (t, y) is the last accepted state."""
+
+    def __init__(self, t, y):
+        super().__init__(f"step size underflow at t={t:.9g}; last accepted state is valid")
+        self.t, self.y = t, y
+
+
 def _guarded(f):
     def g(t, y):
         try:
@@ -353,11 +359,15 @@ def _next_step(h, ratio):
     return h * min(max(grow, MIN_SHRINK), MAX_GROW)
 
 
-def _integrate(f, t0, y0, t_end, controls, on_accept):
+def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
     """Drive f over [t0, t_end]; on_accept(t, y) sees every accepted state.
 
     Returns (accepted, rejected) step counts.  on_accept is also called on
-    the initial state so trajectories always include it.
+    the initial state so trajectories always include it.  A trial whose RHS
+    fails or whose state is not finite or fails in_domain(y) is rejected, so
+    steps shrink toward the domain's edge instead of crossing it (a fixed-step
+    run raises NumericalError); a trial step below STEP_FLOOR, as at a
+    singular time, raises _Stalled.
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state must be finite")
@@ -365,6 +375,10 @@ def _integrate(f, t0, y0, t_end, controls, on_accept):
     if span < 0:
         raise ValidationError(f"t_end={t_end} precedes t_start={t0}")
     f = _guarded(f)
+
+    def admissible(y):
+        return np.all(np.isfinite(y)) and (in_domain is None or in_domain(y))
+
     on_accept(t0, y0)
     accepted = rejected = 0
     t, y = t0, np.array(y0, dtype=float)
@@ -378,8 +392,9 @@ def _integrate(f, t0, y0, t_end, controls, on_accept):
             except _RhsFailure as e:
                 raise NumericalError(
                     f"fixed-step integration failed near t={t:.9g} ({e.kind})") from None
-            if not np.all(np.isfinite(y)):
-                raise NumericalError(f"state left the finite range near t={t:.9g}")
+            if not admissible(y):
+                raise NumericalError(
+                    f"state left the flow's domain after the last valid time t={t:.9g}")
             t = t_next
             accepted += 1
             on_accept(t, y)
@@ -395,14 +410,13 @@ def _integrate(f, t0, y0, t_end, controls, on_accept):
         landing = h >= remaining
         h_use = remaining if landing else h
         if h_use < STEP_FLOOR:
-            raise NumericalError(
-                f"step size underflow at t={t:.9g}; last accepted state is valid")
+            raise _Stalled(t, y)
         try:
             y_big, y_half = _pair_step(f, t, y, h_use)
-            finite = np.all(np.isfinite(y_big)) and np.all(np.isfinite(y_half))
+            ok = np.all(np.isfinite(y_big)) and admissible(y_half)
         except _RhsFailure:
-            finite = False
-        if not finite:
+            ok = False
+        if not ok:
             rejected += 1
             h = h_use * MIN_SHRINK
             continue
@@ -601,10 +615,10 @@ def grf_rhs(mu, state):
 
 
 def _grf_setup(mu, g0, H0, direction):
-    """Check the initial data; return (n, y0, f) for the flat state y = (g, H).
+    """Check the initial data; return (n, y0, f, in_domain) for y = (g, H) flat.
 
     f(t, y) is the flow's right-hand side, reversed in time when
-    direction is -1.
+    direction is -1.  in_domain(y) says whether g is positive definite.
     """
     if direction not in (1, -1):
         raise ValidationError(f"direction must be +1 or -1, got {direction!r}")
@@ -625,7 +639,14 @@ def _grf_setup(mu, g0, H0, direction):
         dg, dh = _grf_rhs_arrays(m, y[:n * n].reshape(n, n), y[n * n:], n)
         return direction * np.concatenate([dg.ravel(), dh])
 
-    return n, y0, f
+    def in_domain(y):
+        try:
+            np.linalg.cholesky(y[:n * n].reshape(n, n))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    return n, y0, f, in_domain
 
 
 def _grf_state(y, n):
@@ -633,101 +654,79 @@ def _grf_state(y, n):
     return GrfState(g=Metric(y[:n * n].reshape(n, n)), H=KForm(n, 3, y[n * n:]))
 
 
+def _stop_reason(y, y0, n):
+    """Why a flow stalled at the flat state y, judged against its start y0.
+
+    "metric-degenerate" when g's smallest eigenvalue shrank by a larger
+    factor than the state's sup-norm grew, else "norm".
+    """
+    def eig_min(v):
+        return float(np.linalg.eigvalsh(v[:n * n].reshape(n, n))[0])
+
+    growth = float(np.max(np.abs(y))) / float(np.max(np.abs(y0)))
+    # eig_min(y0) / eig_min(y) > growth, without dividing by a vanishing eigenvalue
+    return "metric-degenerate" if eig_min(y0) > growth * eig_min(y) else "norm"
+
+
 def integrate_grf(mu, g0, H0, t_span, controls=None, direction=1):
     """Integrate the gauge-fixed flow from (g0, H0) over t_span.
 
-    g0 must be positive definite and H0 closed for mu; positive
-    definiteness is re-asserted at every accepted step and its loss raises
-    NumericalError naming the last valid time.  direction=-1 integrates the
+    g0 must be positive definite and H0 closed for mu.  Adaptive steps
+    that leave positive definiteness are rejected; a fixed-step run that
+    leaves it raises NumericalError naming the last valid time.  So does a
+    stall of the step controller at a singular time, with the cause read
+    off the last state as in BlowupReport.  direction=-1 integrates the
     time-reversed right-hand side, so the state recorded at clock time s is
     the flow state at signed time t_span[0] - (s - t_span[0]).
     """
     controls = controls if controls is not None else IntegratorControls()
-    n, y0, f = _grf_setup(mu, g0, H0, direction)
+    n, y0, f, in_domain = _grf_setup(mu, g0, H0, direction)
     t0, t1 = (float(t_span[0]), float(t_span[1]))
     times, states = [], []
 
     def on_accept(t, y):
-        try:
-            state = _grf_state(y, n)
-        except ValidationError:
-            last = f" (last valid time t={times[-1]:.9g})" if times else ""
-            raise NumericalError(
-                f"metric degenerated at t={t:.9g}{last}") from None
         times.append(t)
-        states.append(state)
+        states.append(_grf_state(y, n))
 
-    accepted, rejected = _integrate(f, t0, y0, t1, controls, on_accept)
+    try:
+        accepted, rejected = _integrate(f, t0, y0, t1, controls, on_accept, in_domain)
+    except _Stalled as stop:
+        raise NumericalError(
+            f"flow singular ({_stop_reason(stop.y, y0, n)}): step size underflow "
+            f"after the last valid time t={stop.t:.9g}") from None
     return Trajectory(times=np.array(times), states=tuple(states), kind="grf",
                       accepted=accepted, rejected=rejected)
-
-
-def _candidate_bad(y, n):
-    """Classify a trial state: None if usable, else a blowup reason."""
-    if not np.all(np.isfinite(y)):
-        return "norm"
-    if float(np.max(np.abs(y))) > BLOWUP_NORM:
-        return "norm"
-    gmat = y[:n * n].reshape(n, n)
-    sym = (gmat + gmat.T) / 2.0
-    if float(np.min(np.linalg.eigvalsh(sym))) < EIG_FLOOR:
-        return "metric-degenerate"
-    return None
 
 
 def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None):
     """Locate the singular time of the gauge-fixed flow in one time direction.
 
-    Integrates with adaptive steps; a trial state is rejected as singular
-    when it leaves the finite range, exceeds the magnitude threshold, or
-    drops a metric eigenvalue under the floor.  The last good/bad interval
-    is narrowed by step halving until it is shorter than bisect_tol, and
-    the midpoint is reported.  STEP_FLOOR is checked only after an
-    error-ratio rejection: when the shrunken retry step falls below it, the
-    search stops with reason "step-underflow" at the last accepted time.
-    Accepted steps are not checked, so they may shrink below the floor, to
-    where s + h == s.  If nothing singular happens before the horizon, time
-    is None and reason "horizon".
+    Runs the adaptive integrator of integrate_grf over clock time
+    [0, horizon].  Near a singular time its steps shrink until the trial
+    step falls below STEP_FLOOR; the time of the last accepted state is
+    reported, and the reason ("metric-degenerate" or "norm") is read off
+    that state as described in BlowupReport.  If nothing singular happens
+    before the horizon, time is None and reason "horizon".  Fixed steps
+    cannot locate a singular time, so controls.fixed_step must be None.
     """
     if not horizon > 0:
         raise ValidationError("horizon must be positive")
     controls = controls if controls is not None else IntegratorControls()
-    n, y0, f = _grf_setup(mu, g0, H0, direction)
-    f = _guarded(f)
-    s, y = 0.0, y0
-    h = min(INITIAL_STEP, horizon)
-    steps = 0
-    while s < horizon:
-        steps += 1
-        if steps > controls.max_steps:
-            raise NumericalError(
-                f"step budget {controls.max_steps} exhausted at |t|={s:.9g}")
-        remaining = horizon - s
-        landing = h >= remaining
-        h_use = remaining if landing else h
-        bad = None
-        try:
-            y_big, y_half = _pair_step(f, s, y, h_use)
-        except _RhsFailure as e:
-            bad = "metric-degenerate" if e.kind == "metric" else "norm"
-        if bad is None:
-            bad = _candidate_bad(y_half, n)
-        if bad is not None:
-            if h_use <= controls.bisect_tol:
-                return BlowupReport(time=direction * (s + h_use / 2.0), reason=bad,
-                                    t_last=direction * s, state=_grf_state(y, n))
-            h = h_use / 2.0
-            continue
-        ratio = _error_ratio(y, y_big, y_half, controls)
-        h = _next_step(h_use, ratio)
-        if ratio <= 1.0:
-            s = horizon if landing else s + h_use
-            y = y_half
-        elif h < STEP_FLOOR:
-            return BlowupReport(time=direction * s, reason="step-underflow",
-                                t_last=direction * s, state=_grf_state(y, n))
+    if controls.fixed_step is not None:
+        raise ValidationError("blowup_time needs the adaptive controller, not fixed_step")
+    n, y0, f, in_domain = _grf_setup(mu, g0, H0, direction)
+    last = [y0]
+
+    def on_accept(t, y):
+        last[0] = y
+
+    try:
+        _integrate(f, 0.0, y0, horizon, controls, on_accept, in_domain)
+    except _Stalled as stop:
+        return BlowupReport(time=direction * stop.t, reason=_stop_reason(stop.y, y0, n),
+                            t_last=direction * stop.t, state=_grf_state(stop.y, n))
     return BlowupReport(time=None, reason="horizon", t_last=direction * horizon,
-                        state=_grf_state(y, n))
+                        state=_grf_state(last[0], n))
 
 
 # ---------------------------------------------------------------------------

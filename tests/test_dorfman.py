@@ -308,4 +308,8 @@ def test_dorfman_bracket_validation(rng):
     with pytest.raises(ValidationError):
         DorfmanBracket(HEIS, KForm.zero(3, 2))
     with pytest.raises(ValidationError):
+        closedness_residual(HEIS, KForm.zero(3, 2))
+    with pytest.raises(ValidationError):
+        closedness_residual(HEIS, KForm.zero(4, 3))
+    with pytest.raises(ValidationError):
         DorfmanBracket(HEIS, KForm.zero(4, 3))

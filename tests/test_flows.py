@@ -150,8 +150,6 @@ def test_integrator_controls_validation():
         IntegratorControls(fixed_step=-0.1)
     with pytest.raises(ValidationError):
         IntegratorControls(max_steps=0)
-    with pytest.raises(ValidationError):
-        IntegratorControls(bisect_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +354,10 @@ def test_integrate_grf_backward_hits_singularity():
     with pytest.raises(NumericalError):
         integrate_grf(HEIS, Metric.identity(3), _h3_flux(0.0), (0.0, 1.0),
                       direction=-1)
+    # x = g_1 -> 0 while the state stays bounded: the stall names the metric
+    with pytest.raises(NumericalError, match="metric"):
+        integrate_grf(HEIS, Metric.identity(3), _h3_flux(1.0), (0.0, 1.0),
+                      direction=-1)
 
 
 def test_integrate_grf_validation():
@@ -401,14 +403,18 @@ def test_fixed_step_order_of_convergence():
 def test_blowup_time_backward_family():
     rep = blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0))
     assert rep.time is not None
-    assert abs(rep.time + 1.0 / 3.0) <= 1e-4
+    assert abs(rep.time + 1.0 / 3.0) <= 1e-8
+    # x -> 0 and z -> oo at the same rate, so both labels are true
     assert rep.reason in ("norm", "metric-degenerate")
     assert rep.t_last <= 0.0
     rep = blowup_time(HEIS, Metric.identity(3), _h3_flux(1.0))
-    assert abs(rep.time + 0.25) <= 1e-4
+    assert abs(rep.time + 0.25) <= 1e-8
+    assert rep.reason == "metric-degenerate"
     for a in (0.5, 2.0, 4.0):
         rep = blowup_time(HEIS, Metric.identity(3), _h3_flux(a))
-        assert abs(rep.time - oc.heisenberg_tmin_exact(a)) <= 1e-6
+        assert abs(rep.time - oc.heisenberg_tmin_exact(a)) <= 1e-8
+        if a > 1.0:
+            assert rep.reason == "metric-degenerate"
 
 
 def test_blowup_time_forward_horizon():
@@ -426,18 +432,31 @@ def test_blowup_time_backward_horizon_short():
     assert rep.t_last == -0.2
 
 
+def test_blowup_time_loose_controls_stay_in_domain():
+    # a loose step can jump past the collapse to an indefinite metric; the
+    # search must reject it and keep closing in on T_min
+    loose = IntegratorControls(rtol=1e-2, atol=1e-1)
+    for a in (2.0, 4.0):
+        rep = blowup_time(HEIS, Metric.identity(3), _h3_flux(a), controls=loose)
+        assert abs(rep.time - oc.heisenberg_tmin_exact(a)) <= 1e-3
+        assert rep.reason == "metric-degenerate"
+
+
 def test_blowup_time_validation():
     with pytest.raises(ValidationError):
         blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0), horizon=0.0)
     with pytest.raises(ValidationError):
         blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0), direction=2)
+    with pytest.raises(ValidationError):
+        blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0),
+                    controls=IntegratorControls(fixed_step=0.01))
 
 
 # ---------------------------------------------------------------------------
 # parameter sweep
 
 
-CHEAP = IntegratorControls(rtol=1e-7, atol=1e-9, bisect_tol=1e-4)
+CHEAP = IntegratorControls(rtol=1e-7, atol=1e-9)
 
 
 def test_tmin_sweep_rows():
