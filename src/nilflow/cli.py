@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -55,8 +56,10 @@ class RunConfig:
         if self.command not in _COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
         for nm in ("rtol", "atol", "tol", "horizon", "t_long"):
-            if not getattr(self, nm) > 0:
-                raise ValidationError(f"--{nm.replace('_', '-')} must be positive")
+            if not 0 < getattr(self, nm) < math.inf:
+                raise ValidationError(f"--{nm.replace('_', '-')} must be finite and positive")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValidationError("--t-start and --t-end must be finite")
         if self.command in ("bracket-flow", "grf") and not self.t_start < self.t_end:
             raise ValidationError("--t-start must be strictly less than --t-end")
         if self.direction not in ("forward", "backward"):

@@ -9,6 +9,14 @@ extrapolation is applied, so the accepted state is the two-half-step result.
 Backward-in-time runs reverse the right-hand side instead of stepping with
 negative h.  One adaptive loop serves every driver; near a singular time its
 trial step falls below STEP_FLOOR, which is where blowup_time stops.
+
+The generalized Ricci flow has one right-hand-side kernel, _grf_kernel,
+built once per run from the bracket alone: the matrices of d on 2- and
+3-forms, the pack/unpack index tables, and which d terms vanish for the
+bracket.  Each evaluation then works on plain arrays (one Cholesky factor of
+g, the orthonormal-frame bracket and its ric_orthonormal, H o H by matmuls,
+the Laplacian through the d matrices) and builds no Metric, KForm or
+LieBracket.  integrate_grf, blowup_time and grf_rhs all evaluate it.
 """
 
 from __future__ import annotations
@@ -33,10 +41,14 @@ from .config import (
     STRUCTURE_TOL,
     SWEEP_T_LONG,
 )
-from .curvature import h_circ_h, h_squared_neutral, rc_metric, ric_orthonormal
+# rc_metric and hodge_laplacian are the library forms of two terms of the GRF
+# kernel below, which does not call them; they stay bound here because the
+# benchmark's tracer (bench/spans.py) and its tests look them up on this module.
+from .curvature import h_squared_neutral, rc_metric, ric_orthonormal  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
-from .hodge import Metric, hodge_laplacian
-from .lie import KForm, LieBracket, bracket_coeffs, ce_differential, index_tuples, jacobi_residual
+from .hodge import Metric, hodge_laplacian  # noqa: F401
+from .lie import (KForm, LieBracket, bracket_coeffs, ce_differential, index_tuples,
+                  jacobi_residual, _ce_tables, _index_array, _unpack_tables)
 
 __all__ = [
     "PhiSpec",
@@ -92,10 +104,10 @@ class IntegratorControls:
 
     def __post_init__(self):
         for name in ("rtol", "atol"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"integrator control {name} must be positive")
-        if self.fixed_step is not None and not self.fixed_step > 0:
-            raise ValidationError("fixed_step must be positive when given")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"integrator control {name} must be finite and positive")
+        if self.fixed_step is not None and not 0 < self.fixed_step < math.inf:
+            raise ValidationError("fixed_step must be finite and positive when given")
         if self.max_steps < 1:
             raise ValidationError("max_steps must be at least 1")
 
@@ -371,6 +383,8 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state must be finite")
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValidationError(f"time span ({t0}, {t_end}) must have finite ends")
     span = t_end - t0
     if span < 0:
         raise ValidationError(f"t_end={t_end} precedes t_start={t0}")
@@ -589,19 +603,82 @@ def gbf_decay_bound_check(trajectory, a, slack=1e-9):
 # ---------------------------------------------------------------------------
 # generalized Ricci flow (gauge-fixed)
 
-def _grf_rhs_arrays(m, gmat, hcoeffs, n):
-    met = Metric(gmat)
-    hform = KForm(n, 3, hcoeffs)
-    dg = -2.0 * rc_metric(m, met) + 0.5 * h_circ_h(hform, met)
-    dg = (dg + dg.T) / 2.0
-    dh = hodge_laplacian(hform, m, met)
-    return dg, -dh.coeffs
+def _d_matrix(m, k):
+    """Matrix of d_mu from packed k-forms to packed (k+1)-forms, read off _ce_tables."""
+    n = m.shape[0]
+    I, J, src, sign, odd = _ce_tables(n, k)
+    vals = m[I, J] * sign * np.where(odd, -1.0, 1.0)[:, None]
+    D = np.zeros((len(I), math.comb(n, k)))
+    np.add.at(D, (np.arange(len(I))[:, None, None], src), vals)
+    return D
+
+
+def _grf_kernel(m):
+    """The flow's right-hand side for the bracket m, as rhs(g, h) -> (dg, dh).
+
+    g is an (n, n) symmetric array and h the packed 3-form; both outputs are
+    plain arrays.  Everything that depends on m alone is built here, once:
+    the matrices D2, D3 of d on 2- and 3-forms and the pack/unpack index
+    tables.  A d term that is identically zero for m is dropped here too.
+
+    Per call: one Cholesky factor g = u^T u (LinAlgError off the domain);
+    the orthonormal-frame bracket u.mu by three matmuls, whose Ricci form
+    pulled back by u is Rc_g; H o H by batched matmuls; and the Laplacian
+    d d* + d* d with d* = C_k(g) D_k^T C_{k+1}(g^-1), the adjoint of d, which
+    is the library's sign * star d star for the unimodular brackets it
+    targets.  A compound C_k(A) acts on a packed form as A on every slot of
+    the dense form.
+    """
+    n = m.shape[0]
+    d2, d3 = _d_matrix(m, 2), _d_matrix(m, 3)
+    down, up = np.any(d2), np.any(d3)
+    unpack = {k: _unpack_tables(n, k) for k in (2, 3, 4)}
+    pack = {k: np.ravel_multi_index(_index_array(n, k).T, (n,) * k) for k in (2, 3, 4)}
+
+    def dense(x, k):
+        flat, src, sign = unpack[k]
+        out = np.zeros(n ** k)
+        out[flat] = sign * x[src]
+        return out.reshape((n,) * k)
+
+    def on_slots(A, x, k):
+        """C_k(A) x: A on each slot of the dense form x, each pass rotating one slot."""
+        for _ in range(k):
+            x = x.reshape(n, -1).T @ A.T
+        return x.ravel()[pack[k]]
+
+    def rhs(g, h):
+        u = np.linalg.cholesky(g).T
+        u_inv = np.linalg.inv(u)
+        g_inv = u_inv @ u_inv.T
+        # gl_action(u, m): u_inv on both inputs, u on the output, then the exact skew part
+        b = (u_inv.T @ (u_inv.T @ (m @ u.T)).reshape(n, -1)).reshape(n, n, n)
+        ric = ric_orthonormal((b - b.swapaxes(0, 1)) / 2.0)
+        hd = dense(h, 3)
+        raised = g_inv @ hd @ g_inv  # g_inv on the last two slots
+        hh = raised.reshape(n, -1) @ hd.reshape(n, -1).T
+        dg = -2.0 * (u.T @ ric @ u) + 0.5 * hh
+        dg = (dg + dg.T) / 2.0
+        lap = np.zeros(h.shape)
+        if up:  # d* d h = C_3(g) D3^T C_4(g_inv) D3 h
+            c4 = on_slots(g_inv, dense(d3 @ h, 4), 4)
+            lap += on_slots(g, dense(d3.T @ c4, 3), 3)
+        if down:  # d d* h = D2 C_2(g) D2^T C_3(g_inv) h, with g_inv on the first slot of raised
+            c3 = (g_inv @ raised.reshape(n, -1)).ravel()[pack[3]]
+            lap += d2 @ on_slots(g, dense(d2.T @ c3, 2), 2)
+        return dg, -lap
+
+    return rhs
 
 
 def grf_rhs(mu, state):
     """Time derivative (dg, dH) of the flow dg = -2 Rc + (1/2) H o H, dH = -Lap H.
 
-    Orientation plays no part: the Laplacian applies the Hodge star twice.
+    Builds and evaluates the kernel that integrate_grf and blowup_time run
+    on: Rc is the Ricci form of the orthonormal-frame bracket pulled back
+    by the Cholesky factor of g, and Lap = d d* + d* d with d* the g-adjoint
+    of d (sign * star d star for unimodular brackets).  Orientation plays
+    no part.
     """
     if not isinstance(state, GrfState):
         raise ValidationError("grf_rhs expects a GrfState")
@@ -610,7 +687,7 @@ def grf_rhs(mu, state):
     if state.dim != n:
         raise ValidationError(
             f"state dimension {state.dim} does not match bracket dimension {n}")
-    dg, dh = _grf_rhs_arrays(m, state.g.entries, state.H.coeffs, n)
+    dg, dh = _grf_kernel(m)(state.g.entries, state.H.coeffs)
     return dg, KForm(n, 3, dh)
 
 
@@ -634,9 +711,10 @@ def _grf_setup(mu, g0, H0, direction):
         raise ValidationError(
             f"initial 3-form is not closed for the bracket (residual {cr:.3e})")
     y0 = np.concatenate([met0.entries.ravel(), h0.coeffs])
+    rhs = _grf_kernel(m)
 
     def f(t, y):
-        dg, dh = _grf_rhs_arrays(m, y[:n * n].reshape(n, n), y[n * n:], n)
+        dg, dh = rhs(y[:n * n].reshape(n, n), y[n * n:])
         return direction * np.concatenate([dg.ravel(), dh])
 
     def in_domain(y):
@@ -709,8 +787,8 @@ def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None
     before the horizon, time is None and reason "horizon".  Fixed steps
     cannot locate a singular time, so controls.fixed_step must be None.
     """
-    if not horizon > 0:
-        raise ValidationError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValidationError("horizon must be finite and positive")
     controls = controls if controls is not None else IntegratorControls()
     if controls.fixed_step is not None:
         raise ValidationError("blowup_time needs the adaptive controller, not fixed_step")
@@ -750,10 +828,10 @@ def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=10.0, controls=None):
     avals = sorted(float(a) for a in a_values)
     if not avals:
         raise ValidationError("a_values must be nonempty")
-    if not t_long > 0:
-        raise ValidationError("t_long must be positive")
-    if not horizon_back > 0:
-        raise ValidationError("horizon_back must be positive")
+    if not 0 < t_long < math.inf:
+        raise ValidationError("t_long must be finite and positive")
+    if not 0 < horizon_back < math.inf:
+        raise ValidationError("horizon_back must be finite and positive")
 
     def run_one(a):
         mu = _heisenberg_bracket()

@@ -101,6 +101,15 @@ def packed_ce(coeffs, m, k):
     return np.array(out)
 
 
+def dense_form(coeffs, n, k):
+    """Dense alternating k-tensor of a packed form, entry by entry through perm_sign."""
+    out = np.zeros((n,) * k)
+    for c, T in zip(coeffs, itertools.combinations(range(n), k)):
+        for perm in itertools.permutations(range(k)):
+            out[tuple(T[p] for p in perm)] = perm_sign(perm) * c
+    return out
+
+
 def compound(mat, k):
     """k-th compound matrix by one determinant per pair of increasing index tuples."""
     mat = np.asarray(mat, dtype=float)

@@ -1,5 +1,6 @@
 """Bracket-flow and gauge-fixed flow integration, blowup search, sweep."""
 
+import itertools
 import math
 
 import numpy as np
@@ -121,6 +122,44 @@ def test_grf_rhs_assembly(rng):
     assert dH.allclose(-1.0 * lap, tol=1e-14)
 
 
+def _oracle_grf_rhs(m, G, Hd):
+    """(dg, dense dH) of the flow by the oracles: Riemann-tensor Ricci, an
+    einsum for H o H, and Lap = d d* + d* d with d* = (-1)^(n(k+1)+1) star d star."""
+    n = m.shape[0]
+    Ginv = np.linalg.inv(G)
+    hh = np.einsum('rl,st,irs,jlt->ij', Ginv, Ginv, Hd, Hd)
+    dg = -2.0 * oc.ricci_riemann(m, G) + 0.5 * hh
+
+    def codiff(w):
+        k = w.ndim
+        sign = (-1.0) ** (n * (k + 1) + 1)
+        # the star of a top-degree form is a 0-form, whose d vanishes
+        inner = oc.dense_star(w, G)
+        d_inner = oc.dense_ce(inner, m) if np.ndim(inner) else np.zeros(n)
+        return sign * oc.dense_star(d_inner, G)
+
+    lap = oc.dense_ce(codiff(Hd), m) + codiff(oc.dense_ce(Hd, m))
+    return dg, -lap
+
+
+def test_grf_rhs_matches_oracle_where_the_laplacian_is_not_zero(rng):
+    for n in (4, 5, 6, 7):
+        m = oc.random_nilpotent(rng, n).coeffs
+        G = oc.random_spd(rng, n)
+        n3 = math.comb(n, 3)
+        d3 = np.column_stack([oc.packed_ce(e, m, 3) for e in np.eye(n3)])
+        _, s, vt = np.linalg.svd(d3)
+        null = vt[int(np.sum(s > 1e-10 * s[0])):].T  # the closed 3-forms
+        closed = null @ rng.standard_normal(null.shape[1])
+        for h in (closed, oc.random_form_coeffs(rng, n, 3)):
+            dg, dH = grf_rhs(m, GrfState(Metric(G), KForm(n, 3, h)))
+            want_dg, want_dh = _oracle_grf_rhs(m, G, oc.dense_form(h, n, 3))
+            want_dh = np.array([want_dh[T] for T in itertools.combinations(range(n), 3)])
+            assert np.max(np.abs(want_dh)) > 1e-2  # the Laplacian term is exercised
+            assert np.max(np.abs(dg - want_dg)) <= 1e-12 * np.max(np.abs(want_dg))
+            assert np.max(np.abs(dH.coeffs - want_dh)) <= 1e-12 * np.max(np.abs(want_dh))
+
+
 def test_grf_rhs_flat_and_bare():
     dg, dH = grf_rhs(LieBracket.zero(3),
                      GrfState(Metric.identity(3), KForm.zero(3, 3)))
@@ -150,6 +189,13 @@ def test_integrator_controls_validation():
         IntegratorControls(fixed_step=-0.1)
     with pytest.raises(ValidationError):
         IntegratorControls(max_steps=0)
+    # a non-finite control makes the error ratio NaN or never leaves t0
+    with pytest.raises(ValidationError):
+        IntegratorControls(rtol=math.inf)
+    with pytest.raises(ValidationError):
+        IntegratorControls(atol=math.nan)
+    with pytest.raises(ValidationError):
+        IntegratorControls(fixed_step=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +271,8 @@ def test_integrate_gbf_validation(rng):
                       (0.0, 1.0))
     with pytest.raises(ValidationError):
         integrate_gbf("ric", HEIS, None, (1.0, 0.0))
+    with pytest.raises(ValidationError):
+        integrate_gbf("ric", HEIS, None, (0.0, math.inf))
 
 
 def test_gbf_decay_bound_holds_on_family():
@@ -372,6 +420,9 @@ def test_integrate_grf_validation():
                       KForm.from_entries(4, 3, [((2, 3, 4), 1.0)]), (0.0, 1.0))
     with pytest.raises(ValidationError):
         integrate_grf(HEIS, -np.eye(3), _h3_flux(0.0), (0.0, 1.0))
+    for t_span in ((0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(ValidationError):
+            integrate_grf(HEIS, Metric.identity(3), _h3_flux(1.0), t_span)
 
 
 def test_integrate_grf_fixed_step_grid():
@@ -446,6 +497,8 @@ def test_blowup_time_validation():
     with pytest.raises(ValidationError):
         blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0), horizon=0.0)
     with pytest.raises(ValidationError):
+        blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0), horizon=math.inf)
+    with pytest.raises(ValidationError):
         blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0), direction=2)
     with pytest.raises(ValidationError):
         blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0),
@@ -490,6 +543,10 @@ def test_tmin_sweep_validation():
         tmin_sweep([1.0], t_long=0.0)
     with pytest.raises(ValidationError):
         tmin_sweep([1.0], horizon_back=0.0)
+    with pytest.raises(ValidationError):
+        tmin_sweep([1.0], t_long=math.inf)
+    with pytest.raises(ValidationError):
+        tmin_sweep([1.0], horizon_back=math.nan)
 
 
 # ---------------------------------------------------------------------------

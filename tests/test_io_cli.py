@@ -251,6 +251,10 @@ def test_run_config_validation():
         RunConfig(command="tmin-sweep", a_values=(1.0,), horizon=0.0)
     with pytest.raises(ValidationError):
         RunConfig(command="ricci")
+    with pytest.raises(ValidationError):
+        RunConfig(command="grf", input_path="heisenberg3", rtol=float("inf"))
+    with pytest.raises(ValidationError):
+        RunConfig(command="grf", input_path="heisenberg3", t_start=float("-inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +366,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["grf", "--input", "heisenberg3", "--t-start", "2",
                  "--t-end", "1"]) == 2
     assert main(["tmin-sweep", "--a-values", "1", "--horizon", "0"]) == 2
+    assert main(["grf", "--input", "heisenberg3", "--rtol", "inf"]) == 2
     # argparse usage errors also land on 2
     assert main(["bracket-flow", "--input", "heisenberg3", "--phi", "warp"]) == 2
     assert main([]) == 2
