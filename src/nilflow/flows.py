@@ -6,17 +6,25 @@ and a sweep utility over the Heisenberg one-parameter family.
 
 The integrator is classical RK4 with step-doubling error control; no local
 extrapolation is applied, so the accepted state is the two-half-step result.
+The coarse step and the first half step share their first stage k1 = f(t, y),
+which is evaluated once per accepted state and kept for the retry after a
+rejected trial, so an attempted step costs 11 right-hand-side evaluations (10
+when it retries a rejected one); a fixed-step run costs 4 per step.
 Backward-in-time runs reverse the right-hand side instead of stepping with
 negative h.  One adaptive loop serves every driver; near a singular time its
 trial step falls below STEP_FLOOR, which is where blowup_time stops.
 
-The generalized Ricci flow has one right-hand-side kernel, _grf_kernel,
-built once per run from the bracket alone: the matrices of d on 2- and
-3-forms, the pack/unpack index tables, and which d terms vanish for the
-bracket.  Each evaluation then works on plain arrays (one Cholesky factor of
-g, the orthonormal-frame bracket and its ric_orthonormal, H o H by matmuls,
-the Laplacian through the d matrices) and builds no Metric, KForm or
-LieBracket.  integrate_grf, blowup_time and grf_rhs all evaluate it.
+Each flow has one right-hand-side kernel, built once per run, that works on
+plain arrays and builds no Metric, KForm or LieBracket per evaluation; each
+evaluation makes exactly one ric_orthonormal call.  _gbf_kernel runs the
+bracket flow on the packed state (mu[i, j, :] for i < j, then the packed
+3-form), unpacked through the index tables; integrate_gbf and gbf_rhs
+evaluate it.  _grf_kernel is built from the bracket alone: the matrices of d
+on 2- and 3-forms, the pack/unpack index tables, and which d terms vanish for
+the bracket.  Each evaluation takes one Cholesky factor of g, the
+orthonormal-frame bracket and its ric_orthonormal, H o H by matmuls, and the
+Laplacian through the d matrices.  integrate_grf, blowup_time and grf_rhs all
+evaluate it.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,11 +53,11 @@ from .config import (
 # rc_metric and hodge_laplacian are the library forms of two terms of the GRF
 # kernel below, which does not call them; they stay bound here because the
 # benchmark's tracer (bench/spans.py) and its tests look them up on this module.
-from .curvature import h_squared_neutral, rc_metric, ric_orthonormal  # noqa: F401
+from .curvature import rc_metric, ric_orthonormal  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, hodge_laplacian  # noqa: F401
 from .lie import (KForm, LieBracket, bracket_coeffs, ce_differential, index_tuples,
-                  jacobi_residual, _ce_tables, _index_array, _unpack_tables)
+                  jacobi_residual, _ce_tables, _frozen, _index_array, _unpack_tables)
 
 __all__ = [
     "PhiSpec",
@@ -140,7 +149,7 @@ class GrfState:
 class Trajectory:
     """Accepted states of one integration, including the initial condition.
 
-    times[0] carries the initial state bitwise; times are strictly
+    times[0] carries the initial state bitwise; times are finite and strictly
     increasing in integration time (signed time for backward runs lives in
     BlowupReport, not here).
     """
@@ -155,6 +164,8 @@ class Trajectory:
         ts = np.array(self.times, dtype=float, copy=True).reshape(-1)
         if ts.size == 0:
             raise ValidationError("trajectory needs at least one time sample")
+        if not np.isfinite(ts).all():
+            raise ValidationError("trajectory times must be finite")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
             raise ValidationError("trajectory times must be strictly increasing")
         states = tuple(self.states)
@@ -251,8 +262,7 @@ def trajectory_column_labels(kind, n):
 
 def _state_row(state, kind):
     if kind == "gbf":
-        n = state.dim
-        head = [state.mu[i, j, k] for i, j in index_tuples(n, 2) for k in range(n)]
+        head = _packed_bracket(state.mu)
     else:
         G = state.g.entries
         n = G.shape[0]
@@ -264,8 +274,9 @@ def _state_row(state, kind):
 def trajectory_from_columns(times, labels, matrix):
     """Rebuild a Trajectory from its flat column layout (CSV reader support).
 
-    Step statistics are not part of the layout; the result reports
-    accepted = len(times) - 1 and rejected = 0.
+    Every entry must be finite (ValidationError otherwise).  Step statistics
+    are not part of the layout; the result reports accepted = len(times) - 1
+    and rejected = 0.
     """
     labels = list(labels)
     if not labels:
@@ -282,20 +293,15 @@ def trajectory_from_columns(times, labels, matrix):
     if mat.ndim != 2 or mat.shape[1] != len(labels):
         raise ValidationError(
             f"trajectory matrix must be 2-D with {len(labels)} columns")
+    if not np.isfinite(mat).all():
+        raise ValidationError("trajectory entries must be finite")
     pairs = index_tuples(n, 2)
     n3 = math.comb(n, 3)
     states = []
     for row in mat:
         H = KForm(n, 3, row[len(row) - n3:] if n3 else np.zeros(0))
         if kind == "gbf":
-            m = np.zeros((n, n, n))
-            pos = 0
-            for i, j in pairs:
-                for k in range(n):
-                    m[i, j, k] = row[pos]
-                    m[j, i, k] = -row[pos]
-                    pos += 1
-            states.append(BracketState(mu=m, H=H))
+            states.append(BracketState(mu=_dense_bracket(row[:len(pairs) * n], n), H=H))
         else:
             G = np.zeros((n, n))
             for i in range(n):
@@ -333,25 +339,28 @@ def _guarded(f):
             dy = f(t, y)
         except (ValidationError, np.linalg.LinAlgError):
             raise _RhsFailure("metric") from None
-        if not np.all(np.isfinite(dy)):
+        if not np.isfinite(dy).all():
             raise _RhsFailure("nonfinite")
         return dy
     return g
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
+def _rk4_step(f, t, y, h, k1):
+    """One classical RK4 step of size h from (t, y), given its first stage k1 = f(t, y)."""
     k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _pair_step(f, t, y, h):
-    """One full step and the matching two half steps: (coarse, fine)."""
-    y_big = _rk4_step(f, t, y, h)
-    y_mid = _rk4_step(f, t, y, 0.5 * h)
-    y_half = _rk4_step(f, t + 0.5 * h, y_mid, 0.5 * h)
+def _pair_step(f, t, y, h, k1):
+    """One full step and the matching two half steps, (coarse, fine).
+
+    Both start from (t, y), so they share k1 = f(t, y): 10 new evaluations.
+    """
+    y_big = _rk4_step(f, t, y, h, k1)
+    y_mid = _rk4_step(f, t, y, 0.5 * h, k1)
+    y_half = _rk4_step(f, t + 0.5 * h, y_mid, 0.5 * h, f(t + 0.5 * h, y_mid))
     return y_big, y_half
 
 
@@ -391,7 +400,7 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
     f = _guarded(f)
 
     def admissible(y):
-        return np.all(np.isfinite(y)) and (in_domain is None or in_domain(y))
+        return np.isfinite(y).all() and (in_domain is None or in_domain(y))
 
     on_accept(t0, y0)
     accepted = rejected = 0
@@ -402,7 +411,7 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
         for i in range(n_steps):
             t_next = min(t0 + (i + 1) * h, t_end)
             try:
-                y = _rk4_step(f, t, y, t_next - t)
+                y = _rk4_step(f, t, y, t_next - t, f(t, y))
             except _RhsFailure as e:
                 raise NumericalError(
                     f"fixed-step integration failed near t={t:.9g} ({e.kind})") from None
@@ -414,6 +423,7 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
             on_accept(t, y)
         return accepted, rejected
     h = min(INITIAL_STEP, span or INITIAL_STEP)
+    k1 = None  # f(t, y) once evaluated; a rejected trial leaves (t, y), so its retry reuses it
     while True:
         remaining = t_end - t
         if remaining <= 0:
@@ -426,8 +436,10 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
         if h_use < STEP_FLOOR:
             raise _Stalled(t, y)
         try:
-            y_big, y_half = _pair_step(f, t, y, h_use)
-            ok = np.all(np.isfinite(y_big)) and admissible(y_half)
+            if k1 is None:
+                k1 = f(t, y)
+            y_big, y_half = _pair_step(f, t, y, h_use, k1)
+            ok = np.isfinite(y_big).all() and admissible(y_half)
         except _RhsFailure:
             ok = False
         if not ok:
@@ -437,7 +449,7 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
         ratio = _error_ratio(y, y_big, y_half, controls)
         if ratio <= 1.0:
             t = t_end if landing else t + h_use
-            y = y_half
+            y, k1 = y_half, None
             accepted += 1
             on_accept(t, y)
         else:
@@ -448,26 +460,78 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
 # ---------------------------------------------------------------------------
 # bracket flow
 
-def _phi_matrix(spec, m, hd):
-    phi = ric_orthonormal(m)
-    if spec is PhiSpec.RIC_MINUS_QUARTER_HSQ:
-        phi = phi - 0.25 * h_squared_neutral(hd)
-    return phi
+def _pack_index(n, k):
+    """Flat positions in the dense (n,) * k tensor of the increasing k-tuples, in packed order."""
+    return np.ravel_multi_index(_index_array(n, k).T, (n,) * k)
 
 
-def _gbf_rhs_arrays(spec, m, hd):
-    p = _phi_matrix(spec, m, hd)
-    dmu = (np.einsum("il,ljk->ijk", p, m)
-           + np.einsum("jl,ilk->ijk", p, m)
-           - np.einsum("lk,ijl->ijk", p, m))
-    dh = (np.einsum("il,ljk->ijk", p, hd)
-          + np.einsum("jl,ilk->ijk", p, hd)
-          + np.einsum("kl,ijl->ijk", p, hd))
-    return dmu, dh
+@lru_cache(maxsize=None)
+def _bracket_tables(n):
+    """Index tables of the packed bracket: the entries mu[i, j, :] for i < j, row by row.
+
+    Returns (flat, src, sign, slots): the dense (n, n, n) bracket, flattened,
+    is sign * packed[src] at the positions flat and zero elsewhere, and
+    slots are the flat positions of the packed entries.  This is the
+    trajectory CSV's column order for mu.
+    """
+    flat2, src2, sign2 = _unpack_tables(n, 2)
+
+    def per_entry(rows):  # row r of the 2-form tables covers flat entries r * n .. r * n + n - 1
+        return (rows[:, None] * n + np.arange(n)).ravel()
+
+    return _frozen(per_entry(flat2), per_entry(src2), np.repeat(sign2, n),
+                   per_entry(_pack_index(n, 2)))
 
 
-def _pack3(hd, n):
-    return KForm(n, 3, np.array([hd[idx] for idx in index_tuples(n, 3)]))
+def _packed_bracket(m):
+    return m.ravel()[_bracket_tables(m.shape[0])[3]]
+
+
+def _dense_bracket(mp, n):
+    flat, src, sign, _ = _bracket_tables(n)
+    m = np.zeros(n ** 3)
+    m[flat] = sign * mp[src]
+    return m.reshape(n, n, n)
+
+
+def _gbf_kernel(spec, n):
+    """The bracket flow's right-hand side on R^n, as rhs(y) -> dy on the packed state.
+
+    y is the packed bracket (_packed_bracket) followed by the packed 3-form.
+    Every dense entry of (mu, H) is plus or minus one of these or zero, so
+    the step controller's error ratio is the same maximum as on the dense
+    tensors.  The index tables that depend on n alone are built here, once:
+    one scatter unpacks both parts into a stacked dense pair and one gather
+    reads the packed entries back.
+
+    Per call: phi from one ric_orthonormal, minus (1/4) H^2 by a matmul for
+    RIC_MINUS_QUARTER_HSQ; then -pi(phi) on the pair by three batched
+    matmuls, phi on the first and on the second slot of each, and on the
+    third slot -phi for mu (its output) and phi for H.
+    """
+    cube, split = n ** 3, math.comb(n, 2) * n
+    flat2, src2, sign2, slots2 = _bracket_tables(n)
+    flat3, src3, sign3 = _unpack_tables(n, 3)
+    flat = np.concatenate([flat2, cube + flat3])
+    src = np.concatenate([src2, split + src3])
+    sign = np.concatenate([sign2, sign3])
+    slots = np.concatenate([slots2, cube + _pack_index(n, 3)])
+    flux = spec is PhiSpec.RIC_MINUS_QUARTER_HSQ
+
+    def rhs(y):
+        pair = np.zeros(2 * cube)
+        pair[flat] = sign * y[src]
+        pair = pair.reshape(2, n, n, n)
+        m, hd = pair
+        p = ric_orthonormal(m)
+        if flux:
+            hf = hd.reshape(n, -1)
+            p = p - 0.25 * (hf @ hf.T)
+        third = np.array([-p, p.T])[:, None]
+        out = (p @ pair.reshape(2, n, -1)).reshape(pair.shape) + p @ pair + pair @ third
+        return out.ravel()[slots]
+
+    return rhs
 
 
 def _as_form3(H, n):
@@ -498,15 +562,18 @@ def gbf_rhs(spec, mu, H):
     """Time derivative of (mu, H) under the bracket flow for the given phi.
 
     phi = Ric_mu for RIC, and Ric_mu - (1/4) H^2 for RIC_MINUS_QUARTER_HSQ,
-    where (H^2)_ij = H_ikl H_jkl.  Returns the raw skew coefficient tensor
-    for dmu and a packed 3-form for dH.
+    where (H^2)_ij = H_ikl H_jkl; the derivative is -pi(phi) on both.
+    Evaluates the kernel that integrate_gbf runs on.  mu is a LieBracket or
+    a skew (n, n, n) array (ValidationError otherwise).  Returns the skew
+    coefficient tensor for dmu and a packed 3-form for dH.
     """
     spec = _as_phi(spec)
-    m = bracket_coeffs(mu)
+    m = _skew_bracket_array(mu)
     n = m.shape[0]
-    hd = _as_form3(H, n).unpack()
-    dmu, dh = _gbf_rhs_arrays(spec, m, hd)
-    return dmu, _pack3(dh, n)
+    h = _as_form3(H, n).coeffs
+    dy = _gbf_kernel(spec, n)(np.concatenate([_packed_bracket(m), h]))
+    split = math.comb(n, 2) * n
+    return _dense_bracket(dy[:split], n), KForm(n, 3, dy[split:])
 
 
 def integrate_gbf(spec, mu0, H0, t_span, controls=None):
@@ -514,7 +581,9 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
 
     The initial bracket must satisfy Jacobi and H0 must be closed for it;
     both residuals are re-checked at every accepted step (NumericalError if
-    integration drift ever pushes them past STRUCTURE_TOL).
+    integration drift ever pushes them past STRUCTURE_TOL).  The run
+    evaluates _gbf_kernel, built once, on the packed state, so an attempted
+    step costs 11 right-hand-side evaluations (see the module docstring).
     """
     spec = _as_phi(spec)
     controls = controls if controls is not None else IntegratorControls()
@@ -531,26 +600,23 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
             f"initial 3-form is not closed for the initial bracket "
             f"(residual {cr:.3e})")
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-    n3 = n ** 3
-    y0 = np.concatenate([m0.ravel(), h0.unpack().ravel()])
+    split = math.comb(n, 2) * n
+    y0 = np.concatenate([_packed_bracket(m0), h0.coeffs])
+    rhs = _gbf_kernel(spec, n)
 
     def f(t, y):
-        m = y[:n3].reshape(n, n, n)
-        hd = y[n3:].reshape(n, n, n)
-        dmu, dh = _gbf_rhs_arrays(spec, m, hd)
-        return np.concatenate([dmu.ravel(), dh.ravel()])
+        return rhs(y)
 
     times, states = [], []
 
     def on_accept(t, y):
-        m = y[:n3].reshape(n, n, n).copy()
-        hd = y[n3:].reshape(n, n, n)
+        m = _dense_bracket(y[:split], n)
         res = jacobi_residual(m)
         if res > STRUCTURE_TOL:
             raise NumericalError(
                 f"Jacobi residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
                 f"at t={t:.9g}")
-        Hk = _pack3(hd, n)
+        Hk = KForm(n, 3, y[split:])
         res = ce_differential(Hk, m).norm_inf
         if res > STRUCTURE_TOL:
             raise NumericalError(
@@ -633,7 +699,7 @@ def _grf_kernel(m):
     d2, d3 = _d_matrix(m, 2), _d_matrix(m, 3)
     down, up = np.any(d2), np.any(d3)
     unpack = {k: _unpack_tables(n, k) for k in (2, 3, 4)}
-    pack = {k: np.ravel_multi_index(_index_array(n, k).T, (n,) * k) for k in (2, 3, 4)}
+    pack = {k: _pack_index(n, k) for k in (2, 3, 4)}
 
     def dense(x, k):
         flat, src, sign = unpack[k]

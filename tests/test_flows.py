@@ -79,13 +79,36 @@ def test_gbf_rhs_ric_spec_drops_flux_term():
     assert dH.coeffs[0] == pytest.approx(-1.0, abs=1e-14)
 
 
+def _closed_3form(rng, m):
+    """A random closed 3-form: a combination of the null space of d (oc.packed_ce)."""
+    n3 = math.comb(m.shape[0], 3)
+    d3 = np.column_stack([oc.packed_ce(e, m, 3) for e in np.eye(n3)])
+    _, s, vt = np.linalg.svd(d3)
+    rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
+    null = vt[rank:].T  # at n = 3, d3 has no rows and every 3-form is closed
+    return null @ rng.standard_normal(null.shape[1])
+
+
+def _oracle_phi(spec, m, h):
+    """phi of the bracket flow by the oracles: Riemann-tensor Ricci and an einsum for H^2."""
+    n = m.shape[0]
+    phi = oc.ricci_riemann(m, np.eye(n))
+    if PhiSpec(spec) is PhiSpec.RIC_MINUS_QUARTER_HSQ:
+        Hd = oc.dense_form(h, n, 3)
+        phi = phi - 0.25 * np.einsum('ikl,jkl->ij', Hd, Hd)
+    return phi
+
+
 def test_gbf_rhs_is_minus_pi_of_phi(rng):
-    mu = oc.random_nilpotent(rng, 4)
-    H = ce_differential(KForm(4, 2, rng.standard_normal(6)), mu)
-    phi = ric_orthonormal(mu) - 0.25 * h_squared_neutral(H)
-    dmu, dH = gbf_rhs("ric-h2", mu, H)
-    assert np.allclose(dmu, -pi_mu(phi, mu), atol=1e-12)
-    assert dH.allclose(-1.0 * pi_form(phi, H), tol=1e-12)
+    for n, spec in itertools.product((3, 4, 5, 6, 7), PhiSpec):
+        mu = oc.random_nilpotent(rng, n)
+        h = _closed_3form(rng, mu.coeffs)
+        H = KForm(n, 3, h)
+        phi = _oracle_phi(spec, mu.coeffs, h)
+        want_mu, want_h = -pi_mu(phi, mu), -pi_form(phi, H).coeffs
+        dmu, dH = gbf_rhs(spec, mu, H)
+        assert np.max(np.abs(dmu - want_mu)) <= 1e-12 * np.max(np.abs(want_mu))
+        assert np.max(np.abs(dH.coeffs - want_h)) <= 1e-12 * np.max(np.abs(want_h))
 
 
 def test_gbf_rhs_zero_data():
@@ -97,6 +120,9 @@ def test_gbf_rhs_zero_data():
 def test_gbf_rhs_bad_spec():
     with pytest.raises(ValidationError):
         gbf_rhs("newton", HEIS, None)
+    # a raw bracket is read as skew, so an array that is not skew is refused
+    with pytest.raises(ValidationError):
+        gbf_rhs("ric", np.ones((3, 3, 3)), None)
 
 
 def test_grf_rhs_family_values():
@@ -146,12 +172,7 @@ def test_grf_rhs_matches_oracle_where_the_laplacian_is_not_zero(rng):
     for n in (4, 5, 6, 7):
         m = oc.random_nilpotent(rng, n).coeffs
         G = oc.random_spd(rng, n)
-        n3 = math.comb(n, 3)
-        d3 = np.column_stack([oc.packed_ce(e, m, 3) for e in np.eye(n3)])
-        _, s, vt = np.linalg.svd(d3)
-        null = vt[int(np.sum(s > 1e-10 * s[0])):].T  # the closed 3-forms
-        closed = null @ rng.standard_normal(null.shape[1])
-        for h in (closed, oc.random_form_coeffs(rng, n, 3)):
+        for h in (_closed_3form(rng, m), oc.random_form_coeffs(rng, n, 3)):
             dg, dH = grf_rhs(m, GrfState(Metric(G), KForm(n, 3, h)))
             want_dg, want_dh = _oracle_grf_rhs(m, G, oc.dense_form(h, n, 3))
             want_dh = np.array([want_dh[T] for T in itertools.combinations(range(n), 3)])
@@ -249,9 +270,9 @@ def test_integrate_gbf_matches_scipy(rng):
     y0 = np.concatenate([mu.coeffs.ravel(), H.coeffs])
 
     def f(t, y):
-        m = y[:n ** 3].reshape(n, n, n)
-        dmu, dH = gbf_rhs("ric-h2", m, y[n ** 3:])
-        return np.concatenate([dmu.ravel(), dH.coeffs])
+        m, h = y[:n ** 3].reshape(n, n, n), y[n ** 3:]
+        phi = _oracle_phi("ric-h2", m, h)
+        return np.concatenate([-pi_mu(phi, m).ravel(), -pi_form(phi, KForm(n, 3, h)).coeffs])
 
     sol = solve_ivp(f, (0.0, 0.5), y0, rtol=1e-11, atol=1e-13,
                     dense_output=False)
@@ -260,6 +281,27 @@ def test_integrate_gbf_matches_scipy(rng):
     scale = np.max(np.abs(ref_mu))
     assert np.max(np.abs(traj.final.mu - ref_mu)) <= 1e-7 * scale
     assert np.max(np.abs(traj.final.H.coeffs - ref_H)) <= 1e-7 * max(scale, 1.0)
+
+
+def test_adaptive_steps_share_their_first_stage(monkeypatch):
+    """An attempted step evaluates the RHS 11 times, a retry after a rejection 10; a fixed step 4."""
+    calls = [0]
+
+    def counting(m):
+        calls[0] += 1
+        return ric_orthonormal(m)
+
+    monkeypatch.setattr("nilflow.flows.ric_orthonormal", counting)
+    runs = (lambda t, c=None: integrate_grf(HEIS, np.eye(3), _h3_flux(2.0), (0.0, t), c),
+            lambda t, c=None: integrate_gbf("ric-h2", HEIS, _h3_flux(2.0), (0.0, t), c))
+    for run in runs:
+        calls[0] = 0
+        traj = run(50.0)
+        assert traj.rejected >= 1  # the retry's saving is exercised
+        assert calls[0] == 11 * (traj.accepted + traj.rejected) - traj.rejected
+        calls[0] = 0
+        traj = run(1.0, IntegratorControls(fixed_step=0.1))
+        assert traj.accepted == 10 and calls[0] == 4 * 10
 
 
 def test_integrate_gbf_validation(rng):
@@ -602,6 +644,13 @@ def test_trajectory_from_columns_validation():
     labels = trajectory_column_labels("grf", 3)
     with pytest.raises(ValidationError):
         trajectory_from_columns([0.0], labels, np.zeros((1, 3)))
+    gbf = trajectory_column_labels("gbf", 3)
+    row = np.zeros((1, len(gbf)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            trajectory_from_columns([0.0], gbf, np.where(np.arange(len(gbf)) == 2, bad, row))
+        with pytest.raises(ValidationError):
+            trajectory_from_columns([bad], gbf, row)
 
 
 def test_trajectory_validation():
@@ -616,3 +665,6 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0]), states=(st,), kind="gbf")
     with pytest.raises(ValidationError):
         Trajectory(times=np.array([]), states=(), kind="grf")
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            Trajectory(times=np.array([0.0, bad]), states=(st, st), kind="grf")

@@ -20,6 +20,7 @@ from nilflow import (
     load_problem,
     problem_from_dict,
     read_trajectory_csv,
+    trajectory_column_labels,
 )
 from nilflow.cli import RunConfig, main
 
@@ -190,6 +191,17 @@ def test_read_trajectory_csv_errors(tmp_path):
                  "0.0,1.0,1.0,1.0,0.0,0.0,0.0,what\n")
     with pytest.raises(ValidationError):
         read_trajectory_csv(p)
+    # non-finite entries: a last time of inf, a bracket-flow mu of nan or inf
+    gbf_header = "t," + ",".join(trajectory_column_labels("gbf", 3)) + "\n"
+    good = "0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.5\n"
+    for text in (good + good.replace("0.0", "inf", 1),
+                 good + "1.0,0.0,0.0,nan,0.0,0.0,0.0,0.0,0.0,0.0,0.5\n",
+                 good + "1.0,0.0,0.0,-inf,0.0,0.0,0.0,0.0,0.0,0.0,0.5\n"):
+        p.write_text(gbf_header + text)
+        with pytest.raises(ValidationError):
+            read_trajectory_csv(p)
+    p.write_text(gbf_header + good + good.replace("0.0", "1.0", 1))
+    assert read_trajectory_csv(p).times[-1] == 1.0  # the same file with finite entries reads
 
 
 # ---------------------------------------------------------------------------
