@@ -2,8 +2,8 @@
 
 Structure-constant algebra, the algebraic exterior differential, Hodge
 duality, (generalized) Ricci curvature, soliton fitting, Dorfman brackets,
-and RK4 drivers for bracket flows and the gauge-fixed generalized Ricci
-flow, with a small CLI on top.
+and adaptive Dormand-Prince 5(4) and fixed-step RK4 drivers for bracket
+flows and the gauge-fixed generalized Ricci flow, with a small CLI on top.
 """
 
 from .config import (

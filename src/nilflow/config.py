@@ -17,7 +17,7 @@ DEFAULT_RTOL              1e-9        adaptive integrator, relative error per st
 DEFAULT_ATOL              1e-10       adaptive integrator, absolute error per step
 INITIAL_STEP              0.1         first trial step, capped by the span or horizon
 STEP_FLOOR                1e-13       smallest trial step; below it the run stops (singular time)
-SAFETY                    0.9         step controller: safety factor on ratio^(-1/5)
+SAFETY                    0.9         step controller: safety factor on ratio^(-1/5), error O(h^5)
 MIN_SHRINK                0.2         step controller: smallest step factor (and after a failed RHS)
 MAX_GROW                  5.0         step controller: largest step factor
 MAX_STEPS                 1_000_000   hard cap on attempted steps (accepted plus rejected)

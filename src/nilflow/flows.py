@@ -4,12 +4,13 @@ Covers bracket flows with a pluggable curvature term, the gauge-fixed
 generalized Ricci flow on (metric, 3-form) pairs, singular-time detection,
 and a sweep utility over the Heisenberg one-parameter family.
 
-The integrator is classical RK4 with step-doubling error control; no local
-extrapolation is applied, so the accepted state is the two-half-step result.
-The coarse step and the first half step share their first stage k1 = f(t, y),
-which is evaluated once per accepted state and kept for the retry after a
-rejected trial, so an attempted step costs 11 right-hand-side evaluations (10
-when it retries a rejected one); a fixed-step run costs 4 per step.
+Adaptive runs take Dormand-Prince 5(4) steps and propagate the 5th-order
+solution (local extrapolation); the embedded 4th-order solution gives the
+O(h^5) error estimate.  The last stage k7 = f(t + h, y1) is the next step's
+first (FSAL), and a rejected trial keeps its k1 for the retry, so a run costs
+1 right-hand-side evaluation plus 6 per attempted step.  Since k7 is taken at
+the new state, a trial that leaves the flow's domain fails there and is
+rejected.  Fixed-step runs take classical RK4 steps, 4 evaluations each.
 Backward-in-time runs reverse the right-hand side instead of stepping with
 negative h.  One adaptive loop serves every driver; near a singular time its
 trial step falls below STEP_FLOOR, which is where blowup_time stops.
@@ -99,11 +100,13 @@ def _as_phi(spec):
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Tolerances and budgets for the RK4 drivers.
+    """Tolerances and budgets for the integrators.
 
-    fixed_step disables the error controller and takes uniform steps; used
-    for order-of-convergence measurements.  max_steps caps attempted steps,
-    accepted plus rejected.  The controller's other constants live in config.
+    fixed_step disables the error controller and takes uniform classical RK4
+    steps; used for order-of-convergence measurements.  max_steps caps
+    attempted steps, accepted plus rejected; a fixed-step run that needs more
+    raises NumericalError before its first step.  The controller's other
+    constants live in config.
     """
 
     rtol: float = DEFAULT_RTOL
@@ -315,7 +318,7 @@ def trajectory_from_columns(times, labels, matrix):
 
 
 # ---------------------------------------------------------------------------
-# RK4 core
+# Runge-Kutta core
 
 class _RhsFailure(Exception):
     """Internal: the right-hand side could not be evaluated at a trial state."""
@@ -353,21 +356,45 @@ def _rk4_step(f, t, y, h, k1):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _pair_step(f, t, y, h, k1):
-    """One full step and the matching two half steps, (coarse, fine).
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2).  Row i of _DP_A holds a_ij for j < i.  Its last row is also
+# the 5th-order weights b (with b_7 = 0), so the 7th stage f(t + h, y1) is the
+# next step's first.  _DP_E is b minus the embedded 4th-order weights.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-    Both start from (t, y), so they share k1 = f(t, y): 10 new evaluations.
+(_, _C2, _C3, _C4, _C5, _, _) = _DP_C
+(_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_B1, _, _B3, _B4, _B5, _B6)) = _DP_A
+(_E1, _, _E3, _E4, _E5, _E6, _E7) = _DP_E
+
+
+def _dp_step(f, t, y, h, k1, controls):
+    """One Dormand-Prince 5(4) trial of size h from (t, y), given k1 = f(t, y).
+
+    Returns (y1, k7, ratio): the 5th-order state, its stage k7 = f(t + h, y1)
+    and the error ratio, the embedded estimate h * sum(e_i k_i) over
+    atol + rtol * max(|y|, |y1|) in the max norm.  6 new evaluations.
     """
-    y_big = _rk4_step(f, t, y, h, k1)
-    y_mid = _rk4_step(f, t, y, 0.5 * h, k1)
-    y_half = _rk4_step(f, t + 0.5 * h, y_mid, 0.5 * h, f(t + 0.5 * h, y_mid))
-    return y_big, y_half
-
-
-def _error_ratio(y, y_big, y_half, controls):
-    scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(y_half))
-    # y_half carries ~1/15 of the coarse/fine gap for a 4th order method
-    return float(np.max(np.abs(y_half - y_big) / scale)) / 15.0
+    k2 = f(t + _C2 * h, y + (_A21 * h) * k1)
+    k3 = f(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
+    k4 = f(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = f(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = f(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+    y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    k7 = f(t + h, y1)
+    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(y1))
+    return y1, k7, float(np.max(np.abs(err) / scale))
 
 
 def _next_step(h, ratio):
@@ -384,11 +411,13 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
     """Drive f over [t0, t_end]; on_accept(t, y) sees every accepted state.
 
     Returns (accepted, rejected) step counts.  on_accept is also called on
-    the initial state so trajectories always include it.  A trial whose RHS
-    fails or whose state is not finite or fails in_domain(y) is rejected, so
-    steps shrink toward the domain's edge instead of crossing it (a fixed-step
-    run raises NumericalError); a trial step below STEP_FLOOR, as at a
-    singular time, raises _Stalled.
+    the initial state so trajectories always include it.  Adaptive runs take
+    Dormand-Prince 5(4) steps.  A trial whose RHS fails at any stage, the
+    last of which is taken at the new state, is rejected, so steps shrink
+    toward the domain's edge instead of crossing it; a trial step below
+    STEP_FLOOR, as at a singular time, raises _Stalled.  Fixed-step runs take
+    classical RK4 steps and raise NumericalError when the RHS fails or the
+    state is not finite or fails in_domain(y).
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state must be finite")
@@ -398,24 +427,24 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
     if span < 0:
         raise ValidationError(f"t_end={t_end} precedes t_start={t0}")
     f = _guarded(f)
-
-    def admissible(y):
-        return np.isfinite(y).all() and (in_domain is None or in_domain(y))
-
     on_accept(t0, y0)
     accepted = rejected = 0
     t, y = t0, np.array(y0, dtype=float)
     if controls.fixed_step is not None:
         h = controls.fixed_step
-        n_steps = max(int(math.ceil(span / h - 1e-12)), 0)
-        for i in range(n_steps):
+        count = span / h - 1e-12  # compared as a float, so an overflowing count is caught too
+        if count > controls.max_steps:
+            raise NumericalError(
+                f"step budget {controls.max_steps} exhausted at t={t:.9g} "
+                f"(fixed step {h:.9g} over a span of {span:.9g})")
+        for i in range(max(int(math.ceil(count)), 0)):
             t_next = min(t0 + (i + 1) * h, t_end)
             try:
                 y = _rk4_step(f, t, y, t_next - t, f(t, y))
             except _RhsFailure as e:
                 raise NumericalError(
                     f"fixed-step integration failed near t={t:.9g} ({e.kind})") from None
-            if not admissible(y):
+            if not (np.isfinite(y).all() and (in_domain is None or in_domain(y))):
                 raise NumericalError(
                     f"state left the flow's domain after the last valid time t={t:.9g}")
             t = t_next
@@ -423,7 +452,7 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
             on_accept(t, y)
         return accepted, rejected
     h = min(INITIAL_STEP, span or INITIAL_STEP)
-    k1 = None  # f(t, y) once evaluated; a rejected trial leaves (t, y), so its retry reuses it
+    k1 = None  # f(t, y): the accepted trial's k7, kept for the retry after a rejection
     while True:
         remaining = t_end - t
         if remaining <= 0:
@@ -438,18 +467,14 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
         try:
             if k1 is None:
                 k1 = f(t, y)
-            y_big, y_half = _pair_step(f, t, y, h_use, k1)
-            ok = np.isfinite(y_big).all() and admissible(y_half)
+            y1, k7, ratio = _dp_step(f, t, y, h_use, k1, controls)
         except _RhsFailure:
-            ok = False
-        if not ok:
             rejected += 1
             h = h_use * MIN_SHRINK
             continue
-        ratio = _error_ratio(y, y_big, y_half, controls)
         if ratio <= 1.0:
             t = t_end if landing else t + h_use
-            y, k1 = y_half, None
+            y, k1 = y1, k7
             accepted += 1
             on_accept(t, y)
         else:
@@ -582,8 +607,8 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     The initial bracket must satisfy Jacobi and H0 must be closed for it;
     both residuals are re-checked at every accepted step (NumericalError if
     integration drift ever pushes them past STRUCTURE_TOL).  The run
-    evaluates _gbf_kernel, built once, on the packed state, so an attempted
-    step costs 11 right-hand-side evaluations (see the module docstring).
+    evaluates _gbf_kernel, built once, on the packed state: 1 right-hand-side
+    evaluation plus 6 per attempted step (see the module docstring).
     """
     spec = _as_phi(spec)
     controls = controls if controls is not None else IntegratorControls()
@@ -761,7 +786,9 @@ def _grf_setup(mu, g0, H0, direction):
     """Check the initial data; return (n, y0, f, in_domain) for y = (g, H) flat.
 
     f(t, y) is the flow's right-hand side, reversed in time when
-    direction is -1.  in_domain(y) says whether g is positive definite.
+    direction is -1; it raises LinAlgError where g is not positive definite.
+    in_domain(y) says whether g is positive definite; fixed-step runs check
+    it after each step.
     """
     if direction not in (1, -1):
         raise ValidationError(f"direction must be +1 or -1, got {direction!r}")
@@ -858,14 +885,14 @@ def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None
     controls = controls if controls is not None else IntegratorControls()
     if controls.fixed_step is not None:
         raise ValidationError("blowup_time needs the adaptive controller, not fixed_step")
-    n, y0, f, in_domain = _grf_setup(mu, g0, H0, direction)
+    n, y0, f, _ = _grf_setup(mu, g0, H0, direction)
     last = [y0]
 
     def on_accept(t, y):
         last[0] = y
 
     try:
-        _integrate(f, 0.0, y0, horizon, controls, on_accept, in_domain)
+        _integrate(f, 0.0, y0, horizon, controls, on_accept)
     except _Stalled as stop:
         return BlowupReport(time=direction * stop.t, reason=_stop_reason(stop.y, y0, n),
                             t_last=direction * stop.t, state=_grf_state(stop.y, n))

@@ -39,6 +39,7 @@ from nilflow import (
     trajectory_column_labels,
     trajectory_from_columns,
 )
+from nilflow import flows
 
 import oracles as oc
 
@@ -284,7 +285,7 @@ def test_integrate_gbf_matches_scipy(rng):
 
 
 def test_adaptive_steps_share_their_first_stage(monkeypatch):
-    """An attempted step evaluates the RHS 11 times, a retry after a rejection 10; a fixed step 4."""
+    """An adaptive run evaluates the RHS once, then 6 times per attempted step; a fixed step 4 times."""
     calls = [0]
 
     def counting(m):
@@ -297,11 +298,37 @@ def test_adaptive_steps_share_their_first_stage(monkeypatch):
     for run in runs:
         calls[0] = 0
         traj = run(50.0)
-        assert traj.rejected >= 1  # the retry's saving is exercised
-        assert calls[0] == 11 * (traj.accepted + traj.rejected) - traj.rejected
+        assert traj.rejected >= 1  # a retry reuses its k1 too
+        assert calls[0] == 1 + 6 * (traj.accepted + traj.rejected)
         calls[0] = 0
         traj = run(1.0, IntegratorControls(fixed_step=0.1))
         assert traj.accepted == 10 and calls[0] == 4 * 10
+
+
+def test_dormand_prince_tableau_order_conditions():
+    """c_i = sum_j a_ij; b meets the 17 order-5 tree conditions, the embedded weights the 8 of order 4.
+
+    A mistyped coefficient still integrates, only less accurately, so no flow test would notice it.
+    """
+    A = np.zeros((7, 7))
+    for i, row in enumerate(flows._DP_A):
+        A[i, :len(row)] = row
+    c = np.array(flows._DP_C)
+    assert np.max(np.abs(A.sum(axis=1) - c)) <= 1e-15
+    b = A[6]  # the last stage is taken at the 5th-order state (FSAL), b_7 = 0
+    b_hat = b - np.array(flows._DP_E)
+    Ac, Ac2, AAc = A @ c, A @ c ** 2, A @ (A @ c)
+    order4 = [(np.ones(7), 1.0), (c, 1 / 2), (c ** 2, 1 / 3), (Ac, 1 / 6),
+              (c ** 3, 1 / 4), (c * Ac, 1 / 8), (Ac2, 1 / 12), (AAc, 1 / 24)]
+    order5 = order4 + [
+        (c ** 4, 1 / 5), (c ** 2 * Ac, 1 / 10), (c * Ac2, 1 / 15), (c * AAc, 1 / 30),
+        (Ac ** 2, 1 / 20), (A @ c ** 3, 1 / 20), (A @ (c * Ac), 1 / 40), (A @ Ac2, 1 / 60),
+        (A @ AAc, 1 / 120)]
+    assert len(order4) == 8 and len(order5) == 17
+    for v, want in order5:
+        assert abs(b @ v - want) <= 1e-15
+    for v, want in order4:
+        assert abs(b_hat @ v - want) <= 1e-15
 
 
 def test_integrate_gbf_validation(rng):
@@ -440,6 +467,17 @@ def test_heisenberg_grf_exact_oracle_matches_scipy(a):
     assert abs(-sol.y[2, -1] - oc.heisenberg_tmin_exact(a)) <= 1e-12
 
 
+@pytest.mark.parametrize("a", [0.5, 2.0, 4.0])
+def test_integrate_grf_tracks_exact_solution(a):
+    # work-precision at the default controls: every accepted state, to t = 50
+    traj = integrate_grf(HEIS, Metric.identity(3), _h3_flux(a), (0.0, 50.0))
+    for t, st in zip(traj.times, traj.states):
+        x, z = oc.heisenberg_grf_exact(a, t)
+        G = st.g.entries
+        assert abs(G[0, 0] - x) <= 2e-9 * x
+        assert abs(G[2, 2] - z) <= 2e-9 * z
+
+
 def test_integrate_grf_backward_hits_singularity():
     with pytest.raises(NumericalError):
         integrate_grf(HEIS, Metric.identity(3), _h3_flux(0.0), (0.0, 1.0),
@@ -476,6 +514,19 @@ def test_integrate_grf_fixed_step_grid():
     assert traj.rejected == 0
     g1 = math.sqrt(5.0)
     assert abs(traj.final.g.entries[0, 0] - g1) <= 1e-3
+
+
+def test_fixed_step_respects_max_steps():
+    # 10 steps of 0.1 over (0, 1), counted against the budget before stepping
+    def run(controls):
+        return integrate_grf(HEIS, Metric.identity(3), _h3_flux(1.0), (0.0, 1.0),
+                             controls=controls)
+
+    with pytest.raises(NumericalError, match="step budget 5 exhausted"):
+        run(IntegratorControls(fixed_step=0.1, max_steps=5))
+    assert run(IntegratorControls(fixed_step=0.1, max_steps=10)).accepted == 10
+    with pytest.raises(NumericalError, match="step budget"):  # span / h overflows to inf
+        run(IntegratorControls(fixed_step=5e-324))
 
 
 def test_fixed_step_order_of_convergence():
