@@ -154,7 +154,7 @@ def _write_outputs(cfg, traj, default_x, default_y):
 
 def _dominant_label(traj):
     labels = traj.column_labels()
-    row0 = traj.column_matrix()[0]
+    row0 = traj.rows[0]
     if row0.size == 0:
         return "t"
     return labels[int(np.argmax(np.abs(row0)))]

@@ -26,14 +26,19 @@ the bracket.  Each evaluation takes one Cholesky factor of g, the
 orthonormal-frame bracket and its ric_orthonormal, H o H by matmuls, and the
 Laplacian through the d matrices.  integrate_grf, blowup_time and grf_rhs all
 evaluate it.
+
+A Trajectory keeps each accepted state as its CSV row (trajectory_column_labels):
+the bracket flow's packed state as it is, a gauge-fixed one by a gather of the
+flat (g.ravel(), H) state.  _row_state builds the typed states from rows, for
+Trajectory.states on first read and for BlowupReport.state.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -152,16 +157,22 @@ class GrfState:
 class Trajectory:
     """Accepted states of one integration, including the initial condition.
 
+    rows[i] is the state at times[i], one read-only row in the column layout
+    of trajectory_column_labels(kind, dim), which is the trajectory CSV's.
     times[0] carries the initial state bitwise; times are finite and strictly
     increasing in integration time (signed time for backward runs lives in
-    BlowupReport, not here).
+    BlowupReport, not here).  The constructor checks that every entry is
+    finite, that the row width fits kind (the width gives dim), and that
+    every "grf" row holds a positive-definite metric (ValidationError
+    otherwise).  states, the typed snapshots, are built on first read.
     """
 
     times: np.ndarray
-    states: tuple
+    rows: np.ndarray
     kind: str
     accepted: int = 0
     rejected: int = 0
+    dim: int = field(init=False)
 
     def __post_init__(self):
         ts = np.array(self.times, dtype=float, copy=True).reshape(-1)
@@ -171,39 +182,39 @@ class Trajectory:
             raise ValidationError("trajectory times must be finite")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
             raise ValidationError("trajectory times must be strictly increasing")
-        states = tuple(self.states)
-        if len(states) != ts.size:
-            raise ValidationError(
-                f"{ts.size} times but {len(states)} states in trajectory")
         if self.kind not in ("gbf", "grf"):
             raise ValidationError(f"unknown trajectory kind {self.kind!r}")
-        want = BracketState if self.kind == "gbf" else GrfState
-        for s in states:
-            if not isinstance(s, want):
-                raise ValidationError(
-                    f"{self.kind} trajectory holds {type(s).__name__} snapshots")
+        rows = np.array(self.rows, dtype=float, copy=True)
+        if rows.ndim != 2 or rows.shape[0] != ts.size:
+            raise ValidationError(
+                f"{ts.size} times but rows of shape {rows.shape} in trajectory")
+        n = _row_dims(self.kind).get(rows.shape[1])
+        if n is None:
+            raise ValidationError(f"no {self.kind} trajectory has rows of {rows.shape[1]} columns")
+        if not np.isfinite(rows).all():
+            raise ValidationError("trajectory entries must be finite")
+        if self.kind == "grf":
+            try:
+                np.linalg.cholesky(rows[:, _grf_tables(n)[1]])
+            except np.linalg.LinAlgError:
+                raise ValidationError("trajectory metric is not positive definite") from None
         ts.setflags(write=False)
+        rows.setflags(write=False)
         object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "dim", n)
 
-    @property
-    def dim(self):
-        return self.states[0].dim
+    @cached_property
+    def states(self):
+        """BracketState or GrfState snapshots, one per row."""
+        return tuple(_row_state(row, self.kind, self.dim) for row in self.rows)
 
     @property
     def final(self):
         return self.states[-1]
 
-    @property
-    def step_stats(self):
-        return (self.accepted, self.rejected)
-
     def column_labels(self):
         return trajectory_column_labels(self.kind, self.dim)
-
-    def column_matrix(self):
-        """(n_times, n_columns) array matching column_labels order."""
-        return np.array([_state_row(s, self.kind) for s in self.states])
 
 
 @dataclass(frozen=True)
@@ -263,57 +274,54 @@ def trajectory_column_labels(kind, n):
     return labels
 
 
-def _state_row(state, kind):
+@lru_cache(maxsize=None)
+def _row_dims(kind):
+    """{row width: dimension} of the kind's column layout."""
+    return {len(trajectory_column_labels(kind, n)): n for n in range(1, MAX_PROBLEM_DIM + 1)}
+
+
+@lru_cache(maxsize=None)
+def _grf_tables(n):
+    """Index tables (gather, metric) of a "grf" row.
+
+    The row of the flat state y = (g.ravel(), H) is y[gather], and the row's
+    (n, n) metric is row[metric]: g_i on the diagonal, g_ij at (i, j) and (j, i).
+    """
+    metric = np.diag(np.arange(n))
+    i, j = _index_array(n, 2).T
+    metric[i, j] = metric[j, i] = n + np.arange(i.size)
+    gather = np.concatenate([np.arange(n) * (n + 1), i * n + j, n * n + np.arange(math.comb(n, 3))])
+    return _frozen(gather, metric)
+
+
+def _row_state(row, kind, n):
+    """The BracketState or GrfState of one row in the trajectory_column_labels layout."""
+    split = row.size - math.comb(n, 3)
+    H = KForm(n, 3, row[split:])
     if kind == "gbf":
-        head = _packed_bracket(state.mu)
-    else:
-        G = state.g.entries
-        n = G.shape[0]
-        head = [G[i, i] for i in range(n)]
-        head += [G[i, j] for i, j in index_tuples(n, 2)]
-    return np.concatenate([np.array(head, dtype=float), state.H.coeffs])
+        return BracketState(mu=_dense_bracket(row[:split], n), H=H)
+    return GrfState(g=Metric(row[_grf_tables(n)[1]]), H=H)
 
 
 def trajectory_from_columns(times, labels, matrix):
     """Rebuild a Trajectory from its flat column layout (CSV reader support).
 
-    Every entry must be finite (ValidationError otherwise).  Step statistics
-    are not part of the layout; the result reports accepted = len(times) - 1
-    and rejected = 0.
+    An empty label list is the layout of a 1-dimensional bracket flow.  The
+    Trajectory constructor checks the entries.  Step statistics are not
+    part of the layout; the result reports accepted = len(times) - 1 and
+    rejected = 0.
     """
     labels = list(labels)
-    if not labels:
-        raise ValidationError("trajectory columns are empty")
-    kind = "gbf" if labels[0].startswith("mu_") else "grf"
-    n = None
-    for cand in range(1, MAX_PROBLEM_DIM + 1):
-        if trajectory_column_labels(kind, cand) == labels:
-            n = cand
-            break
-    if n is None:
+    kind = "gbf" if not labels or labels[0].startswith("mu_") else "grf"
+    n = _row_dims(kind).get(len(labels))
+    if n is None or trajectory_column_labels(kind, n) != labels:
         raise ValidationError("unrecognized trajectory column layout")
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != len(labels):
         raise ValidationError(
             f"trajectory matrix must be 2-D with {len(labels)} columns")
-    if not np.isfinite(mat).all():
-        raise ValidationError("trajectory entries must be finite")
-    pairs = index_tuples(n, 2)
-    n3 = math.comb(n, 3)
-    states = []
-    for row in mat:
-        H = KForm(n, 3, row[len(row) - n3:] if n3 else np.zeros(0))
-        if kind == "gbf":
-            states.append(BracketState(mu=_dense_bracket(row[:len(pairs) * n], n), H=H))
-        else:
-            G = np.zeros((n, n))
-            for i in range(n):
-                G[i, i] = row[i]
-            for pos, (i, j) in enumerate(pairs):
-                G[i, j] = G[j, i] = row[n + pos]
-            states.append(GrfState(g=Metric(G), H=H))
     m_times = np.asarray(times, dtype=float).reshape(-1)
-    return Trajectory(times=m_times, states=tuple(states), kind=kind,
+    return Trajectory(times=m_times, rows=mat, kind=kind,
                       accepted=max(m_times.size - 1, 0), rejected=0)
 
 
@@ -394,7 +402,7 @@ def _dp_step(f, t, y, h, k1, controls):
     k7 = f(t + h, y1)
     err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
     scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(y1))
-    return y1, k7, float(np.max(np.abs(err) / scale))
+    return y1, k7, float(np.max(np.abs(err) / scale, initial=0.0))  # 0 for an empty state
 
 
 def _next_step(h, ratio):
@@ -608,7 +616,8 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     both residuals are re-checked at every accepted step (NumericalError if
     integration drift ever pushes them past STRUCTURE_TOL).  The run
     evaluates _gbf_kernel, built once, on the packed state: 1 right-hand-side
-    evaluation plus 6 per attempted step (see the module docstring).
+    evaluation plus 6 per attempted step (see the module docstring).  Each
+    accepted packed state is kept as it is, as the trajectory row.
     """
     spec = _as_phi(spec)
     controls = controls if controls is not None else IntegratorControls()
@@ -632,7 +641,7 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     def f(t, y):
         return rhs(y)
 
-    times, states = [], []
+    times, rows = [], []
 
     def on_accept(t, y):
         m = _dense_bracket(y[:split], n)
@@ -641,17 +650,16 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
             raise NumericalError(
                 f"Jacobi residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
                 f"at t={t:.9g}")
-        Hk = KForm(n, 3, y[split:])
-        res = ce_differential(Hk, m).norm_inf
+        res = ce_differential(KForm(n, 3, y[split:]), m).norm_inf
         if res > STRUCTURE_TOL:
             raise NumericalError(
                 f"closedness residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
                 f"at t={t:.9g}")
         times.append(t)
-        states.append(BracketState(mu=m, H=Hk))
+        rows.append(y)
 
     accepted, rejected = _integrate(f, t0, y0, t1, controls, on_accept)
-    return Trajectory(times=np.array(times), states=tuple(states), kind="gbf",
+    return Trajectory(times=times, rows=rows, kind="gbf",
                       accepted=accepted, rejected=rejected)
 
 
@@ -659,36 +667,28 @@ def gbf_decay_bound_check(trajectory, a, slack=1e-9):
     """Check x^2 + y^2 <= (1+a^2) / (1 + (1+a^2) t) along a Heisenberg run.
 
     x is the single bracket coefficient and y the 3-form coefficient of the
-    three-dimensional family started at (1, a).  Returns False on the first
-    stored sample exceeding the bound by more than slack; raises if the
-    trajectory is not from that family.
+    three-dimensional family started at (1, a), read off the columns
+    mu_12_3 and H_123.  Returns False if a stored sample exceeds the bound
+    by more than slack; raises if the trajectory is not from that family.
     """
     if not isinstance(trajectory, Trajectory) or trajectory.kind != "gbf":
         raise ValidationError("decay bound check needs a bracket-flow trajectory")
     if trajectory.dim != 3:
         raise ValidationError("decay bound check is for the 3-dimensional family")
     a = float(a)
-    xs, ys = [], []
-    for st in trajectory.states:
-        m = st.mu
-        x = m[0, 1, 2]
-        stray = m.copy()
-        stray[0, 1, 2] = stray[1, 0, 2] = 0.0
-        if float(np.max(np.abs(stray))) > 1e-8 * (1.0 + abs(x)):
-            raise ValidationError(
-                "trajectory leaves the one-parameter Heisenberg family")
-        xs.append(x)
-        ys.append(st.H.coeffs[0])
+    labels = trajectory.column_labels()
+    ix, iy = labels.index("mu_12_3"), labels.index("H_123")  # mu[0, 1, 2]; the last column
+    xs, ys = trajectory.rows[:, ix], trajectory.rows[:, iy]
+    stray = np.delete(trajectory.rows[:, :iy], ix, axis=1)  # every other mu column
+    if np.any(np.max(np.abs(stray), axis=1) > 1e-8 * (1.0 + np.abs(xs))):
+        raise ValidationError(
+            "trajectory leaves the one-parameter Heisenberg family")
     if abs(xs[0] - 1.0) > 1e-8 or abs(ys[0] - a) > 1e-8:
         raise ValidationError(
             f"family trajectory must start at (1, {a}); got ({xs[0]}, {ys[0]})")
     s0 = 1.0 + a * a
-    t0 = trajectory.times[0]
-    for t, x, y in zip(trajectory.times, xs, ys):
-        bound = s0 / (1.0 + s0 * (t - t0))
-        if x * x + y * y > bound + slack:
-            return False
-    return True
+    bound = s0 / (1.0 + s0 * (trajectory.times - trajectory.times[0]))
+    return not np.any(xs * xs + ys * ys > bound + slack)
 
 
 # ---------------------------------------------------------------------------
@@ -820,11 +820,6 @@ def _grf_setup(mu, g0, H0, direction):
     return n, y0, f, in_domain
 
 
-def _grf_state(y, n):
-    """GrfState of a flat state; ValidationError if g is not positive definite."""
-    return GrfState(g=Metric(y[:n * n].reshape(n, n)), H=KForm(n, 3, y[n * n:]))
-
-
 def _stop_reason(y, y0, n):
     """Why a flow stalled at the flat state y, judged against its start y0.
 
@@ -853,11 +848,12 @@ def integrate_grf(mu, g0, H0, t_span, controls=None, direction=1):
     controls = controls if controls is not None else IntegratorControls()
     n, y0, f, in_domain = _grf_setup(mu, g0, H0, direction)
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-    times, states = [], []
+    gather = _grf_tables(n)[0]
+    times, rows = [], []
 
     def on_accept(t, y):
         times.append(t)
-        states.append(_grf_state(y, n))
+        rows.append(y[gather])
 
     try:
         accepted, rejected = _integrate(f, t0, y0, t1, controls, on_accept, in_domain)
@@ -865,7 +861,7 @@ def integrate_grf(mu, g0, H0, t_span, controls=None, direction=1):
         raise NumericalError(
             f"flow singular ({_stop_reason(stop.y, y0, n)}): step size underflow "
             f"after the last valid time t={stop.t:.9g}") from None
-    return Trajectory(times=np.array(times), states=tuple(states), kind="grf",
+    return Trajectory(times=times, rows=rows, kind="grf",
                       accepted=accepted, rejected=rejected)
 
 
@@ -886,6 +882,7 @@ def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None
     if controls.fixed_step is not None:
         raise ValidationError("blowup_time needs the adaptive controller, not fixed_step")
     n, y0, f, _ = _grf_setup(mu, g0, H0, direction)
+    gather = _grf_tables(n)[0]
     last = [y0]
 
     def on_accept(t, y):
@@ -895,9 +892,10 @@ def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None
         _integrate(f, 0.0, y0, horizon, controls, on_accept)
     except _Stalled as stop:
         return BlowupReport(time=direction * stop.t, reason=_stop_reason(stop.y, y0, n),
-                            t_last=direction * stop.t, state=_grf_state(stop.y, n))
+                            t_last=direction * stop.t,
+                            state=_row_state(stop.y[gather], "grf", n))
     return BlowupReport(time=None, reason="horizon", t_last=direction * horizon,
-                        state=_grf_state(last[0], n))
+                        state=_row_state(last[0][gather], "grf", n))
 
 
 # ---------------------------------------------------------------------------

@@ -171,11 +171,10 @@ def load_problem(path):
 def emit_trajectory_csv(traj, path):
     """Write t plus the flat state columns, one row per accepted step."""
     labels = traj.column_labels()
-    mat = traj.column_matrix()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + labels)
-        for t, row in zip(traj.times, mat):
+        for t, row in zip(traj.times, traj.rows):
             writer.writerow([format(t, ".17g")] + [format(v, ".17g") for v in row])
 
 
@@ -239,7 +238,7 @@ def emit_phase_svg(traj, x_col, y_col, path):
         if col not in labels:
             raise ValidationError(
                 f"unknown column {col!r}; available: {', '.join(labels)}")
-    full = np.column_stack([traj.times, traj.column_matrix()])
+    full = np.column_stack([traj.times, traj.rows])
     xs = full[:, labels.index(x_col)]
     ys = full[:, labels.index(y_col)]
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))

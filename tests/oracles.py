@@ -110,6 +110,25 @@ def dense_form(coeffs, n, k):
     return out
 
 
+def column_entry(label, n, g=None, mu=None, h=None):
+    """The entry a trajectory column label names, parsed from the label alone.
+
+    g_i and g_ij name g[i-1, i-1] and g[i-1, j-1], mu_ij_k names
+    mu[i-1, j-1, k-1] and H_ijk names h[i-1, j-1, k-1], for dense g, mu and
+    h; from n = 10 on the indices are separated by underscores.
+    """
+    name, *parts = label.split("_")
+    idx = [int(p) - 1 for p in (parts if n >= 10 else "".join(parts))]
+    if name == "g":
+        return g[idx[0], idx[-1]]
+    return {"mu": mu, "H": h}[name][tuple(idx)]
+
+
+def labelled_row(labels, n, **dense):
+    """One trajectory row: column_entry of each label, read off the dense g, mu or h."""
+    return np.array([column_entry(label, n, **dense) for label in labels])
+
+
 def compound(mat, k):
     """k-th compound matrix by one determinant per pair of increasing index tuples."""
     mat = np.asarray(mat, dtype=float)

@@ -9,7 +9,6 @@ from scipy.integrate import solve_ivp
 
 from nilflow import (
     BlowupReport,
-    BracketState,
     GrfState,
     IntegratorControls,
     KForm,
@@ -21,6 +20,7 @@ from nilflow import (
     ValidationError,
     blowup_time,
     ce_differential,
+    emit_trajectory_csv,
     gbf_decay_bound_check,
     gbf_rhs,
     gl_action,
@@ -34,6 +34,7 @@ from nilflow import (
     pi_form,
     pi_mu,
     rc_metric,
+    read_trajectory_csv,
     ric_orthonormal,
     tmin_sweep,
     trajectory_column_labels,
@@ -48,6 +49,13 @@ HEIS = oc.bracket_from(oc.HEIS3, 3)
 
 def _h3_flux(a):
     return KForm.from_entries(3, 3, [((1, 2, 3), a)])
+
+
+def _gbf_rows(*states):
+    """Bracket-flow trajectory rows of (mu, packed H) pairs, laid out by the oracle."""
+    n = states[0][0].shape[0]
+    labels = trajectory_column_labels("gbf", n)
+    return [oc.labelled_row(labels, n, mu=m, h=oc.dense_form(h, n, 3)) for m, h in states]
 
 
 def _family_xy(traj):
@@ -248,7 +256,6 @@ def test_integrate_gbf_initial_state_kept_bitwise():
     assert np.all(np.diff(traj.times) > 0)
     assert traj.accepted == len(traj.times) - 1
     assert traj.rejected >= 0
-    assert traj.step_stats == (traj.accepted, traj.rejected)
     assert traj.kind == "gbf" and traj.dim == 3
     assert traj.final is traj.states[-1]
 
@@ -352,8 +359,8 @@ def test_gbf_decay_bound_holds_on_family():
 
 def test_gbf_decay_bound_detects_violation():
     a = 1.0
-    frozen = BracketState(mu=HEIS.coeffs, H=_h3_flux(a))
-    traj = Trajectory(times=np.array([0.0, 1.0]), states=(frozen, frozen),
+    frozen = (HEIS.coeffs, [a])
+    traj = Trajectory(times=np.array([0.0, 1.0]), rows=_gbf_rows(frozen, frozen),
                       kind="gbf")
     assert gbf_decay_bound_check(traj, a) is False
 
@@ -365,21 +372,18 @@ def test_gbf_decay_bound_validation():
     off = np.zeros((4, 4, 4))
     off[0, 1, 2] = 1.0
     off[1, 0, 2] = -1.0
-    traj4 = Trajectory(times=np.array([0.0]),
-                       states=(BracketState(mu=off, H=KForm(4, 3, np.zeros(4))),),
+    traj4 = Trajectory(times=np.array([0.0]), rows=_gbf_rows((off, np.zeros(4))),
                        kind="gbf")
     with pytest.raises(ValidationError):
         gbf_decay_bound_check(traj4, 0.0)
     stray = HEIS.coeffs.copy()
     stray[0, 2, 1] = 0.4
     stray[2, 0, 1] = -0.4
-    bad = Trajectory(times=np.array([0.0]),
-                     states=(BracketState(mu=stray, H=_h3_flux(0.0)),),
+    bad = Trajectory(times=np.array([0.0]), rows=_gbf_rows((stray, [0.0])),
                      kind="gbf")
     with pytest.raises(ValidationError):
         gbf_decay_bound_check(bad, 0.0)
-    scaled = Trajectory(times=np.array([0.0]),
-                        states=(BracketState(mu=2.0 * HEIS.coeffs, H=_h3_flux(0.0)),),
+    scaled = Trajectory(times=np.array([0.0]), rows=_gbf_rows((2.0 * HEIS.coeffs, [0.0])),
                         kind="gbf")
     with pytest.raises(ValidationError):
         gbf_decay_bound_check(scaled, 0.0)
@@ -666,8 +670,7 @@ def test_trajectory_column_labels():
 
 def test_trajectory_round_trip_gbf():
     traj = integrate_gbf("ric-h2", HEIS, _h3_flux(1.0), (0.0, 1.0))
-    back = trajectory_from_columns(traj.times, traj.column_labels(),
-                                   traj.column_matrix())
+    back = trajectory_from_columns(traj.times, traj.column_labels(), traj.rows)
     assert back.kind == "gbf"
     assert np.array_equal(back.times, traj.times)
     for s1, s2 in zip(back.states, traj.states):
@@ -679,17 +682,42 @@ def test_trajectory_round_trip_gbf():
 def test_trajectory_round_trip_grf():
     traj = integrate_grf(HEIS, Metric.diagonal([1.0, 1.0, 2.0]), _h3_flux(0.5),
                          (0.0, 1.0))
-    back = trajectory_from_columns(traj.times, traj.column_labels(),
-                                   traj.column_matrix())
+    back = trajectory_from_columns(traj.times, traj.column_labels(), traj.rows)
     assert back.kind == "grf"
     for s1, s2 in zip(back.states, traj.states):
         assert np.array_equal(s1.g.entries, s2.g.entries)
         assert np.array_equal(s1.H.coeffs, s2.H.coeffs)
 
 
+def test_trajectory_columns_hold_the_entries_their_labels_name(rng, tmp_path):
+    # a full metric, a bracket in a random basis and a generic closed H, so that no
+    # entry a label names is zero or equal to its transposes by accident
+    n = 5
+    mu = oc.random_nilpotent(rng, n).coeffs
+    G = Metric(oc.random_spd(rng, n)).entries
+    h = _closed_3form(rng, mu)
+    grf = integrate_grf(mu, G, h, (0.0, 0.05))
+    gbf = integrate_gbf("ric-h2", mu, h, (0.0, 0.05))
+    path = tmp_path / "grf.csv"
+    emit_trajectory_csv(grf, path)
+    back = read_trajectory_csv(path)
+    assert np.array_equal(back.rows, grf.rows)
+    hd = oc.dense_form(h, n, 3)
+    # the first row holds the initial data bitwise
+    assert np.array_equal(grf.rows[0], oc.labelled_row(grf.column_labels(), n, g=G, h=hd))
+    assert np.array_equal(gbf.rows[0], oc.labelled_row(gbf.column_labels(), n, mu=mu, h=hd))
+    for traj in (grf, gbf, back):
+        assert len(traj.rows) > 2 and len(traj.states) == len(traj.rows)
+        for row, st in zip(traj.rows, traj.states):
+            typed = {"g": st.g.entries} if traj.kind == "grf" else {"mu": st.mu}
+            want = oc.labelled_row(traj.column_labels(), n,
+                                   h=oc.dense_form(st.H.coeffs, n, 3), **typed)
+            assert np.array_equal(row, want)
+
+
 def test_trajectory_from_columns_validation():
     with pytest.raises(ValidationError):
-        trajectory_from_columns([0.0], [], np.zeros((1, 0)))
+        trajectory_from_columns([0.0], [], np.zeros((1, 1)))  # [] is the 1-dim bracket flow
     with pytest.raises(ValidationError):
         trajectory_from_columns([0.0], ["g_1", "bogus"], np.zeros((1, 2)))
     labels = trajectory_column_labels("grf", 3)
@@ -705,17 +733,21 @@ def test_trajectory_from_columns_validation():
 
 
 def test_trajectory_validation():
-    st = GrfState(Metric.identity(3), KForm.zero(3, 3))
+    st = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]  # g = I, H = 0 on R^3
     with pytest.raises(ValidationError):
-        Trajectory(times=np.array([1.0, 0.5]), states=(st, st), kind="grf")
+        Trajectory(times=np.array([1.0, 0.5]), rows=(st, st), kind="grf")
     with pytest.raises(ValidationError):
-        Trajectory(times=np.array([0.0]), states=(st, st), kind="grf")
+        Trajectory(times=np.array([0.0]), rows=(st, st), kind="grf")
     with pytest.raises(ValidationError):
-        Trajectory(times=np.array([0.0]), states=(st,), kind="banana")
+        Trajectory(times=np.array([0.0]), rows=(st,), kind="banana")
     with pytest.raises(ValidationError):
-        Trajectory(times=np.array([0.0]), states=(st,), kind="gbf")
+        Trajectory(times=np.array([0.0]), rows=(st,), kind="gbf")
     with pytest.raises(ValidationError):
-        Trajectory(times=np.array([]), states=(), kind="grf")
+        Trajectory(times=np.array([]), rows=(), kind="grf")
     for bad in (math.inf, math.nan):
         with pytest.raises(ValidationError):
-            Trajectory(times=np.array([0.0, bad]), states=(st, st), kind="grf")
+            Trajectory(times=np.array([0.0, bad]), rows=(st, st), kind="grf")
+        with pytest.raises(ValidationError):
+            Trajectory(times=np.array([0.0]), rows=([bad] + st[1:],), kind="grf")
+    with pytest.raises(ValidationError):  # g_12 = 2: not positive definite
+        Trajectory(times=np.array([0.0]), rows=(st[:3] + [2.0] + st[4:],), kind="grf")

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from nilflow import (
+    IntegratorControls,
     KForm,
     Metric,
     Trajectory,
-    GrfState,
     ValidationError,
     builtin_problem,
     emit_phase_svg,
@@ -202,6 +202,28 @@ def test_read_trajectory_csv_errors(tmp_path):
             read_trajectory_csv(p)
     p.write_text(gbf_header + good + good.replace("0.0", "1.0", 1))
     assert read_trajectory_csv(p).times[-1] == 1.0  # the same file with finite entries reads
+    # a metric that is not positive definite: g_12 = 2 with g_1 = g_2 = 1
+    p.write_text("t,g_1,g_2,g_3,g_12,g_13,g_23,H_123\n0.0,1.0,1.0,1.0,2.0,0.0,0.0,0.0\n")
+    with pytest.raises(ValidationError):
+        read_trajectory_csv(p)
+
+
+def test_one_dimensional_bracket_flow(tmp_path, capsys):
+    mu = builtin_problem("abelian(1)").mu
+    for controls in (None, IntegratorControls(fixed_step=0.25)):
+        traj = integrate_gbf("ric-h2", mu, None, (0.0, 1.0), controls)
+        assert traj.dim == 1 and traj.rows.shape == (len(traj.times), 0)
+        assert traj.times[-1] == 1.0 and traj.final.mu.shape == (1, 1, 1)
+        path = tmp_path / "flow.csv"
+        emit_trajectory_csv(traj, path)
+        assert path.read_text().splitlines()[0] == "t"
+        back = read_trajectory_csv(path)
+        assert back.kind == "gbf" and back.dim == 1
+        assert np.array_equal(back.times, traj.times)
+    out = tmp_path / "cli.csv"
+    assert main(["bracket-flow", "--input", "abelian(1)", "--out", str(out)]) == 0
+    assert read_trajectory_csv(out).dim == 1
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +250,8 @@ def test_phase_svg_deterministic(tmp_path):
 
 
 def test_phase_svg_single_point(tmp_path):
-    st = GrfState(Metric.identity(3), KForm(3, 3, np.array([1.0])))
-    traj = Trajectory(times=np.array([0.0]), states=(st,), kind="grf")
+    st = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0]  # g = I, H = e^123
+    traj = Trajectory(times=np.array([0.0]), rows=(st,), kind="grf")
     path = tmp_path / "dot.svg"
     emit_phase_svg(traj, "g_1", "g_3", path)
     text = path.read_text()
