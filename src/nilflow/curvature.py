@@ -7,6 +7,8 @@ Conventions, all in a fixed basis with bracket coefficients mu[i, j, k]:
   - rc_metric transports a general metric to an orthonormal frame with the
     Cholesky factor of g and pulls the result back, so it agrees with the
     Koszul/curvature-tensor computation without ever forming Christoffels.
+    rc_metric and h_circ_h share the arithmetic of the generalized Ricci flow's
+    kernel (flows._grf_kernel): lie._frame_change, _pull_back and _h_circ_h.
   - The Bismut connection is nabla^g + 1/2 g^{-1} H, with H a 3-form; its
     action on a 1-form theta is returned as the full (non-symmetric) matrix
     (nabla theta)_ij = (nabla_{e_i} theta)(e_j).
@@ -22,7 +24,8 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
-from .lie import KForm, bracket_coeffs, ce_differential, form_dense, gl_action, _planned_einsum
+from .lie import (KForm, bracket_coeffs, ce_differential, form_dense, _as_3form, _as_bracket,
+                  _checked_inverse, _frame_change)
 
 __all__ = [
     "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
@@ -63,19 +66,31 @@ def rc_metric(mu, g):
     orthonormal frame: Rc_g(x, y) = Ric_{h.mu}(h x, h y).
     """
     gm = as_metric(g)
-    h = gm.chol_upper
-    ric = ric_orthonormal(gl_action(h, mu))
-    out = h.T @ ric @ h
-    return symmetric_part(out)
+    m = _as_bracket(mu).coeffs
+    h, h_inv = _checked_inverse(gm.chol_upper, m.shape[0])
+    return symmetric_part(_pull_back(h, ric_orthonormal(_frame_change(h, h_inv, m))))
+
+
+def _pull_back(u, form):
+    """The bilinear form form(u x, u y) as the matrix u^T form u."""
+    return u.T @ form @ u
 
 
 def h_circ_h(H, g):
-    """Symmetric form (H.H)_ij = g^{rl} g^{st} H_{irs} H_{jlt}; PSD for any H."""
+    """Symmetric form (H.H)_ij = g^{rl} g^{st} H_{irs} H_{jlt}; PSD for any H.
+
+    H is a KForm, a packed coefficient vector or a dense alternating tensor.
+    """
     gm = as_metric(g)
-    Hd = form_dense(H, gm.dim, 3)
-    ginv = gm.inverse
-    out = _planned_einsum('rl,st,irs,jlt->ij', ginv, ginv, Hd, Hd)
-    return symmetric_part(out)
+    hh, _ = _h_circ_h(_as_3form(H, gm.dim).unpack(), gm.inverse)
+    return symmetric_part(hh)
+
+
+def _h_circ_h(hd, g_inv):
+    """Unsymmetrized H o H of a dense 3-form hd, and hd with g_inv on its last two slots."""
+    n = hd.shape[0]
+    raised = g_inv @ hd @ g_inv
+    return raised.reshape(n, -1) @ hd.reshape(n, -1).T, raised
 
 
 def h_squared_neutral(H):
@@ -136,14 +151,6 @@ def generalized_ricci_plus(mu, g, H, theta):
     dstar = two_form_matrix(codifferential(H, mu, gm))
     nab = bismut_nabla_theta(mu, gm, H, theta)
     return rc - 0.25 * hh - 0.5 * dstar + 0.5 * nab
-
-
-def _as_3form(H, n):
-    if isinstance(H, KForm):
-        if H.degree != 3 or H.dim != n:
-            raise ValidationError("flux form must be a 3-form matching the metric dimension")
-        return H
-    return KForm.from_dense(form_dense(H, n, 3))
 
 
 def _theta_vector(theta, n):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import ValidationError
-from .lie import KForm, LieBracket, bracket_coeffs, ce_differential, form_dense, jacobi_residual
+from .lie import (KForm, LieBracket, bracket_coeffs, ce_differential, form_dense, jacobi_residual,
+                  _as_3form, _as_bracket)
 
 
 @dataclass(frozen=True)
@@ -162,39 +163,34 @@ def dorfman_jacobi_residual(mu, H):
 
 
 def closedness_residual(mu, H):
-    """Sup-norm of d_mu H; zero exactly when the 3-form flux is closed."""
+    """Sup-norm of d_mu H; zero exactly when the 3-form flux is closed.
+
+    H is a KForm, a packed coefficient vector or a dense alternating tensor.
+    """
     m = bracket_coeffs(mu)
-    n = m.shape[0]
-    form = H if isinstance(H, KForm) else KForm.from_dense(form_dense(H, n, 3))
-    if form.dim != n or form.degree != 3:
-        raise ValidationError("H must be a 3-form matching the bracket dimension")
-    return ce_differential(form, m).norm_inf
+    return ce_differential(_as_3form(H, m.shape[0]), m).norm_inf
 
 
 @dataclass(frozen=True)
 class DorfmanBracket:
-    """A validated pair (mu, H): mu Lie and H closed, within tol.
+    """A validated pair (mu, H): mu Lie and H closed, within DEFAULT_TOL.
 
-    Use the module functions directly to probe unvalidated or corrupted data.
+    mu is a LieBracket or a skew (n, n, n) array; H a KForm, a packed
+    coefficient vector or a dense alternating tensor.  Use the module
+    functions directly to probe unvalidated or corrupted data.
     """
 
     mu: LieBracket
     H: KForm
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not isinstance(self.mu, LieBracket):
-            object.__setattr__(self, "mu", LieBracket(bracket_coeffs(self.mu)))
-        n = self.mu.dim
-        if not isinstance(self.H, KForm):
-            object.__setattr__(self, "H", KForm.from_dense(form_dense(self.H, n, 3)))
-        if self.H.dim != n or self.H.degree != 3:
-            raise ValidationError("H must be a 3-form matching the bracket dimension")
+        object.__setattr__(self, "mu", _as_bracket(self.mu))
+        object.__setattr__(self, "H", _as_3form(self.H, self.mu.dim))
         jac = jacobi_residual(self.mu)
-        if jac > self.tol:
+        if jac > DEFAULT_TOL:
             raise ValidationError(f"bracket violates the Jacobi identity (residual {jac:.3e})")
         closed = closedness_residual(self.mu, self.H)
-        if closed > self.tol:
+        if closed > DEFAULT_TOL:
             raise ValidationError(f"flux form is not closed (residual {closed:.3e})")
 
     @property

@@ -23,9 +23,10 @@ bracket flow on the packed state (mu[i, j, :] for i < j, then the packed
 evaluate it.  _grf_kernel is built from the bracket alone: the matrices of d
 on 2- and 3-forms, the pack/unpack index tables, and which d terms vanish for
 the bracket.  Each evaluation takes one Cholesky factor of g, the
-orthonormal-frame bracket and its ric_orthonormal, H o H by matmuls, and the
-Laplacian through the d matrices.  integrate_grf, blowup_time and grf_rhs all
-evaluate it.
+orthonormal-frame bracket and its ric_orthonormal, H o H, and the Laplacian
+through the d matrices; the frame change, the pullback of Rc and H o H are the
+functions that gl_action, rc_metric and h_circ_h call too.  integrate_grf,
+blowup_time and grf_rhs all evaluate it.
 
 A Trajectory keeps each accepted state as its CSV row (trajectory_column_labels):
 the bracket flow's packed state as it is, a gauge-fixed one by a gather of the
@@ -59,11 +60,12 @@ from .config import (
 # rc_metric and hodge_laplacian are the library forms of two terms of the GRF
 # kernel below, which does not call them; they stay bound here because the
 # benchmark's tracer (bench/spans.py) and its tests look them up on this module.
-from .curvature import rc_metric, ric_orthonormal  # noqa: F401
+from .curvature import rc_metric, ric_orthonormal, _h_circ_h, _pull_back  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
-from .hodge import Metric, hodge_laplacian  # noqa: F401
-from .lie import (KForm, LieBracket, bracket_coeffs, ce_differential, index_tuples,
-                  jacobi_residual, _ce_tables, _frozen, _index_array, _unpack_tables)
+from .hodge import Metric, as_metric, hodge_laplacian  # noqa: F401
+from .lie import (KForm, bracket_coeffs, ce_differential, index_tuples, jacobi_residual,
+                  _as_3form, _as_bracket, _ce_tables, _frame_change, _frozen, _index_array,
+                  _unpack_tables)
 
 __all__ = [
     "PhiSpec",
@@ -206,12 +208,13 @@ class Trajectory:
 
     @cached_property
     def states(self):
-        """BracketState or GrfState snapshots, one per row."""
-        return tuple(_row_state(row, self.kind, self.dim) for row in self.rows)
+        """BracketState or GrfState snapshots, one per row; the last one is final."""
+        return tuple(_row_state(row, self.kind, self.dim) for row in self.rows[:-1]) + (self.final,)
 
-    @property
+    @cached_property
     def final(self):
-        return self.states[-1]
+        """The snapshot of the last row, built without the others."""
+        return _row_state(self.rows[-1], self.kind, self.dim)
 
     def column_labels(self):
         return trajectory_column_labels(self.kind, self.dim)
@@ -424,8 +427,9 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
     last of which is taken at the new state, is rejected, so steps shrink
     toward the domain's edge instead of crossing it; a trial step below
     STEP_FLOOR, as at a singular time, raises _Stalled.  Fixed-step runs take
-    classical RK4 steps and raise NumericalError when the RHS fails or the
-    state is not finite or fails in_domain(y).
+    max(1, ceil(span / h - 1e-12)) classical RK4 steps over a positive span,
+    the last landing on t_end, and raise NumericalError when the RHS fails or
+    the state is not finite or fails in_domain(y).
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state must be finite")
@@ -445,8 +449,9 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
             raise NumericalError(
                 f"step budget {controls.max_steps} exhausted at t={t:.9g} "
                 f"(fixed step {h:.9g} over a span of {span:.9g})")
-        for i in range(max(int(math.ceil(count)), 0)):
-            t_next = min(t0 + (i + 1) * h, t_end)
+        steps = max(math.ceil(count), 1) if span > 0 else 0
+        for i in range(steps):
+            t_next = t_end if i == steps - 1 else t0 + (i + 1) * h
             try:
                 y = _rk4_step(f, t, y, t_next - t, f(t, y))
             except _RhsFailure as e:
@@ -567,28 +572,9 @@ def _gbf_kernel(spec, n):
     return rhs
 
 
-def _as_form3(H, n):
-    if H is None:
-        return KForm.zero(n, 3)
-    if isinstance(H, KForm):
-        if H.dim != n or H.degree != 3:
-            raise ValidationError(
-                f"expected a degree-3 form on R^{n}, got degree {H.degree} on R^{H.dim}")
-        return H
-    arr = np.asarray(H, dtype=float)
-    if arr.ndim == 1:
-        return KForm(n, 3, arr)
-    form = KForm.from_dense(arr)
-    if form.dim != n or form.degree != 3:
-        raise ValidationError(
-            f"expected a degree-3 form on R^{n}, got degree {form.degree} on R^{form.dim}")
-    return form
-
-
-def _skew_bracket_array(mu):
-    if isinstance(mu, LieBracket):
-        return mu.coeffs
-    return LieBracket(np.asarray(mu, dtype=float)).coeffs
+def _flux(H, n):
+    """A flow's initial 3-form: None is the zero form, anything else goes to _as_3form."""
+    return KForm.zero(n, 3) if H is None else _as_3form(H, n)
 
 
 def gbf_rhs(spec, mu, H):
@@ -601,9 +587,9 @@ def gbf_rhs(spec, mu, H):
     coefficient tensor for dmu and a packed 3-form for dH.
     """
     spec = _as_phi(spec)
-    m = _skew_bracket_array(mu)
+    m = _as_bracket(mu).coeffs
     n = m.shape[0]
-    h = _as_form3(H, n).coeffs
+    h = _flux(H, n).coeffs
     dy = _gbf_kernel(spec, n)(np.concatenate([_packed_bracket(m), h]))
     split = math.comb(n, 2) * n
     return _dense_bracket(dy[:split], n), KForm(n, 3, dy[split:])
@@ -621,9 +607,9 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     """
     spec = _as_phi(spec)
     controls = controls if controls is not None else IntegratorControls()
-    m0 = _skew_bracket_array(mu0)
+    m0 = _as_bracket(mu0).coeffs
     n = m0.shape[0]
-    h0 = _as_form3(H0, n)
+    h0 = _flux(H0, n)
     jr = jacobi_residual(m0)
     if jr > STRUCTURE_TOL:
         raise ValidationError(
@@ -713,8 +699,9 @@ def _grf_kernel(m):
     tables.  A d term that is identically zero for m is dropped here too.
 
     Per call: one Cholesky factor g = u^T u (LinAlgError off the domain);
-    the orthonormal-frame bracket u.mu by three matmuls, whose Ricci form
-    pulled back by u is Rc_g; H o H by batched matmuls; and the Laplacian
+    the orthonormal-frame bracket u.mu (lie._frame_change), whose Ricci form
+    pulled back by u is Rc_g (curvature._pull_back); H o H
+    (curvature._h_circ_h), whose raised H also feeds d d*; and the Laplacian
     d d* + d* d with d* = C_k(g) D_k^T C_{k+1}(g^-1), the adjoint of d, which
     is the library's sign * star d star for the unimodular brackets it
     targets.  A compound C_k(A) acts on a packed form as A on every slot of
@@ -742,13 +729,9 @@ def _grf_kernel(m):
         u = np.linalg.cholesky(g).T
         u_inv = np.linalg.inv(u)
         g_inv = u_inv @ u_inv.T
-        # gl_action(u, m): u_inv on both inputs, u on the output, then the exact skew part
-        b = (u_inv.T @ (u_inv.T @ (m @ u.T)).reshape(n, -1)).reshape(n, n, n)
-        ric = ric_orthonormal((b - b.swapaxes(0, 1)) / 2.0)
-        hd = dense(h, 3)
-        raised = g_inv @ hd @ g_inv  # g_inv on the last two slots
-        hh = raised.reshape(n, -1) @ hd.reshape(n, -1).T
-        dg = -2.0 * (u.T @ ric @ u) + 0.5 * hh
+        ric = ric_orthonormal(_frame_change(u, u_inv, m))
+        hh, raised = _h_circ_h(dense(h, 3), g_inv)
+        dg = -2.0 * _pull_back(u, ric) + 0.5 * hh
         dg = (dg + dg.T) / 2.0
         lap = np.zeros(h.shape)
         if up:  # d* d h = C_3(g) D3^T C_4(g_inv) D3 h
@@ -792,13 +775,13 @@ def _grf_setup(mu, g0, H0, direction):
     """
     if direction not in (1, -1):
         raise ValidationError(f"direction must be +1 or -1, got {direction!r}")
-    m = _skew_bracket_array(mu)
+    m = _as_bracket(mu).coeffs
     n = m.shape[0]
-    met0 = Metric(g0) if not isinstance(g0, Metric) else g0
+    met0 = as_metric(g0)
     if met0.dim != n:
         raise ValidationError(
             f"metric dimension {met0.dim} does not match bracket dimension {n}")
-    h0 = _as_form3(H0, n)
+    h0 = _flux(H0, n)
     cr = ce_differential(h0, m).norm_inf
     if cr > STRUCTURE_TOL:
         raise ValidationError(

@@ -14,8 +14,7 @@ d/ds A(s).mu = pi(phi) mu at s = 0.
 The index bookkeeping of the form calculus does not depend on the bracket,
 the metric or the coefficients, only on (n, k).  ce_differential,
 compound_matrix and KForm.unpack therefore gather through integer tables
-built once per (n, k) and cached (read-only, shared by every caller), and
-einsum contraction orders are planned once per (subscripts, shapes).
+built once per (n, k) and cached (read-only, shared by every caller).
 """
 
 from __future__ import annotations
@@ -57,22 +56,6 @@ def _index_array(n, k):
     """index_tuples(n, k) as a read-only (C(n, k), k) integer array."""
     (arr,) = _frozen(np.array(index_tuples(n, k), dtype=np.intp).reshape(-1, k))
     return arr
-
-
-@lru_cache(maxsize=None)
-def _einsum_path(subscripts, *shapes):
-    """The contraction order einsum(optimize=True) plans, planned once per shapes.
-
-    Passing it as ``optimize=`` runs the same pairwise contractions without
-    planning them again on every call.
-    """
-    dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return tuple(np.einsum_path(subscripts, *dummies, optimize=True)[0])
-
-
-def _planned_einsum(subscripts, *operands):
-    return np.einsum(subscripts, *operands,
-                     optimize=_einsum_path(subscripts, *(op.shape for op in operands)))
 
 
 def sort_sign(indices):
@@ -214,8 +197,8 @@ class KForm:
         return cls(dim, degree, coeffs)
 
     @classmethod
-    def from_dense(cls, arr, tol=SKEW_TOL):
-        """Pack a dense alternating tensor, checking alternation up to tol (relative)."""
+    def from_dense(cls, arr):
+        """Pack a dense alternating tensor, checking alternation up to SKEW_TOL (relative)."""
         arr = np.asarray(arr, dtype=float)
         k = arr.ndim
         if k == 0:
@@ -225,7 +208,7 @@ class KForm:
             raise ValidationError(f"dense form tensor must be cubical, got shape {arr.shape}")
         alt = _alternation(arr)
         scale = 1.0 + float(np.max(np.abs(arr))) if arr.size else 1.0
-        if arr.size and float(np.max(np.abs(arr - alt))) > tol * scale:
+        if arr.size and float(np.max(np.abs(arr - alt))) > SKEW_TOL * scale:
             raise ValidationError("dense tensor is not alternating")
         coeffs = np.array([alt[t] for t in index_tuples(n, k)])
         return cls(n, k, coeffs)
@@ -362,6 +345,24 @@ def bracket_coeffs(mu):
     return arr
 
 
+def _as_bracket(mu):
+    """A LieBracket from a LieBracket or a skew (n, n, n) array-like (ValidationError otherwise)."""
+    return mu if isinstance(mu, LieBracket) else LieBracket(mu)
+
+
+def _as_3form(H, n):
+    """A 3-form on R^n from a KForm, a packed coefficient vector or a dense alternating tensor."""
+    if isinstance(H, KForm):
+        if H.dim != n or H.degree != 3:
+            raise ValidationError(
+                f"expected a degree-3 form on R^{n}, got degree {H.degree} on R^{H.dim}")
+        return H
+    arr = np.asarray(H, dtype=float)
+    if arr.ndim == 1:
+        return KForm(n, 3, arr)
+    return KForm.from_dense(form_dense(arr, n, 3))
+
+
 def form_dense(H, dim, degree):
     """Dense tensor from a KForm or an already-dense array-like."""
     if isinstance(H, KForm):
@@ -384,10 +385,10 @@ def jacobi_residual(mu):
     return float(np.max(np.abs(jac))) if jac.size else 0.0
 
 
-def nilpotency_step(mu, rank_tol_factor=RANK_TOL_FACTOR):
+def nilpotency_step(mu):
     """Nilpotency step of the lower central series, or None if it stabilizes nonzero.
 
-    Ranks are decided by SVD with cutoff rank_tol_factor times the largest
+    Ranks are decided by SVD with cutoff RANK_TOL_FACTOR times the largest
     singular value of the stage matrix.
     """
     m = bracket_coeffs(mu)
@@ -401,7 +402,7 @@ def nilpotency_step(mu, rank_tol_factor=RANK_TOL_FACTOR):
         u, s, _ = np.linalg.svd(img, full_matrices=False)
         if scale is None:
             scale = float(s[0]) if s.size else 0.0
-        rank = int(np.sum(s > rank_tol_factor * scale)) if scale > 0.0 else 0
+        rank = int(np.sum(s > RANK_TOL_FACTOR * scale)) if scale > 0.0 else 0
         if rank == 0:
             return step
         if rank >= prev_rank:
@@ -504,12 +505,22 @@ def _checked_inverse(A, n):
     return A, np.linalg.inv(A)
 
 
+def _frame_change(A, A_inv, m):
+    """A.m as a plain array, for a skew (n, n, n) array m and A_inv = A^-1.
+
+    A_inv on both inputs and A on the output by three matmuls, then the
+    exact skew part.  gl_action and the generalized Ricci flow's kernel share it.
+    """
+    n = m.shape[0]
+    b = (A_inv.T @ (A_inv.T @ (m @ A.T)).reshape(n, -1)).reshape(n, n, n)
+    return (b - b.swapaxes(0, 1)) / 2.0
+
+
 def gl_action(A, mu):
     """Basis change on brackets: (A.mu)(X, Y) = A mu(A^-1 X, A^-1 Y)."""
-    m = bracket_coeffs(mu)
+    m = _as_bracket(mu).coeffs
     A, Ainv = _checked_inverse(A, m.shape[0])
-    out = _planned_einsum('ai,bj,kl,abl->ijk', Ainv, Ainv, A, m)
-    return LieBracket(out)
+    return LieBracket(_frame_change(A, Ainv, m))
 
 
 def gl_action_form(A, omega):

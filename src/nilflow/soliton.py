@@ -20,10 +20,10 @@ import numpy as np
 
 from .config import RANK_TOL_FACTOR
 from .curvature import (bismut_nabla_theta, h_circ_h, rc_metric, require_closed,
-                        symmetric_part, _as_3form, _theta_vector)
+                        symmetric_part, _theta_vector)
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
-from .lie import KForm, bracket_coeffs, ce_differential
+from .lie import KForm, bracket_coeffs, ce_differential, _as_3form
 
 
 @dataclass(frozen=True)
@@ -52,22 +52,22 @@ def _derivation_constraint_matrix(m):
     return (a1 - a2 - a3).reshape(n ** 3, n * n)
 
 
-def _null_space(mat, rank_tol_factor):
+def _null_space(mat):
     _, s, vt = np.linalg.svd(mat, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > rank_tol_factor * smax)) if smax > 0.0 else 0
+    rank = int(np.sum(s > RANK_TOL_FACTOR * smax)) if smax > 0.0 else 0
     return vt[rank:].copy()
 
 
-def derivation_space(mu, rank_tol_factor=RANK_TOL_FACTOR):
+def derivation_space(mu):
     """Orthonormal basis of Der(mu) = {phi : pi(phi)mu = 0}, shape (m, n, n)."""
     m = bracket_coeffs(mu)
     n = m.shape[0]
-    basis = _null_space(_derivation_constraint_matrix(m), rank_tol_factor)
+    basis = _null_space(_derivation_constraint_matrix(m))
     return basis.reshape(-1, n, n)
 
 
-def symmetric_derivations(mu, g, rank_tol_factor=RANK_TOL_FACTOR):
+def symmetric_derivations(mu, g):
     """Orthonormal basis of the g-symmetric derivations {phi in Der(mu) : g phi = (g phi)^T}."""
     m = bracket_coeffs(mu)
     n = m.shape[0]
@@ -80,7 +80,7 @@ def symmetric_derivations(mu, g, rank_tol_factor=RANK_TOL_FACTOR):
     sym = (np.einsum('ir,js->ijrs', G, eye)
            - np.einsum('jr,is->ijrs', G, eye)).reshape(n * n, n * n)
     stacked = np.vstack([_derivation_constraint_matrix(m), sym])
-    return _null_space(stacked, rank_tol_factor).reshape(-1, n, n)
+    return _null_space(stacked).reshape(-1, n, n)
 
 
 def _skew_target(mu, gm, H, theta_vec):
@@ -115,7 +115,7 @@ def soliton_residual(mu, g, H, theta, lam, D, omega):
     return sym_res, skew_lhs.norm_inf
 
 
-def soliton_fit(mu, g, H, theta, rank_tol_factor=RANK_TOL_FACTOR):
+def soliton_fit(mu, g, H, theta):
     """Best generalized-soliton data (lam, D, omega) for (mu, g, H, theta).
 
     lam and D solve the symmetric equation in the Frobenius norm over
@@ -134,7 +134,7 @@ def soliton_fit(mu, g, H, theta, rank_tol_factor=RANK_TOL_FACTOR):
               - 0.25 * h_circ_h(H, gm)
               + 0.5 * symmetric_part(bismut_nabla_theta(mu, gm, H, th)))
 
-    basis = symmetric_derivations(mu, gm, rank_tol_factor)
+    basis = symmetric_derivations(mu, gm)
     cols = [G.ravel()]
     cols.extend((b.T @ G).ravel() for b in basis)
     design = np.stack(cols, axis=1)

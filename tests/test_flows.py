@@ -533,6 +533,26 @@ def test_fixed_step_respects_max_steps():
         run(IntegratorControls(fixed_step=5e-324))
 
 
+def test_fixed_step_lands_on_t_end():
+    # a positive span below one step still takes a step, and the last step ends on t_end
+    for t_end, steps in ((1e-13, 1), (3.0 + 1e-13, 3)):
+        traj = integrate_grf(HEIS, Metric.identity(3), _h3_flux(1.0), (0.0, t_end),
+                             controls=IntegratorControls(fixed_step=1.0))
+        assert traj.accepted == steps
+        assert traj.times[-1] == t_end
+
+
+def test_final_builds_only_the_last_state(monkeypatch):
+    traj = integrate_grf(HEIS, Metric.identity(3), _h3_flux(1.0), (0.0, 50.0))
+    built = []
+    init = Metric.__post_init__
+    monkeypatch.setattr(Metric, "__post_init__", lambda self: built.append(self) or init(self))
+    final = traj.final
+    assert len(built) == 1 and len(traj.rows) > 2
+    assert np.array_equal(final.g.entries[0], traj.rows[-1][[0, 3, 4]])
+    assert traj.states[-1] is final
+
+
 def test_fixed_step_order_of_convergence():
     exact = math.sqrt(5.0)
     errs = []

@@ -1,0 +1,63 @@
+"""Input coercion: every public entry that takes a 3-form H, a bracket or a metric
+accepts the same input kinds and rejects the same bad inputs."""
+
+import numpy as np
+import pytest
+
+from nilflow import (
+    DorfmanBracket,
+    KForm,
+    ValidationError,
+    closedness_residual,
+    generalized_ricci_plus,
+    gl_action,
+    h_circ_h,
+    integrate_gbf,
+    integrate_grf,
+    rc_metric,
+)
+
+import oracles as oc
+
+N = 4
+MU = oc.bracket_from(oc.FILIFORM4, N)  # d vanishes on 3-forms of a 4-dim nilpotent algebra
+# Dyadic coefficients, so packing the dense tensor (an average of 6 signed copies) is exact.
+H_PACKED = np.array([0.5, -0.25, 0.75, 1.0])
+G = np.diag([1.0, 2.0, 0.5, 1.5])
+
+ENTRIES = {
+    "h_circ_h": lambda H: h_circ_h(H, G),
+    "generalized_ricci_plus": lambda H: generalized_ricci_plus(MU, G, H, np.zeros(N)),
+    "closedness_residual": lambda H: closedness_residual(MU, H),
+    "DorfmanBracket": lambda H: DorfmanBracket(MU, H).structure_constants(),
+    "integrate_gbf": lambda H: integrate_gbf("ric-h2", MU, H, (0.0, 0.5)).rows,
+    "integrate_grf": lambda H: integrate_grf(MU, G, H, (0.0, 0.5)).rows,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_entries_taking_h_accept_kform_packed_and_dense(entry):
+    run = ENTRIES[entry]
+    want = run(KForm(N, 3, H_PACKED))
+    assert np.array_equal(run(H_PACKED), want)
+    assert np.array_equal(run(oc.dense_form(H_PACKED, N, 3)), want)
+    bad = (KForm.zero(N, 2), oc.dense_form(np.ones(6), N, 2),          # 2-forms
+           KForm(N + 1, 3, np.ones(10)), oc.dense_form(np.ones(10), N + 1, 3),
+           np.ones(3))                                                   # wrong dimension
+    for H in bad:
+        with pytest.raises(ValidationError):
+            run(H)
+
+
+def test_integrate_grf_takes_a_diagonal_metric():
+    H = KForm(N, 3, H_PACKED)
+    want = integrate_grf(MU, G, H, (0.0, 0.5)).rows
+    assert np.array_equal(integrate_grf(MU, np.diag(G), H, (0.0, 0.5)).rows, want)
+
+
+@pytest.mark.parametrize("op", [lambda m: rc_metric(m, np.eye(3)),
+                                lambda m: gl_action(2.0 * np.eye(3), m)],
+                         ids=["rc_metric", "gl_action"])
+def test_non_skew_raw_bracket_rejected(op):
+    with pytest.raises(ValidationError, match="not skew"):
+        op(np.ones((3, 3, 3)))
