@@ -121,10 +121,11 @@ def bismut_nabla_theta(mu, g, H, theta):
     """Matrix of nabla^+ theta for the connection with totally skew torsion H.
 
     (nabla^+_{e_i} theta)(e_j) = -theta_k (Gamma_{ij}^k + 1/2 g^{kl} H_{ijl}).
+    H is a KForm, a packed coefficient vector or a dense alternating tensor.
     """
     gm = as_metric(g)
     n = gm.dim
-    Hd = form_dense(H, n, 3)
+    Hd = _as_3form(H, n).unpack()
     th = _theta_vector(theta, n)
     gam_plus = christoffels(mu, gm) + 0.5 * np.einsum('ijl,lk->ijk', Hd, gm.inverse)
     return -np.einsum('ijk,k->ij', gam_plus, th)

@@ -6,32 +6,32 @@ and a sweep utility over the Heisenberg one-parameter family.
 
 Adaptive runs take Dormand-Prince 5(4) steps and propagate the 5th-order
 solution (local extrapolation); the embedded 4th-order solution gives the
-O(h^5) error estimate.  The last stage k7 = f(t + h, y1) is the next step's
-first (FSAL), and a rejected trial keeps its k1 for the retry, so a run costs
+O(h^5) error estimate.  The last stage k7 = f(y1) is the next step's first
+(FSAL), and a rejected trial keeps its k1 for the retry, so a run costs
 1 right-hand-side evaluation plus 6 per attempted step.  Since k7 is taken at
 the new state, a trial that leaves the flow's domain fails there and is
 rejected.  Fixed-step runs take classical RK4 steps, 4 evaluations each.
-Backward-in-time runs reverse the right-hand side instead of stepping with
-negative h.  One adaptive loop serves every driver; near a singular time its
-trial step falls below STEP_FLOOR, which is where blowup_time stops.
+The flows are autonomous, so every kernel is f(y); a backward-in-time run
+negates the kernel instead of stepping with negative h.  One adaptive loop
+serves every driver; near a singular time its trial step falls below
+STEP_FLOOR, which is where blowup_time stops.
 
-Each flow has one right-hand-side kernel, built once per run, that works on
-plain arrays and builds no Metric, KForm or LieBracket per evaluation; each
-evaluation makes exactly one ric_orthonormal call.  _gbf_kernel runs the
-bracket flow on the packed state (mu[i, j, :] for i < j, then the packed
-3-form), unpacked through the index tables; integrate_gbf and gbf_rhs
-evaluate it.  _grf_kernel is built from the bracket alone: the matrices of d
-on 2- and 3-forms, the pack/unpack index tables, and which d terms vanish for
-the bracket.  Each evaluation takes one Cholesky factor of g, the
+Every integrator state is its trajectory CSV row (trajectory_column_labels),
+and a Trajectory keeps each accepted one as it is; _row_state builds typed
+states from rows, for Trajectory.states on first read and for
+BlowupReport.state.  Each flow has one right-hand-side kernel on its row,
+built once per run, that works on plain arrays and builds no Metric, KForm
+or LieBracket per evaluation; each evaluation makes exactly one
+ric_orthonormal call.  _gbf_kernel unpacks the "gbf" row (mu[i, j, :] for
+i < j, then the packed 3-form) through the index tables; integrate_gbf and
+gbf_rhs evaluate it.  _grf_kernel reads g off the "grf" row through
+_grf_metric and is built from the bracket alone: the matrices of d on 2- and
+3-forms, the pack/unpack index tables, and which d terms vanish for the
+bracket.  Each evaluation takes one Cholesky factor of g, the
 orthonormal-frame bracket and its ric_orthonormal, H o H, and the Laplacian
 through the d matrices; the frame change, the pullback of Rc and H o H are the
 functions that gl_action, rc_metric and h_circ_h call too.  integrate_grf,
 blowup_time and grf_rhs all evaluate it.
-
-A Trajectory keeps each accepted state as its CSV row (trajectory_column_labels):
-the bracket flow's packed state as it is, a gauge-fixed one by a gather of the
-flat (g.ravel(), H) state.  _row_state builds the typed states from rows, for
-Trajectory.states on first read and for BlowupReport.state.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .config import (
 from .curvature import rc_metric, ric_orthonormal, _h_circ_h, _pull_back  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian  # noqa: F401
-from .lie import (KForm, bracket_coeffs, ce_differential, index_tuples, jacobi_residual,
+from .lie import (KForm, ce_differential, index_tuples, jacobi_residual,
                   _as_3form, _as_bracket, _ce_tables, _frame_change, _frozen, _index_array,
                   _unpack_tables)
 
@@ -197,7 +197,7 @@ class Trajectory:
             raise ValidationError("trajectory entries must be finite")
         if self.kind == "grf":
             try:
-                np.linalg.cholesky(rows[:, _grf_tables(n)[1]])
+                np.linalg.cholesky(rows[:, _grf_metric(n)])
             except np.linalg.LinAlgError:
                 raise ValidationError("trajectory metric is not positive definite") from None
         ts.setflags(write=False)
@@ -284,17 +284,21 @@ def _row_dims(kind):
 
 
 @lru_cache(maxsize=None)
-def _grf_tables(n):
-    """Index tables (gather, metric) of a "grf" row.
-
-    The row of the flat state y = (g.ravel(), H) is y[gather], and the row's
-    (n, n) metric is row[metric]: g_i on the diagonal, g_ij at (i, j) and (j, i).
-    """
-    metric = np.diag(np.arange(n))
+def _grf_metric(n):
+    """Index of a "grf" row's metric: row[index] is g, and row[index] = g writes a symmetric g."""
+    index = np.diag(np.arange(n))
     i, j = _index_array(n, 2).T
-    metric[i, j] = metric[j, i] = n + np.arange(i.size)
-    gather = np.concatenate([np.arange(n) * (n + 1), i * n + j, n * n + np.arange(math.comb(n, 3))])
-    return _frozen(gather, metric)
+    index[i, j] = index[j, i] = n + np.arange(i.size)
+    return _frozen(index)[0]
+
+
+def _grf_row(g, h):
+    """The "grf" row of the symmetric (n, n) metric g and the packed 3-form h."""
+    n = g.shape[0]
+    row = np.empty(n * (n + 1) // 2 + h.size)
+    row[_grf_metric(n)] = g
+    row[n * (n + 1) // 2:] = h
+    return row
 
 
 def _row_state(row, kind, n):
@@ -303,7 +307,7 @@ def _row_state(row, kind, n):
     H = KForm(n, 3, row[split:])
     if kind == "gbf":
         return BracketState(mu=_dense_bracket(row[:split], n), H=H)
-    return GrfState(g=Metric(row[_grf_tables(n)[1]]), H=H)
+    return GrfState(g=Metric(row[_grf_metric(n)]), H=H)
 
 
 def trajectory_from_columns(times, labels, matrix):
@@ -348,9 +352,9 @@ class _Stalled(NumericalError):
 
 
 def _guarded(f):
-    def g(t, y):
+    def g(y):
         try:
-            dy = f(t, y)
+            dy = f(y)
         except (ValidationError, np.linalg.LinAlgError):
             raise _RhsFailure("metric") from None
         if not np.isfinite(dy).all():
@@ -359,18 +363,19 @@ def _guarded(f):
     return g
 
 
-def _rk4_step(f, t, y, h, k1):
-    """One classical RK4 step of size h from (t, y), given its first stage k1 = f(t, y)."""
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = f(t + h, y + h * k3)
+def _rk4_step(f, y, h, k1):
+    """One classical RK4 step of size h from y, given its first stage k1 = f(y)."""
+    k2 = f(y + (0.5 * h) * k1)
+    k3 = f(y + (0.5 * h) * k2)
+    k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2).  Row i of _DP_A holds a_ij for j < i.  Its last row is also
-# the 5th-order weights b (with b_7 = 0), so the 7th stage f(t + h, y1) is the
-# next step's first.  _DP_E is b minus the embedded 4th-order weights.
+# the 5th-order weights b (with b_7 = 0), so the 7th stage f(y1) is the next
+# step's first.  _DP_E is b minus the embedded 4th-order weights.  No stage of
+# an autonomous flow reads the stage times c_i = sum_j a_ij (_DP_C).
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
@@ -383,26 +388,25 @@ _DP_A = (
 )
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-(_, _C2, _C3, _C4, _C5, _, _) = _DP_C
 (_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
  (_A61, _A62, _A63, _A64, _A65), (_B1, _, _B3, _B4, _B5, _B6)) = _DP_A
 (_E1, _, _E3, _E4, _E5, _E6, _E7) = _DP_E
 
 
-def _dp_step(f, t, y, h, k1, controls):
-    """One Dormand-Prince 5(4) trial of size h from (t, y), given k1 = f(t, y).
+def _dp_step(f, y, h, k1, controls):
+    """One Dormand-Prince 5(4) trial of size h from y, given k1 = f(y).
 
-    Returns (y1, k7, ratio): the 5th-order state, its stage k7 = f(t + h, y1)
-    and the error ratio, the embedded estimate h * sum(e_i k_i) over
+    Returns (y1, k7, ratio): the 5th-order state, its stage k7 = f(y1) and
+    the error ratio, the embedded estimate h * sum(e_i k_i) over
     atol + rtol * max(|y|, |y1|) in the max norm.  6 new evaluations.
     """
-    k2 = f(t + _C2 * h, y + (_A21 * h) * k1)
-    k3 = f(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-    k4 = f(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = f(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = f(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+    k2 = f(y + (_A21 * h) * k1)
+    k3 = f(y + h * (_A31 * k1 + _A32 * k2))
+    k4 = f(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = f(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = f(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
     y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = f(t + h, y1)
+    k7 = f(y1)
     err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
     scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(y1))
     return y1, k7, float(np.max(np.abs(err) / scale, initial=0.0))  # 0 for an empty state
@@ -419,7 +423,7 @@ def _next_step(h, ratio):
 
 
 def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
-    """Drive f over [t0, t_end]; on_accept(t, y) sees every accepted state.
+    """Drive dy/dt = f(y) over [t0, t_end]; on_accept(t, y) sees every accepted state.
 
     Returns (accepted, rejected) step counts.  on_accept is also called on
     the initial state so trajectories always include it.  Adaptive runs take
@@ -453,7 +457,7 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
         for i in range(steps):
             t_next = t_end if i == steps - 1 else t0 + (i + 1) * h
             try:
-                y = _rk4_step(f, t, y, t_next - t, f(t, y))
+                y = _rk4_step(f, y, t_next - t, f(y))
             except _RhsFailure as e:
                 raise NumericalError(
                     f"fixed-step integration failed near t={t:.9g} ({e.kind})") from None
@@ -465,7 +469,7 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
             on_accept(t, y)
         return accepted, rejected
     h = min(INITIAL_STEP, span or INITIAL_STEP)
-    k1 = None  # f(t, y): the accepted trial's k7, kept for the retry after a rejection
+    k1 = None  # f(y): the accepted trial's k7, kept for the retry after a rejection
     while True:
         remaining = t_end - t
         if remaining <= 0:
@@ -479,8 +483,8 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
             raise _Stalled(t, y)
         try:
             if k1 is None:
-                k1 = f(t, y)
-            y1, k7, ratio = _dp_step(f, t, y, h_use, k1, controls)
+                k1 = f(y)
+            y1, k7, ratio = _dp_step(f, y, h_use, k1, controls)
         except _RhsFailure:
             rejected += 1
             h = h_use * MIN_SHRINK
@@ -622,11 +626,6 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     t0, t1 = (float(t_span[0]), float(t_span[1]))
     split = math.comb(n, 2) * n
     y0 = np.concatenate([_packed_bracket(m0), h0.coeffs])
-    rhs = _gbf_kernel(spec, n)
-
-    def f(t, y):
-        return rhs(y)
-
     times, rows = [], []
 
     def on_accept(t, y):
@@ -644,7 +643,7 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
         times.append(t)
         rows.append(y)
 
-    accepted, rejected = _integrate(f, t0, y0, t1, controls, on_accept)
+    accepted, rejected = _integrate(_gbf_kernel(spec, n), t0, y0, t1, controls, on_accept)
     return Trajectory(times=times, rows=rows, kind="gbf",
                       accepted=accepted, rejected=rejected)
 
@@ -691,11 +690,12 @@ def _d_matrix(m, k):
 
 
 def _grf_kernel(m):
-    """The flow's right-hand side for the bracket m, as rhs(g, h) -> (dg, dh).
+    """The flow's right-hand side for the bracket m, as rhs(y) -> dy on the "grf" row.
 
-    g is an (n, n) symmetric array and h the packed 3-form; both outputs are
-    plain arrays.  Everything that depends on m alone is built here, once:
-    the matrices D2, D3 of d on 2- and 3-forms and the pack/unpack index
+    y holds g = y[_grf_metric(n)], then the packed 3-form h; dy holds (dg, dh)
+    alike.  dg is exactly symmetric, so the error ratio over the row is the one
+    over the dense (g, h).  Everything that depends on m alone is built here,
+    once: the matrices D2, D3 of d on 2- and 3-forms and the pack/unpack index
     tables.  A d term that is identically zero for m is dropped here too.
 
     Per call: one Cholesky factor g = u^T u (LinAlgError off the domain);
@@ -708,6 +708,7 @@ def _grf_kernel(m):
     the dense form.
     """
     n = m.shape[0]
+    metric, split = _grf_metric(n), n * (n + 1) // 2
     d2, d3 = _d_matrix(m, 2), _d_matrix(m, 3)
     down, up = np.any(d2), np.any(d3)
     unpack = {k: _unpack_tables(n, k) for k in (2, 3, 4)}
@@ -725,7 +726,8 @@ def _grf_kernel(m):
             x = x.reshape(n, -1).T @ A.T
         return x.ravel()[pack[k]]
 
-    def rhs(g, h):
+    def rhs(y):
+        g, h = y[metric], y[split:]
         u = np.linalg.cholesky(g).T
         u_inv = np.linalg.inv(u)
         g_inv = u_inv @ u_inv.T
@@ -740,7 +742,7 @@ def _grf_kernel(m):
         if down:  # d d* h = D2 C_2(g) D2^T C_3(g_inv) h, with g_inv on the first slot of raised
             c3 = (g_inv @ raised.reshape(n, -1)).ravel()[pack[3]]
             lap += d2 @ on_slots(g, dense(d2.T @ c3, 2), 2)
-        return dg, -lap
+        return _grf_row(dg, -lap)
 
     return rhs
 
@@ -748,30 +750,29 @@ def _grf_kernel(m):
 def grf_rhs(mu, state):
     """Time derivative (dg, dH) of the flow dg = -2 Rc + (1/2) H o H, dH = -Lap H.
 
-    Builds and evaluates the kernel that integrate_grf and blowup_time run
-    on: Rc is the Ricci form of the orthonormal-frame bracket pulled back
-    by the Cholesky factor of g, and Lap = d d* + d* d with d* the g-adjoint
-    of d (sign * star d star for unimodular brackets).  Orientation plays
-    no part.
+    Evaluates _grf_kernel, as integrate_grf and blowup_time do, on the state's
+    "grf" row: Rc is the Ricci form of the orthonormal-frame bracket pulled
+    back by the Cholesky factor of g, and Lap = d d* + d* d with d* the
+    g-adjoint of d (sign * star d star for unimodular brackets).  Orientation
+    plays no part.  mu is a LieBracket or a skew (n, n, n) array.
     """
     if not isinstance(state, GrfState):
         raise ValidationError("grf_rhs expects a GrfState")
-    m = bracket_coeffs(mu)
+    m = _as_bracket(mu).coeffs
     n = m.shape[0]
     if state.dim != n:
         raise ValidationError(
             f"state dimension {state.dim} does not match bracket dimension {n}")
-    dg, dh = _grf_kernel(m)(state.g.entries, state.H.coeffs)
-    return dg, KForm(n, 3, dh)
+    dy = _grf_kernel(m)(_grf_row(state.g.entries, state.H.coeffs))
+    return dy[_grf_metric(n)], KForm(n, 3, dy[n * (n + 1) // 2:])
 
 
 def _grf_setup(mu, g0, H0, direction):
-    """Check the initial data; return (n, y0, f, in_domain) for y = (g, H) flat.
+    """Check the initial data; return (n, y0, f, in_domain) on the "grf" row y.
 
-    f(t, y) is the flow's right-hand side, reversed in time when
-    direction is -1; it raises LinAlgError where g is not positive definite.
-    in_domain(y) says whether g is positive definite; fixed-step runs check
-    it after each step.
+    f(y) is the flow's right-hand side, negated when direction is -1; it
+    raises LinAlgError where g is not positive definite.  in_domain(y) says
+    whether g is positive definite; fixed-step runs check it after each step.
     """
     if direction not in (1, -1):
         raise ValidationError(f"direction must be +1 or -1, got {direction!r}")
@@ -786,31 +787,27 @@ def _grf_setup(mu, g0, H0, direction):
     if cr > STRUCTURE_TOL:
         raise ValidationError(
             f"initial 3-form is not closed for the bracket (residual {cr:.3e})")
-    y0 = np.concatenate([met0.entries.ravel(), h0.coeffs])
     rhs = _grf_kernel(m)
-
-    def f(t, y):
-        dg, dh = rhs(y[:n * n].reshape(n, n), y[n * n:])
-        return direction * np.concatenate([dg.ravel(), dh])
 
     def in_domain(y):
         try:
-            np.linalg.cholesky(y[:n * n].reshape(n, n))
+            np.linalg.cholesky(y[_grf_metric(n)])
         except np.linalg.LinAlgError:
             return False
         return True
 
-    return n, y0, f, in_domain
+    f = rhs if direction == 1 else lambda y: -rhs(y)
+    return n, _grf_row(met0.entries, h0.coeffs), f, in_domain
 
 
 def _stop_reason(y, y0, n):
-    """Why a flow stalled at the flat state y, judged against its start y0.
+    """Why a flow stalled at the "grf" row y, judged against its start y0.
 
     "metric-degenerate" when g's smallest eigenvalue shrank by a larger
     factor than the state's sup-norm grew, else "norm".
     """
     def eig_min(v):
-        return float(np.linalg.eigvalsh(v[:n * n].reshape(n, n))[0])
+        return float(np.linalg.eigvalsh(v[_grf_metric(n)])[0])
 
     growth = float(np.max(np.abs(y))) / float(np.max(np.abs(y0)))
     # eig_min(y0) / eig_min(y) > growth, without dividing by a vanishing eigenvalue
@@ -831,12 +828,11 @@ def integrate_grf(mu, g0, H0, t_span, controls=None, direction=1):
     controls = controls if controls is not None else IntegratorControls()
     n, y0, f, in_domain = _grf_setup(mu, g0, H0, direction)
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-    gather = _grf_tables(n)[0]
     times, rows = [], []
 
     def on_accept(t, y):
         times.append(t)
-        rows.append(y[gather])
+        rows.append(y)
 
     try:
         accepted, rejected = _integrate(f, t0, y0, t1, controls, on_accept, in_domain)
@@ -865,7 +861,6 @@ def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None
     if controls.fixed_step is not None:
         raise ValidationError("blowup_time needs the adaptive controller, not fixed_step")
     n, y0, f, _ = _grf_setup(mu, g0, H0, direction)
-    gather = _grf_tables(n)[0]
     last = [y0]
 
     def on_accept(t, y):
@@ -876,9 +871,9 @@ def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None
     except _Stalled as stop:
         return BlowupReport(time=direction * stop.t, reason=_stop_reason(stop.y, y0, n),
                             t_last=direction * stop.t,
-                            state=_row_state(stop.y[gather], "grf", n))
+                            state=_row_state(stop.y, "grf", n))
     return BlowupReport(time=None, reason="horizon", t_last=direction * horizon,
-                        state=_row_state(last[0][gather], "grf", n))
+                        state=_row_state(last[0], "grf", n))
 
 
 # ---------------------------------------------------------------------------

@@ -94,25 +94,33 @@ def _skew_target(mu, gm, H, theta_vec):
     return -1.0 * dstar + 0.5 * dth - 0.5 * iota
 
 
+def _soliton_terms(mu, g, H, theta):
+    """Validated gm and the data's terms: Rc_g, H.H, S(nabla^+ theta), the skew target."""
+    gm = as_metric(g)
+    H = _as_3form(H, gm.dim)
+    require_closed(mu, H)
+    th = _theta_vector(theta, gm.dim)
+    return (gm, rc_metric(mu, gm), h_circ_h(H, gm),
+            symmetric_part(bismut_nabla_theta(mu, gm, H, th)), _skew_target(mu, gm, H, th))
+
+
+def _residuals(terms, lam, D, omega):
+    gm, rc, hh, nabla, skew = terms
+    G = gm.entries
+    sym_lhs = rc - lam * G - D.T @ G - 0.25 * hh + 0.5 * nabla
+    return float(np.max(np.abs(sym_lhs))), (omega - skew).norm_inf
+
+
 def soliton_residual(mu, g, H, theta, lam, D, omega):
     """Sup-norm residuals (symmetric, skew) of the soliton equations at given data."""
-    gm = as_metric(g)
-    n = gm.dim
-    H = _as_3form(H, n)
-    require_closed(mu, H)
-    th = _theta_vector(theta, n)
+    terms = _soliton_terms(mu, g, H, theta)
+    n = terms[0].dim
     Dm = np.asarray(D, dtype=float)
     if Dm.shape != (n, n):
         raise ValidationError(f"D must be an {n}x{n} matrix")
     if not (isinstance(omega, KForm) and omega.degree == 2 and omega.dim == n):
         raise ValidationError("omega must be a 2-form matching the problem dimension")
-    G = gm.entries
-    sym_lhs = (rc_metric(mu, gm) - lam * G - Dm.T @ G
-               - 0.25 * h_circ_h(H, gm)
-               + 0.5 * symmetric_part(bismut_nabla_theta(mu, gm, H, th)))
-    skew_lhs = omega - _skew_target(mu, gm, H, th)
-    sym_res = float(np.max(np.abs(sym_lhs)))
-    return sym_res, skew_lhs.norm_inf
+    return _residuals(terms, lam, Dm, omega)
 
 
 def soliton_fit(mu, g, H, theta):
@@ -123,16 +131,10 @@ def soliton_fit(mu, g, H, theta):
     systems take the minimum-norm solution.  omega is read off the skew
     equation exactly.
     """
-    gm = as_metric(g)
-    n = gm.dim
-    H = _as_3form(H, n)
-    require_closed(mu, H)
-    th = _theta_vector(theta, n)
+    terms = _soliton_terms(mu, g, H, theta)
+    gm, rc, hh, nabla, omega = terms
     G = gm.entries
-
-    target = (rc_metric(mu, gm)
-              - 0.25 * h_circ_h(H, gm)
-              + 0.5 * symmetric_part(bismut_nabla_theta(mu, gm, H, th)))
+    target = rc - 0.25 * hh + 0.5 * nabla
 
     basis = symmetric_derivations(mu, gm)
     cols = [G.ravel()]
@@ -144,8 +146,7 @@ def soliton_fit(mu, g, H, theta):
     if len(basis):
         Dm = np.einsum('b,bij->ij', coef[1:], basis)
     else:
-        Dm = np.zeros((n, n))
-    omega = _skew_target(mu, gm, H, th)
-    sym_res, skew_res = soliton_residual(mu, gm, H, th, lam, Dm, omega)
+        Dm = np.zeros_like(G)
+    sym_res, skew_res = _residuals(terms, lam, Dm, omega)
     return SolitonData(lam=lam, D=Dm, omega=omega, sym_residual=sym_res,
                        skew_residual=skew_res, residual_norm=max(sym_res, skew_res))

@@ -6,11 +6,15 @@ import pytest
 
 from nilflow import (
     DorfmanBracket,
+    GrfState,
     KForm,
+    Metric,
     ValidationError,
+    bismut_nabla_theta,
     closedness_residual,
     generalized_ricci_plus,
     gl_action,
+    grf_rhs,
     h_circ_h,
     integrate_gbf,
     integrate_grf,
@@ -27,6 +31,7 @@ G = np.diag([1.0, 2.0, 0.5, 1.5])
 
 ENTRIES = {
     "h_circ_h": lambda H: h_circ_h(H, G),
+    "bismut_nabla_theta": lambda H: bismut_nabla_theta(MU, G, H, np.ones(N)),
     "generalized_ricci_plus": lambda H: generalized_ricci_plus(MU, G, H, np.zeros(N)),
     "closedness_residual": lambda H: closedness_residual(MU, H),
     "DorfmanBracket": lambda H: DorfmanBracket(MU, H).structure_constants(),
@@ -56,8 +61,10 @@ def test_integrate_grf_takes_a_diagonal_metric():
 
 
 @pytest.mark.parametrize("op", [lambda m: rc_metric(m, np.eye(3)),
-                                lambda m: gl_action(2.0 * np.eye(3), m)],
-                         ids=["rc_metric", "gl_action"])
+                                lambda m: gl_action(2.0 * np.eye(3), m),
+                                lambda m: grf_rhs(m, GrfState(Metric.identity(3),
+                                                              KForm(3, 3, [1.0])))],
+                         ids=["rc_metric", "gl_action", "grf_rhs"])
 def test_non_skew_raw_bracket_rejected(op):
     with pytest.raises(ValidationError, match="not skew"):
         op(np.ones((3, 3, 3)))

@@ -12,6 +12,7 @@ from nilflow import (
     gl_action,
     gl_action_form,
     pi_mu,
+    rc_metric,
     soliton_fit,
     soliton_residual,
     symmetric_derivations,
@@ -211,6 +212,20 @@ def test_soliton_fit_reports_consistent_residuals(rng):
     assert np.max(np.abs(pi_mu(sol.D, HEIS))) <= 1e-9
     gD = g.entries @ sol.D
     assert np.max(np.abs(gD - gD.T)) <= 1e-9
+
+
+def test_soliton_fit_evaluates_ricci_once(monkeypatch, rng):
+    """The fit and its residuals share one evaluation of the data's terms."""
+    calls = [0]
+
+    def counting(mu, g):
+        calls[0] += 1
+        return rc_metric(mu, g)
+
+    monkeypatch.setattr("nilflow.soliton.rc_metric", counting)
+    soliton_fit(HEIS, Metric.diagonal([1.0, 2.0, 3.0]), _h3_flux(1.0),
+                KForm(3, 1, rng.standard_normal(3)))
+    assert calls[0] == 1
 
 
 def test_soliton_fit_equivariant_under_orthogonal_change(rng):

@@ -1,0 +1,161 @@
+"""SHA-256 digest of nilflow's outputs on a fixed set of runs.
+
+    python tools/output_digest.py <src-dir>
+
+Imports nilflow from <src-dir> (for example ``src``, or the ``src`` of another
+checkout) and the seeded inputs from this checkout's ``bench/problems.py``,
+``bench/workloads.py`` and ``tests/oracles.py``.  Prints one digest per
+section, then the digest over all sections.  Two trees that print the same
+last line produced bitwise-equal outputs on these runs:
+
+  - heis3 GRF and ``ric-h2`` bracket flow to t = 50 for each benchmark a:
+    the CSV bytes and the accepted/rejected step counts;
+  - heis3 ``blowup_time`` in both directions with horizon 1;
+  - the fixed-step nil7 pairs of nil7-forward for seeds 1, 2, 3, 5 and 7;
+  - the ``tmin_sweep`` rows over the benchmark's a values;
+  - ``grf_rhs`` and ``gbf_rhs`` on 16 random nilpotent brackets, n = 3..6,
+    and on the same brackets with a closed H: adaptive ``integrate_grf``
+    forward and backward (or the text of its NumericalError) and
+    ``blowup_time``;
+  - every survey result (all seven diagnostics) for seeds 1..8, 3 passes each.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _feed(h, x):
+    """Hash x by type tag and exact bits; floats by their hex form."""
+    if isinstance(x, np.ndarray):
+        h.update(f"array{x.dtype.str}{x.shape}".encode())
+        h.update(np.ascontiguousarray(x).tobytes())
+    elif isinstance(x, (bool, np.bool_)):
+        h.update(f"bool{bool(x)}".encode())
+    elif isinstance(x, (int, np.integer)):
+        h.update(f"int{int(x)}".encode())
+    elif isinstance(x, (float, np.floating)):
+        h.update(f"float{float(x).hex()}".encode())
+    elif isinstance(x, (str, bytes)):
+        data = x.encode() if isinstance(x, str) else x
+        h.update(f"bytes{len(data)}:".encode() + data)
+    elif x is None:
+        h.update(b"None")
+    elif isinstance(x, dict):
+        h.update(f"dict{len(x)}".encode())
+        for key in sorted(x):
+            _feed(h, key)
+            _feed(h, x[key])
+    elif isinstance(x, (list, tuple)):
+        h.update(f"seq{len(x)}".encode())
+        for item in x:
+            _feed(h, item)
+    elif dataclasses.is_dataclass(x):
+        h.update(type(x).__name__.encode())
+        for f in dataclasses.fields(x):
+            _feed(h, f.name)
+            _feed(h, getattr(x, f.name))
+    else:
+        raise TypeError(f"cannot digest {type(x).__name__}")
+
+
+def _heis3(nf, workloads, outdir):
+    out = []
+    mu = workloads._heis3()
+    for a in workloads.HEIS3_A:
+        flux = np.array([a])
+        for kind, traj in (
+                ("grf", nf.integrate_grf(mu, np.eye(3), flux, (0.0, workloads.FORWARD_T))),
+                ("gbf", nf.integrate_gbf("ric-h2", mu, flux, (0.0, workloads.FORWARD_T)))):
+            path = os.path.join(outdir, f"heis3-{kind}.csv")
+            nf.emit_trajectory_csv(traj, path)
+            with open(path, "rb") as fh:
+                out.append((a, kind, fh.read(), traj.accepted, traj.rejected))
+    return out
+
+
+def _heis3_blowup(nf, workloads, outdir):
+    mu = workloads._heis3()
+    return [nf.blowup_time(mu, np.eye(3), np.array([a]), direction=d, horizon=1.0)
+            for a in workloads.HEIS3_A for d in (1, -1)]
+
+
+def _nil7(nf, workloads, outdir):
+    out = []
+    for seed in (1, 2, 3, 5, 7):
+        for op in workloads.WORKLOADS["nil7-forward"].make_pass(seed, 0, outdir):
+            out.append([(traj.times, traj.rows) for traj in op.run()])
+    return out
+
+
+def _sweep(nf, workloads, outdir):
+    return nf.tmin_sweep(workloads.HEIS3_A)
+
+
+def _or_error(nf, run):
+    try:
+        return run()
+    except nf.NumericalError as exc:
+        return f"NumericalError: {exc}"
+
+
+def _random(nf, workloads, outdir):
+    import oracles
+    import problems
+
+    rng = np.random.default_rng(20260818)
+    out = []
+    for i in range(16):
+        n = 3 + i % 4
+        mu = oracles.random_nilpotent(rng, n)
+        g = oracles.random_spd(rng, n)
+        state = nf.GrfState(nf.Metric(g), nf.KForm(n, 3, oracles.random_form_coeffs(rng, n, 3)))
+        out.append(nf.grf_rhs(mu, state))
+        for spec in ("ric", "ric-h2"):
+            out.append(nf.gbf_rhs(spec, mu, state.H))
+        H = problems.pack(problems.closed_flux(rng, mu.coeffs, 0.5))
+        for direction in (1, -1):
+            out.append(_or_error(nf, lambda: nf.integrate_grf(
+                mu, g, H, (0.0, 1.0), direction=direction)))
+        out.append(nf.blowup_time(mu, g, H, horizon=1.0))
+    return out
+
+
+def _survey(nf, workloads, outdir):
+    return [op.run() for seed in range(1, 9) for p in range(3)
+            for op in workloads.WORKLOADS["survey"].make_pass(seed, p, outdir)]
+
+
+SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
+            ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
+            ("random brackets", _random), ("survey", _survey))
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(f"usage: python {argv[0]} <src-dir>")
+    sys.path[:0] = [os.path.abspath(argv[1]), os.path.join(ROOT, "bench"),
+                    os.path.join(ROOT, "tests")]
+    import nilflow as nf
+    import workloads
+
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as outdir:
+        for name, section in SECTIONS:
+            h = hashlib.sha256()
+            _feed(h, section(nf, workloads, outdir))
+            print(f"{h.hexdigest()}  {name}")
+            total.update(h.digest())
+    print(f"{total.hexdigest()}  all")
+
+
+if __name__ == "__main__":
+    main(sys.argv)
