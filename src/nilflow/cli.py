@@ -1,5 +1,11 @@
 """Command-line surface: validation, curvature, soliton fit, flows, sweep.
 
+Each subcommand's parser declares its flags, their defaults and the checks
+that are the CLI's own; it binds its runner, which reads the parsed
+namespace.  Values the library checks (integrator tolerances, finite times,
+the sweep's horizons) are passed on and checked there.  `nilflow <command>
+--help` lists each command's flags.
+
 Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 I/O
 failure.  All output is deterministic for identical inputs.
 """
@@ -11,11 +17,11 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_ATOL, DEFAULT_RTOL, STRUCTURE_TOL, SWEEP_T_LONG
+from .config import (DEFAULT_ATOL, DEFAULT_RTOL, STRUCTURE_TOL, SWEEP_HORIZON_BACK,
+                     SWEEP_T_LONG)
 from .curvature import rc_metric, ric_orthonormal
 from .dorfman import (closedness_residual, dorfman_jacobi_residual,
                       dorfman_total_skew_residual)
@@ -25,49 +31,7 @@ from .io import emit_phase_svg, emit_trajectory_csv, load_problem
 from .lie import index_tuples, jacobi_residual, nilpotency_step
 from .soliton import soliton_fit
 
-__all__ = ["RunConfig", "main"]
-
-_COMMANDS = ("check", "ricci", "soliton-fit", "bracket-flow", "grf", "tmin-sweep")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag set for one CLI invocation."""
-
-    command: str
-    input_path: str | None = None
-    out_csv: str | None = None
-    out_svg: str | None = None
-    svg_x: str | None = None
-    svg_y: str | None = None
-    phi: str = "ric"
-    dorfman_json: bool = False
-    t_start: float = 0.0
-    t_end: float = 10.0
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
-    direction: str = "forward"
-    tol: float = STRUCTURE_TOL
-    a_values: tuple = ()
-    t_long: float = SWEEP_T_LONG
-    horizon: float = 10.0
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
-        for nm in ("rtol", "atol", "tol", "horizon", "t_long"):
-            if not 0 < getattr(self, nm) < math.inf:
-                raise ValidationError(f"--{nm.replace('_', '-')} must be finite and positive")
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValidationError("--t-start and --t-end must be finite")
-        if self.command in ("bracket-flow", "grf") and not self.t_start < self.t_end:
-            raise ValidationError("--t-start must be strictly less than --t-end")
-        if self.direction not in ("forward", "backward"):
-            raise ValidationError(f"unknown direction {self.direction!r}")
-        if self.command == "tmin-sweep" and not self.a_values:
-            raise ValidationError("tmin-sweep needs a nonempty --a-values list")
-        if self.command != "tmin-sweep" and self.input_path is None:
-            raise ValidationError(f"{self.command} needs --input")
+__all__ = ["main"]
 
 
 def _fmt_mat(mat):
@@ -80,16 +44,26 @@ def _fmt_num(v):
     return format(float(v), ".12g")
 
 
-def _controls(cfg):
-    return IntegratorControls(rtol=cfg.rtol, atol=cfg.atol)
+def _controls(args):
+    return IntegratorControls(rtol=args.rtol, atol=args.atol)
 
 
-def _cmd_check(cfg):
-    p = load_problem(cfg.input_path)
+def _flow_span(args):
+    """The flow commands' own checks; returns (t_start, t_end)."""
+    if not args.t_start < args.t_end:
+        raise ValidationError("--t-start must be strictly less than --t-end")
+    for flag, value in (("--svg-x", args.svg_x), ("--svg-y", args.svg_y)):
+        if value is not None and args.svg is None:
+            raise ValidationError(f"{flag} needs --svg")
+    return args.t_start, args.t_end
+
+
+def _cmd_check(args):
+    p = load_problem(args.input)
     jr = jacobi_residual(p.mu)
     cr = closedness_residual(p.mu, p.H)
     dj = dorfman_jacobi_residual(p.mu, p.H)
-    if cfg.dorfman_json:
+    if args.dorfman:
         print(json.dumps({
             "problem": p.name,
             "dim": p.dim,
@@ -107,17 +81,17 @@ def _cmd_check(cfg):
     print(f"dorfman jacobi residual: {_fmt_num(dj)}")
     print(f"metric determinant: {_fmt_num(p.g.det)}")
     flags = []
-    if jr > cfg.tol:
+    if jr > args.tol:
         flags.append("jacobi")
-    if cr > cfg.tol:
+    if cr > args.tol:
         flags.append("closedness")
     print("status: ok" if not flags
-          else f"status: residual above {cfg.tol:g} ({', '.join(flags)})")
+          else f"status: residual above {args.tol:g} ({', '.join(flags)})")
     return 0
 
 
-def _cmd_ricci(cfg):
-    p = load_problem(cfg.input_path)
+def _cmd_ricci(args):
+    p = load_problem(args.input)
     print("ricci (orthonormal frame):")
     print(_fmt_mat(ric_orthonormal(p.mu)))
     print("ricci (problem metric):")
@@ -125,8 +99,8 @@ def _cmd_ricci(cfg):
     return 0
 
 
-def _cmd_soliton_fit(cfg):
-    p = load_problem(cfg.input_path)
+def _cmd_soliton_fit(args):
+    p = load_problem(args.input)
     sol = soliton_fit(p.mu, p.g, p.H, p.theta)
     omega_entries = [[i + 1, j + 1, float(c)]
                      for (i, j), c in zip(index_tuples(p.dim, 2),
@@ -142,14 +116,14 @@ def _cmd_soliton_fit(cfg):
     return 0
 
 
-def _write_outputs(cfg, traj, default_x, default_y):
-    if cfg.out_csv:
-        emit_trajectory_csv(traj, cfg.out_csv)
-        print(f"wrote trajectory CSV: {cfg.out_csv}")
-    if cfg.out_svg:
-        emit_phase_svg(traj, cfg.svg_x or default_x, cfg.svg_y or default_y,
-                       cfg.out_svg)
-        print(f"wrote phase SVG: {cfg.out_svg}")
+def _write_outputs(args, traj, default_x, default_y):
+    if args.out:
+        emit_trajectory_csv(traj, args.out)
+        print(f"wrote trajectory CSV: {args.out}")
+    if args.svg:
+        emit_phase_svg(traj, args.svg_x or default_x, args.svg_y or default_y,
+                       args.svg)
+        print(f"wrote phase SVG: {args.svg}")
 
 
 def _dominant_label(traj):
@@ -160,27 +134,29 @@ def _dominant_label(traj):
     return labels[int(np.argmax(np.abs(row0)))]
 
 
-def _cmd_bracket_flow(cfg):
-    p = load_problem(cfg.input_path)
-    traj = integrate_gbf(PhiSpec(cfg.phi), p.mu, p.H,
-                         (cfg.t_start, cfg.t_end), _controls(cfg))
-    print(f"bracket flow ({cfg.phi}) on {p.name}: "
-          f"t {_fmt_num(cfg.t_start)} -> {_fmt_num(cfg.t_end)}")
+def _cmd_bracket_flow(args):
+    span = _flow_span(args)
+    controls = _controls(args)
+    p = load_problem(args.input)
+    traj = integrate_gbf(PhiSpec(args.phi), p.mu, p.H, span, controls)
+    print(f"bracket flow ({args.phi}) on {p.name}: "
+          f"t {_fmt_num(args.t_start)} -> {_fmt_num(args.t_end)}")
     print(f"steps: accepted={traj.accepted} rejected={traj.rejected}")
     fin = traj.final
     print(f"final |mu|_inf: {_fmt_num(np.max(np.abs(fin.mu)))}")
     print(f"final |H|_inf: {_fmt_num(fin.H.norm_inf)}")
-    _write_outputs(cfg, traj, "t", _dominant_label(traj))
+    _write_outputs(args, traj, "t", _dominant_label(traj))
     return 0
 
 
-def _cmd_grf(cfg):
-    p = load_problem(cfg.input_path)
-    direction = 1 if cfg.direction == "forward" else -1
-    traj = integrate_grf(p.mu, p.g, p.H, (cfg.t_start, cfg.t_end),
-                         _controls(cfg), direction=direction)
+def _cmd_grf(args):
+    span = _flow_span(args)
+    controls = _controls(args)
+    p = load_problem(args.input)
+    direction = 1 if args.direction == "forward" else -1
+    traj = integrate_grf(p.mu, p.g, p.H, span, controls, direction=direction)
     print(f"generalized ricci flow on {p.name}: "
-          f"t {_fmt_num(cfg.t_start)} -> {_fmt_num(cfg.t_end)} ({cfg.direction})")
+          f"t {_fmt_num(args.t_start)} -> {_fmt_num(args.t_end)} ({args.direction})")
     print(f"steps: accepted={traj.accepted} rejected={traj.rejected}")
     print("final g:")
     print(_fmt_mat(traj.final.g.entries))
@@ -189,20 +165,20 @@ def _cmd_grf(cfg):
         default_x, default_y = "g_1", "g_3"
     else:
         default_x, default_y = "t", "g_1"
-    _write_outputs(cfg, traj, default_x, default_y)
+    _write_outputs(args, traj, default_x, default_y)
     return 0
 
 
-def _cmd_tmin_sweep(cfg):
-    rows = tmin_sweep(cfg.a_values, t_long=cfg.t_long, horizon_back=cfg.horizon,
-                      controls=_controls(cfg))
+def _cmd_tmin_sweep(args):
+    rows = tmin_sweep(args.a_values, t_long=args.t_long, horizon_back=args.horizon,
+                      controls=_controls(args))
     print(f"{'a':>12} {'T_min':>14} {'g3(t_long)':>14} {'g1(t_long)':>14}  status")
     for r in rows:
         tmin = format(r.t_min, ".8f") if r.t_min is not None else "none"
         print(f"{r.a:>12.6f} {tmin:>14} {r.g3_limit:>14.8f} "
               f"{r.g1_long:>14.8f}  {r.status}")
-    if cfg.out_csv:
-        with open(cfg.out_csv, "w", newline="", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["a", "t_min", "g3_limit", "g1_long", "status"])
             for r in rows:
@@ -213,18 +189,34 @@ def _cmd_tmin_sweep(cfg):
                     format(r.g1_long, ".17g"),
                     r.status,
                 ])
-        print(f"wrote sweep CSV: {cfg.out_csv}")
+        print(f"wrote sweep CSV: {args.out}")
     return 0
 
 
-_RUNNERS = {
-    "check": _cmd_check,
-    "ricci": _cmd_ricci,
-    "soliton-fit": _cmd_soliton_fit,
-    "bracket-flow": _cmd_bracket_flow,
-    "grf": _cmd_grf,
-    "tmin-sweep": _cmd_tmin_sweep,
-}
+def _positive(text):
+    """argparse type of --tol: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
+def _numbers(text):
+    """argparse type of --a-values: comma-separated numbers."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}") from None
+
+
+def _command(subs, name, run, summary):
+    sub = subs.add_parser(name, help=summary, description=summary)
+    sub.set_defaults(run=run)
+    return sub
 
 
 def _add_input(sub):
@@ -233,11 +225,19 @@ def _add_input(sub):
                           "(heisenberg3, heisenberg3+H(a), abelian(n))")
 
 
+def _add_controls(sub):
+    sub.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
+                     help="adaptive step relative tolerance (default %(default)g)")
+    sub.add_argument("--atol", type=float, default=DEFAULT_ATOL,
+                     help="adaptive step absolute tolerance (default %(default)g)")
+
+
 def _add_flow_flags(sub):
-    sub.add_argument("--t-start", type=float, default=0.0)
-    sub.add_argument("--t-end", type=float, default=10.0)
-    sub.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-    sub.add_argument("--atol", type=float, default=DEFAULT_ATOL)
+    sub.add_argument("--t-start", type=float, default=0.0,
+                     help="start time (default %(default)g)")
+    sub.add_argument("--t-end", type=float, default=10.0,
+                     help="end time, strictly after --t-start (default %(default)g)")
+    _add_controls(sub)
     sub.add_argument("--out", help="trajectory CSV path")
     sub.add_argument("--svg", help="phase plot SVG path")
     sub.add_argument("--svg-x", help="x column for --svg (default depends on flow)")
@@ -251,71 +251,45 @@ def _build_parser():
                     "left-invariant data on nilpotent Lie groups.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("check", help="validate a problem and report residuals")
+    s = _command(subs, "check", _cmd_check, "validate a problem and report residuals")
     _add_input(s)
-    s.add_argument("--tol", type=float, default=STRUCTURE_TOL,
-                   help="reporting threshold for residual warnings")
+    s.add_argument("--tol", type=_positive, default=STRUCTURE_TOL,
+                   help="reporting threshold for residual warnings (default %(default)g)")
     s.add_argument("--dorfman", action="store_true",
                    help="print Jacobi/closedness/skewness residuals as JSON")
 
-    s = subs.add_parser("ricci", help="Ricci curvature in both frames")
+    s = _command(subs, "ricci", _cmd_ricci, "Ricci curvature in both frames")
     _add_input(s)
 
-    s = subs.add_parser("soliton-fit",
-                        help="best (lambda, D, omega) soliton fit and residuals")
+    s = _command(subs, "soliton-fit", _cmd_soliton_fit,
+                 "best (lambda, D, omega) soliton fit and residuals")
     _add_input(s)
 
-    s = subs.add_parser("bracket-flow", help="integrate the bracket flow")
+    s = _command(subs, "bracket-flow", _cmd_bracket_flow, "integrate the bracket flow")
     _add_input(s)
-    s.add_argument("--phi", choices=[p.value for p in PhiSpec], default="ric")
+    s.add_argument("--phi", choices=[p.value for p in PhiSpec], default="ric",
+                   help="bracket flow variant (default %(default)s)")
     _add_flow_flags(s)
 
-    s = subs.add_parser("grf", help="integrate the gauge-fixed generalized Ricci flow")
+    s = _command(subs, "grf", _cmd_grf, "integrate the gauge-fixed generalized Ricci flow")
     _add_input(s)
-    s.add_argument("--direction", choices=["forward", "backward"],
-                   default="forward",
-                   help="backward reverses the right-hand side in time")
+    s.add_argument("--direction", choices=["forward", "backward"], default="forward",
+                   help="backward integrates the time-reversed flow: the row at "
+                        "clock time s is the state at signed time "
+                        "t_start - (s - t_start) (default %(default)s)")
     _add_flow_flags(s)
 
-    s = subs.add_parser("tmin-sweep",
-                        help="backward singular times over the Heisenberg family")
-    s.add_argument("--a-values", required=True,
+    s = _command(subs, "tmin-sweep", _cmd_tmin_sweep,
+                 "backward singular times over the Heisenberg family")
+    s.add_argument("--a-values", type=_numbers, required=True,
                    help="comma-separated list of family parameters")
-    s.add_argument("--t-long", type=float, default=SWEEP_T_LONG)
-    s.add_argument("--horizon", type=float, default=10.0,
-                   help="backward search budget")
-    s.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-    s.add_argument("--atol", type=float, default=DEFAULT_ATOL)
+    s.add_argument("--t-long", type=float, default=SWEEP_T_LONG,
+                   help="forward horizon of the asymptotics (default %(default)g)")
+    s.add_argument("--horizon", type=float, default=SWEEP_HORIZON_BACK,
+                   help="backward search budget (default %(default)g)")
+    _add_controls(s)
     s.add_argument("--out", help="sweep CSV path")
     return parser
-
-
-def _config_from_args(args):
-    kw = {"command": args.command}
-    if hasattr(args, "input"):
-        kw["input_path"] = args.input
-    if hasattr(args, "tol"):
-        kw["tol"] = args.tol
-    if hasattr(args, "phi"):
-        kw["phi"] = args.phi
-    if hasattr(args, "dorfman"):
-        kw["dorfman_json"] = args.dorfman
-    if hasattr(args, "direction"):
-        kw["direction"] = args.direction
-    for name, key in (("t_start", "t_start"), ("t_end", "t_end"),
-                      ("rtol", "rtol"), ("atol", "atol"), ("out", "out_csv"),
-                      ("svg", "out_svg"), ("svg_x", "svg_x"), ("svg_y", "svg_y"),
-                      ("t_long", "t_long"), ("horizon", "horizon")):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            kw[key] = getattr(args, name)
-    if hasattr(args, "a_values"):
-        try:
-            kw["a_values"] = tuple(float(x) for x in args.a_values.split(","))
-        except ValueError:
-            raise ValidationError(
-                f"--a-values must be comma-separated numbers, got {args.a_values!r}"
-            ) from None
-    return RunConfig(**kw)
 
 
 def main(argv=None):
@@ -324,8 +298,7 @@ def main(argv=None):
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _RUNNERS[cfg.command](cfg)
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

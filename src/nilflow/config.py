@@ -24,6 +24,7 @@ MAX_STEPS                 1_000_000   hard cap on attempted steps (accepted plus
 STRUCTURE_TOL             1e-7        Jacobi / closedness residual allowed along GBF runs
 DEFAULT_HORIZON           1000.0      clock-time budget of a blowup_time search
 SWEEP_T_LONG              50.0        forward horizon used by the T_min sweep asymptotics
+SWEEP_HORIZON_BACK        10.0        clock-time budget of each backward search in the T_min sweep
 MAX_PROBLEM_DIM           10          largest dimension accepted by the problem loader
 ==========================================================================================
 """
@@ -45,6 +46,7 @@ STRUCTURE_TOL = 1e-7
 
 DEFAULT_HORIZON = 1000.0
 SWEEP_T_LONG = 50.0
+SWEEP_HORIZON_BACK = 10.0
 
 MAX_PROBLEM_DIM = 10
 

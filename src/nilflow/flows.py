@@ -55,6 +55,7 @@ from .config import (
     SAFETY,
     STEP_FLOOR,
     STRUCTURE_TOL,
+    SWEEP_HORIZON_BACK,
     SWEEP_T_LONG,
 )
 # rc_metric and hodge_laplacian are the library forms of two terms of the GRF
@@ -886,17 +887,22 @@ def _heisenberg_bracket():
     return m
 
 
-def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=10.0, controls=None):
+def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=SWEEP_HORIZON_BACK, controls=None):
     """Backward singular time and long-run forward state per family parameter.
 
     For each a: run blowup_time backward (horizon horizon_back) and a
     forward integration to t_long on the Heisenberg bracket with 3-form
     coefficient a and the identity initial metric.  Rows come back sorted
-    by a; per-a failures land in the row status instead of raising.
+    by a.  Invalid arguments, a non-finite a among them, raise
+    ValidationError before any run; a run that fails for one a lands in
+    that row's status instead of raising.
     """
     avals = sorted(float(a) for a in a_values)
     if not avals:
         raise ValidationError("a_values must be nonempty")
+    for a in avals:
+        if not math.isfinite(a):
+            raise ValidationError(f"a_values must be finite, got {a}")
     if not 0 < t_long < math.inf:
         raise ValidationError("t_long must be finite and positive")
     if not 0 < horizon_back < math.inf:

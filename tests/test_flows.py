@@ -666,6 +666,14 @@ def test_tmin_sweep_validation():
         tmin_sweep([1.0], horizon_back=math.nan)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tmin_sweep_rejects_non_finite_a(bad, monkeypatch):
+    # checked before any run, and the message names the value
+    monkeypatch.setattr(flows, "blowup_time", None)
+    with pytest.raises(ValidationError, match=f"a_values must be finite, got {bad}"):
+        tmin_sweep([0.0, bad, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # trajectory column layout
 

@@ -22,7 +22,7 @@ from nilflow import (
     read_trajectory_csv,
     trajectory_column_labels,
 )
-from nilflow.cli import RunConfig, main
+from nilflow.cli import main
 
 import oracles as oc
 
@@ -266,32 +266,6 @@ def test_phase_svg_unknown_column(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig
-
-
-def test_run_config_validation():
-    RunConfig(command="check", input_path="heisenberg3")  # fine
-    with pytest.raises(ValidationError):
-        RunConfig(command="fly", input_path="heisenberg3")
-    with pytest.raises(ValidationError):
-        RunConfig(command="check", input_path="heisenberg3", tol=0.0)
-    with pytest.raises(ValidationError):
-        RunConfig(command="grf", input_path="heisenberg3", t_start=2.0, t_end=1.0)
-    with pytest.raises(ValidationError):
-        RunConfig(command="grf", input_path="heisenberg3", direction="sideways")
-    with pytest.raises(ValidationError):
-        RunConfig(command="tmin-sweep", a_values=())
-    with pytest.raises(ValidationError):
-        RunConfig(command="tmin-sweep", a_values=(1.0,), horizon=0.0)
-    with pytest.raises(ValidationError):
-        RunConfig(command="ricci")
-    with pytest.raises(ValidationError):
-        RunConfig(command="grf", input_path="heisenberg3", rtol=float("inf"))
-    with pytest.raises(ValidationError):
-        RunConfig(command="grf", input_path="heisenberg3", t_start=float("-inf"))
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -414,3 +388,54 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "check" in capsys.readouterr().out
+
+
+_FLOW_FLAGS = ["--input", "--t-start", "--t-end", "--rtol", "--atol", "--out",
+               "--svg", "--svg-x", "--svg-y"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("check", ["--input", "--tol", "--dorfman"]),
+    ("ricci", ["--input"]),
+    ("soliton-fit", ["--input"]),
+    ("bracket-flow", ["--phi"] + _FLOW_FLAGS),
+    ("grf", ["--direction"] + _FLOW_FLAGS),
+    ("tmin-sweep", ["--a-values", "--t-long", "--horizon", "--rtol", "--atol", "--out"]),
+])
+def test_cli_subcommand_help(command, flags, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: nilflow {command} ")
+    for flag in flags:
+        assert f"{flag} " in out
+
+
+# each bad argv exits 2 before any run writes output, and stderr names the
+# flag or the library parameter that rejected it
+@pytest.mark.parametrize("argv, names", [
+    (["fly", "--input", "heisenberg3"], "command"),
+    (["check", "--input", "heisenberg3", "--tol", "0"], "--tol"),
+    (["check", "--input", "heisenberg3", "--tol", "nan"], "--tol"),
+    (["grf", "--input", "heisenberg3", "--t-start", "2", "--t-end", "1"], "--t-start"),
+    (["grf", "--input", "heisenberg3", "--t-start", "1", "--t-end", "1"], "--t-start"),
+    (["grf", "--input", "heisenberg3", "--direction", "sideways"], "--direction"),
+    (["tmin-sweep", "--a-values", ""], "--a-values"),
+    (["tmin-sweep", "--a-values", "1", "--horizon", "0"], "horizon_back"),
+    (["tmin-sweep", "--a-values", "1", "--t-long", "inf"], "t_long"),
+    (["tmin-sweep", "--a-values", "0,nan"], "a_values"),
+    (["ricci"], "--input"),
+    (["grf", "--input", "heisenberg3", "--rtol", "inf"], "rtol"),
+    (["bracket-flow", "--input", "heisenberg3", "--atol", "0"], "atol"),
+    (["grf", "--input", "heisenberg3", "--t-start=-inf"], "time span"),
+    (["grf", "--input", "heisenberg3", "--out", "flow.csv", "--svg-x", "g_1"],
+     "--svg-x needs --svg"),
+    (["bracket-flow", "--input", "heisenberg3", "--out", "flow.csv", "--svg-y", "t"],
+     "--svg-y needs --svg"),
+])
+def test_cli_usage_errors_exit_2(argv, names, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert names in err
+    assert not any(tmp_path.iterdir())

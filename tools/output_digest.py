@@ -17,14 +17,21 @@ last line produced bitwise-equal outputs on these runs:
     and on the same brackets with a closed H: adaptive ``integrate_grf``
     forward and backward (or the text of its NumericalError) and
     ``blowup_time``;
-  - every survey result (all seven diagnostics) for seeds 1..8, 3 passes each.
+  - every survey result (all seven diagnostics) for seeds 1..8, 3 passes each;
+  - ``nilflow.cli.main`` on each command line of README.md's CLI block and
+    on CLI_EXIT_2, run in a fresh directory with relative output names: the
+    exit code, the stdout and the bytes of each file the command wrote
+    (stderr is left out, as argparse's usage text may change).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
+import shlex
 import sys
 import tempfile
 
@@ -134,9 +141,77 @@ def _survey(nf, workloads, outdir):
             for op in workloads.WORKLOADS["survey"].make_pass(seed, p, outdir)]
 
 
+# command lines that exit 2, each on a flag the CLI or the library rejects
+CLI_EXIT_2 = [
+    ["fly", "--input", "heisenberg3"],
+    [],
+    ["check", "--input", "heisenberg3", "--tol", "0"],
+    ["check", "--input", "heisenberg3", "--tol", "nan"],
+    ["check", "--input", "heisenberg3", "--tol", "x"],
+    ["ricci"],
+    ["soliton-fit"],
+    ["grf", "--input", "heisenberg3", "--t-start", "2", "--t-end", "1"],
+    ["grf", "--input", "heisenberg3", "--t-start", "1", "--t-end", "1"],
+    ["grf", "--input", "heisenberg3", "--t-end=nan"],
+    ["grf", "--input", "heisenberg3", "--t-start=-inf"],
+    ["grf", "--input", "heisenberg3", "--t-start", "-1e-3"],
+    ["grf", "--input", "heisenberg3", "--direction", "sideways"],
+    ["grf", "--input", "heisenberg3", "--rtol", "inf"],
+    ["bracket-flow", "--input", "heisenberg3", "--atol", "0"],
+    ["bracket-flow", "--input", "heisenberg3", "--phi", "warp"],
+    ["tmin-sweep"],
+    ["tmin-sweep", "--a-values", ""],
+    ["tmin-sweep", "--a-values", "x,y"],
+    ["tmin-sweep", "--a-values", "nan"],
+    ["tmin-sweep", "--a-values", "1", "--horizon", "0"],
+    ["tmin-sweep", "--a-values", "1", "--t-long", "inf"],
+]
+
+
+def _readme_cli():
+    """The argv of each nilflow command line in README.md's CLI block."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line, comments=True) for line in lines if line.strip()]
+    assert all(argv[0] == "nilflow" for argv in argvs), "README CLI block changed shape"
+    return [argv[1:] for argv in argvs]
+
+
+def _files():
+    out = {}
+    for name in sorted(os.listdir()):
+        with open(name, "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def _cli(nf, workloads, outdir):
+    from nilflow.cli import main
+
+    out = []
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as rundir:
+        os.chdir(rundir)  # contextlib.chdir needs Python 3.11; the package supports 3.10
+        try:
+            for argv in _readme_cli() + CLI_EXIT_2:
+                before = _files()
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                written = {name: data for name, data in _files().items()
+                           if before.get(name) != data}
+                out.append((argv, code, stdout.getvalue(), written))
+        finally:
+            os.chdir(home)
+    return out
+
+
 SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
             ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
-            ("random brackets", _random), ("survey", _survey))
+            ("random brackets", _random), ("survey", _survey), ("cli", _cli))
 
 
 def main(argv):
