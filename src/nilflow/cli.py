@@ -49,7 +49,10 @@ def _controls(args):
 
 
 def _flow_span(args):
-    """The flow commands' own checks; returns (t_start, t_end)."""
+    """The flow commands' own checks, made before --input is read; returns (t_start, t_end)."""
+    if not (math.isfinite(args.t_start) and math.isfinite(args.t_end)):
+        raise ValidationError(f"--t-start and --t-end must be finite, got the time span "
+                              f"({args.t_start}, {args.t_end})")
     if not args.t_start < args.t_end:
         raise ValidationError("--t-start must be strictly less than --t-end")
     for flag, value in (("--svg-x", args.svg_x), ("--svg-y", args.svg_y)):

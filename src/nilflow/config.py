@@ -18,7 +18,7 @@ DEFAULT_ATOL              1e-10       adaptive integrator, absolute error per st
 INITIAL_STEP              0.1         first trial step, capped by the span or horizon
 STEP_FLOOR                1e-13       smallest trial step; below it the run stops (singular time)
 SAFETY                    0.9         step controller: safety factor on ratio^(-1/5), error O(h^5)
-MIN_SHRINK                0.2         step controller: smallest step factor (and after a failed RHS)
+MIN_SHRINK                0.2         step controller: smallest step factor (and after a failed trial)
 MAX_GROW                  5.0         step controller: largest step factor
 MAX_STEPS                 1_000_000   hard cap on attempted steps (accepted plus rejected)
 STRUCTURE_TOL             1e-7        Jacobi / closedness residual allowed along GBF runs

@@ -8,9 +8,16 @@ Adaptive runs take Dormand-Prince 5(4) steps and propagate the 5th-order
 solution (local extrapolation); the embedded 4th-order solution gives the
 O(h^5) error estimate.  The last stage k7 = f(y1) is the next step's first
 (FSAL), and a rejected trial keeps its k1 for the retry, so a run costs
-1 right-hand-side evaluation plus 6 per attempted step.  Since k7 is taken at
-the new state, a trial that leaves the flow's domain fails there and is
-rejected.  Fixed-step runs take classical RK4 steps, 4 evaluations each.
+1 right-hand-side evaluation plus 6 per attempted step.  _dp_step keeps the
+seven stages as the rows of one array, so each stage input, the new state
+and the error estimate are one product with a row of the tableau.  Since k7
+is taken at the new state, a trial that leaves the flow's domain fails there
+and is rejected.  It fails in one of two ways.  The kernel may raise (the
+GRF kernel's Cholesky factor of g fails).  Or a stage may be NaN or inf:
+no evaluation tests for that, but it reaches the trial's error ratio through
+the stage products, and a trial whose ratio is not finite is rejected.
+Fixed-step runs take classical RK4 steps, 4 evaluations each, and test each
+new state for finiteness.
 The flows are autonomous, so every kernel is f(y); a backward-in-time run
 negates the kernel instead of stepping with negative h.  One adaptive loop
 serves every driver; near a singular time its trial step falls below
@@ -336,14 +343,6 @@ def trajectory_from_columns(times, labels, matrix):
 # ---------------------------------------------------------------------------
 # Runge-Kutta core
 
-class _RhsFailure(Exception):
-    """Internal: the right-hand side could not be evaluated at a trial state."""
-
-    def __init__(self, kind):
-        super().__init__(kind)
-        self.kind = kind
-
-
 class _Stalled(NumericalError):
     """Internal: the trial step fell below STEP_FLOOR; (t, y) is the last accepted state."""
 
@@ -352,16 +351,9 @@ class _Stalled(NumericalError):
         self.t, self.y = t, y
 
 
-def _guarded(f):
-    def g(y):
-        try:
-            dy = f(y)
-        except (ValidationError, np.linalg.LinAlgError):
-            raise _RhsFailure("metric") from None
-        if not np.isfinite(dy).all():
-            raise _RhsFailure("nonfinite")
-        return dy
-    return g
+# What a kernel raises off the flow's domain (LinAlgError: g is not positive definite).
+# A non-finite stage raises nothing; it reaches the trial's error ratio instead.
+_RHS_FAILURES = (ValidationError, np.linalg.LinAlgError)
 
 
 def _rk4_step(f, y, h, k1):
@@ -389,9 +381,12 @@ _DP_A = (
 )
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-(_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
- (_A61, _A62, _A63, _A64, _A65), (_B1, _, _B3, _B4, _B5, _B6)) = _DP_A
-(_E1, _, _E3, _E4, _E5, _E6, _E7) = _DP_E
+# The same tableau as the arrays _dp_step multiplies the stacked stages by:
+# _DP_MATRIX[i, j] = a_ij (zero for j >= i), _DP_ROWS[i] = _DP_MATRIX[i, :i],
+# and _DP_ERROR = e.  Row 6 is b over k1..k6.
+_DP_MATRIX, _DP_ERROR = _frozen(np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A]),
+                                 np.array(_DP_E))
+_DP_ROWS = tuple(_DP_MATRIX[i, :i] for i in range(7))  # views of a read-only array: read-only
 
 
 def _dp_step(f, y, h, k1, controls):
@@ -399,26 +394,34 @@ def _dp_step(f, y, h, k1, controls):
 
     Returns (y1, k7, ratio): the 5th-order state, its stage k7 = f(y1) and
     the error ratio, the embedded estimate h * sum(e_i k_i) over
-    atol + rtol * max(|y|, |y1|) in the max norm.  6 new evaluations.
+    atol + rtol * max(|y|, |y1|) in the max norm.  6 new evaluations.  The
+    stages are the rows of one (7, d) array K, so each stage input, y1 and
+    the estimate are one product with a tableau row each.  Nothing here tests
+    the stages for finiteness: a NaN or inf in any of them reaches y1, k7 or
+    the estimate through these products (0 * inf is NaN), and the ratio is
+    then NaN or inf, which _integrate rejects.
     """
-    k2 = f(y + (_A21 * h) * k1)
-    k3 = f(y + h * (_A31 * k1 + _A32 * k2))
-    k4 = f(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = f(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = f(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-    y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = f(y1)
-    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    K = np.empty((7, y.size))
+    K[0] = k1
+    for i in range(1, 6):
+        K[i] = f(y + h * (_DP_ROWS[i] @ K[:i]))
+    y1 = y + h * (_DP_ROWS[6] @ K[:6])
+    K[6] = f(y1)
+    err = h * (_DP_ERROR @ K)
     scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(y1))
-    return y1, k7, float(np.max(np.abs(err) / scale, initial=0.0))  # 0 for an empty state
+    return y1, K[6], float((np.abs(err) / scale).max(initial=0.0))  # 0 for an empty state
 
 
 def _next_step(h, ratio):
     """Size of the step after a trial of size h with the given error ratio.
 
     A rejected trial (ratio > 1) gives a factor of at most SAFETY, so the
-    step shrinks; an accepted one may grow, by at most MAX_GROW.
+    step shrinks; an accepted one may grow, by at most MAX_GROW.  A NaN
+    ratio, from a stage that was not finite, shrinks by MIN_SHRINK, as an
+    infinite one does.
     """
+    if math.isnan(ratio):
+        return h * MIN_SHRINK
     grow = MAX_GROW if ratio == 0.0 else SAFETY * ratio ** -0.2
     return h * min(max(grow, MIN_SHRINK), MAX_GROW)
 
@@ -428,13 +431,16 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
 
     Returns (accepted, rejected) step counts.  on_accept is also called on
     the initial state so trajectories always include it.  Adaptive runs take
-    Dormand-Prince 5(4) steps.  A trial whose RHS fails at any stage, the
-    last of which is taken at the new state, is rejected, so steps shrink
+    Dormand-Prince 5(4) steps.  A trial fails when f raises one of
+    _RHS_FAILURES at any stage, the last of which is taken at the new state,
+    or when its error ratio is not finite; the ratio is the one finiteness
+    test per trial, and a non-finite stage shows there.  A failed trial is
+    rejected and the next one is MIN_SHRINK times as long, so steps shrink
     toward the domain's edge instead of crossing it; a trial step below
     STEP_FLOOR, as at a singular time, raises _Stalled.  Fixed-step runs take
     max(1, ceil(span / h - 1e-12)) classical RK4 steps over a positive span,
-    the last landing on t_end, and raise NumericalError when the RHS fails or
-    the state is not finite or fails in_domain(y).
+    the last landing on t_end, and raise NumericalError when f raises or the
+    state after a step is not finite or fails in_domain(y).
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state must be finite")
@@ -443,7 +449,6 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
     span = t_end - t0
     if span < 0:
         raise ValidationError(f"t_end={t_end} precedes t_start={t0}")
-    f = _guarded(f)
     on_accept(t0, y0)
     accepted = rejected = 0
     t, y = t0, np.array(y0, dtype=float)
@@ -459,9 +464,9 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
             t_next = t_end if i == steps - 1 else t0 + (i + 1) * h
             try:
                 y = _rk4_step(f, y, t_next - t, f(y))
-            except _RhsFailure as e:
+            except _RHS_FAILURES:
                 raise NumericalError(
-                    f"fixed-step integration failed near t={t:.9g} ({e.kind})") from None
+                    f"fixed-step integration failed near t={t:.9g} (metric)") from None
             if not (np.isfinite(y).all() and (in_domain is None or in_domain(y))):
                 raise NumericalError(
                     f"state left the flow's domain after the last valid time t={t:.9g}")
@@ -486,7 +491,7 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
             if k1 is None:
                 k1 = f(y)
             y1, k7, ratio = _dp_step(f, y, h_use, k1, controls)
-        except _RhsFailure:
+        except _RHS_FAILURES:
             rejected += 1
             h = h_use * MIN_SHRINK
             continue
@@ -577,6 +582,32 @@ def _gbf_kernel(spec, n):
     return rhs
 
 
+def _closedness_gate(n):
+    """|d_mu H|_inf on the "gbf" row, as residual(y); the tables are built here, once.
+
+    It is ce_differential(KForm(n, 3, h), mu).norm_inf read straight off the
+    row y = (packed mu, packed h), through the index tables of lie._ce_tables:
+    output r of d sums, over its slot pairs p < q and over l,
+    (-1)^(p+q) mu[T_p, T_q, l] * sign * h[src], and since T_p < T_q,
+    mu[T_p, T_q, :] is a block of the packed bracket.  Below n = 4 there are
+    no 4-forms, so the residual is 0.
+    """
+    I, J, src, sign, odd = _ce_tables(n, 3)
+    if not I.size:
+        return lambda y: 0.0
+    pair_rank = np.zeros((n, n), dtype=np.intp)
+    pair_rank[tuple(_index_array(n, 2).T)] = np.arange(math.comb(n, 2))
+    mu_at = (pair_rank[I, J] * n)[:, :, None] + np.arange(n)
+    h_at = math.comb(n, 2) * n + src
+    weight = sign * np.where(odd, -1.0, 1.0)[:, None]
+
+    def residual(y):
+        d = (y[mu_at] * y[h_at] * weight).sum(axis=(1, 2))
+        return float(np.abs(d).max())
+
+    return residual
+
+
 def _flux(H, n):
     """A flow's initial 3-form: None is the zero form, anything else goes to _as_3form."""
     return KForm.zero(n, 3) if H is None else _as_3form(H, n)
@@ -605,7 +636,8 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
 
     The initial bracket must satisfy Jacobi and H0 must be closed for it;
     both residuals are re-checked at every accepted step (NumericalError if
-    integration drift ever pushes them past STRUCTURE_TOL).  The run
+    integration drift ever pushes them past STRUCTURE_TOL), closedness
+    straight off the packed state (_closedness_gate).  The run
     evaluates _gbf_kernel, built once, on the packed state: 1 right-hand-side
     evaluation plus 6 per attempted step (see the module docstring).  Each
     accepted packed state is kept as it is, as the trajectory row.
@@ -619,24 +651,24 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     if jr > STRUCTURE_TOL:
         raise ValidationError(
             f"initial bracket violates Jacobi (residual {jr:.3e})")
-    cr = ce_differential(h0, m0).norm_inf
+    y0 = np.concatenate([_packed_bracket(m0), h0.coeffs])
+    closedness = _closedness_gate(n)
+    cr = closedness(y0)
     if cr > STRUCTURE_TOL:
         raise ValidationError(
             f"initial 3-form is not closed for the initial bracket "
             f"(residual {cr:.3e})")
     t0, t1 = (float(t_span[0]), float(t_span[1]))
     split = math.comb(n, 2) * n
-    y0 = np.concatenate([_packed_bracket(m0), h0.coeffs])
     times, rows = [], []
 
     def on_accept(t, y):
-        m = _dense_bracket(y[:split], n)
-        res = jacobi_residual(m)
+        res = jacobi_residual(_dense_bracket(y[:split], n))
         if res > STRUCTURE_TOL:
             raise NumericalError(
                 f"Jacobi residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
                 f"at t={t:.9g}")
-        res = ce_differential(KForm(n, 3, y[split:]), m).norm_inf
+        res = closedness(y)
         if res > STRUCTURE_TOL:
             raise NumericalError(
                 f"closedness residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "

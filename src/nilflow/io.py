@@ -174,8 +174,8 @@ def emit_trajectory_csv(traj, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + labels)
-        for t, row in zip(traj.times, traj.rows):
-            writer.writerow([format(t, ".17g")] + [format(v, ".17g") for v in row])
+        table = np.column_stack([traj.times, traj.rows]).tolist()  # Python floats format faster
+        writer.writerows([format(v, ".17g") for v in row] for row in table)
 
 
 def read_trajectory_csv(path):

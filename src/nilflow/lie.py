@@ -379,10 +379,11 @@ def form_dense(H, dim, degree):
 def jacobi_residual(mu):
     """Sup-norm of the Jacobiator mu(mu(.,.),.) + cyclic over all basis triples."""
     m = bracket_coeffs(mu)
-    jac = (np.einsum('ijl,lkm->ijkm', m, m)
-           + np.einsum('jkl,lim->ijkm', m, m)
-           + np.einsum('kil,ljm->ijkm', m, m))
-    return float(np.max(np.abs(jac))) if jac.size else 0.0
+    n = m.shape[0]
+    # P[i, j, k, m] = sum_l mu_ij^l mu_lk^m; the other two terms are its cyclic transposes.
+    P = (m.reshape(n * n, n) @ m.reshape(n, n * n)).reshape((n,) * 4)
+    jac = P + P.transpose(2, 0, 1, 3) + P.transpose(1, 2, 0, 3)
+    return float(np.abs(jac).max()) if jac.size else 0.0
 
 
 def nilpotency_step(mu):

@@ -317,13 +317,14 @@ def test_dormand_prince_tableau_order_conditions():
 
     A mistyped coefficient still integrates, only less accurately, so no flow test would notice it.
     """
-    A = np.zeros((7, 7))
-    for i, row in enumerate(flows._DP_A):
-        A[i, :len(row)] = row
+    A = flows._DP_MATRIX  # the arrays _dp_step multiplies its stacked stages by
+    assert not np.any(np.triu(A))  # explicit: stage i reads stages before it only
+    for i, row in enumerate(flows._DP_ROWS):
+        assert np.array_equal(row, A[i, :i])
     c = np.array(flows._DP_C)
     assert np.max(np.abs(A.sum(axis=1) - c)) <= 1e-15
     b = A[6]  # the last stage is taken at the 5th-order state (FSAL), b_7 = 0
-    b_hat = b - np.array(flows._DP_E)
+    b_hat = b - flows._DP_ERROR
     Ac, Ac2, AAc = A @ c, A @ c ** 2, A @ (A @ c)
     order4 = [(np.ones(7), 1.0), (c, 1 / 2), (c ** 2, 1 / 3), (Ac, 1 / 6),
               (c ** 3, 1 / 4), (c * Ac, 1 / 8), (Ac2, 1 / 12), (AAc, 1 / 24)]
@@ -336,6 +337,53 @@ def test_dormand_prince_tableau_order_conditions():
         assert abs(b @ v - want) <= 1e-15
     for v, want in order4:
         assert abs(b_hat @ v - want) <= 1e-15
+
+
+def _undefined_past(edge):
+    """dy/dt = 1 while y < edge, NaN beyond: a kernel that fails without raising."""
+    return lambda y: np.ones_like(y) if y[0] < edge else np.full_like(y, np.nan)
+
+
+def test_adaptive_trial_with_a_nan_stage_is_rejected_and_shrinks(monkeypatch):
+    """No stage is tested for finiteness; a NaN reaches the trial's error ratio, which rejects it."""
+    trials = []  # (y, h, ratio) of every Dormand-Prince trial
+    dp_step = flows._dp_step
+
+    def recording(f, y, h, k1, controls):
+        y1, k7, ratio = dp_step(f, y, h, k1, controls)
+        trials.append((y[0], h, ratio))
+        return y1, k7, ratio
+
+    monkeypatch.setattr(flows, "_dp_step", recording)
+    times = []
+    with pytest.raises(NumericalError, match="step size underflow"):
+        flows._integrate(_undefined_past(0.47), 0.0, np.zeros(1), 1.0, IntegratorControls(),
+                         lambda t, y: times.append(t))
+    failed = [i for i, (_, _, ratio) in enumerate(trials[:-1]) if math.isnan(ratio)]
+    assert len(failed) >= 10
+    for i in failed:
+        y, h, _ = trials[i]
+        assert trials[i + 1][:2] == (y, h * flows.MIN_SHRINK)  # rejected: same state, smaller step
+    assert 0.47 - 1e-9 < times[-1] < 0.47  # the steps shrank toward the edge, not across it
+
+
+def test_fixed_step_nan_stage_raises():
+    with pytest.raises(NumericalError, match="left the flow's domain after the last valid time t=0.4$"):
+        flows._integrate(_undefined_past(0.47), 0.0, np.zeros(1), 1.0,
+                         IntegratorControls(fixed_step=0.1), lambda t, y: None)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_packed_closedness_gate_matches_ce_differential(rng, n):
+    """The bracket flow's closedness gate, read off the packed row, is |d_mu H|_inf."""
+    gate = flows._closedness_gate(n)
+    for _ in range(3):
+        m = oc.random_nilpotent(rng, n).coeffs + 0.1 * oc.random_skew_bracket(rng, n)
+        h = oc.random_form_coeffs(rng, n, 3)  # generic, so not closed
+        want = ce_differential(KForm(n, 3, h), m).norm_inf
+        got = gate(np.concatenate([flows._packed_bracket(m), h]))
+        assert (want > 0.0) == (n > 3)  # no 4-forms below n = 4
+        assert abs(got - want) <= 1e-13 * np.max(np.abs(m)) * np.max(np.abs(h))
 
 
 def test_integrate_gbf_validation(rng):

@@ -439,3 +439,17 @@ def test_cli_usage_errors_exit_2(argv, names, tmp_path, monkeypatch, capsys):
     assert out == ""
     assert names in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["grf", "--input", "missing.json", "--t-start=-inf"],
+    ["bracket-flow", "--input", "missing.json", "--t-end=inf"],
+    ["grf", "--input", "missing.json", "--t-end=nan"],
+])
+def test_cli_rejects_non_finite_times_before_reading_input(argv, tmp_path, monkeypatch, capsys):
+    """Two faults at once: the non-finite time is reported (exit 2), not the missing file (exit 4)."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--t-start and --t-end must be finite" in err
+    assert "missing.json" not in err

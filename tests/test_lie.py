@@ -1,5 +1,6 @@
 """Brackets, forms, the exterior differential, and the basis-change action."""
 
+import itertools
 import math
 
 import numpy as np
@@ -204,6 +205,27 @@ def test_jacobi_residual_random_lie_vs_non_lie(rng):
     for n in (3, 4, 5):
         assert jacobi_residual(oc.random_nilpotent(rng, n)) < 1e-12
     assert jacobi_residual(oc.random_skew_bracket(rng, 4)) > 1e-3
+
+
+def _jacobi_by_loops(m):
+    """max |mu(mu(e_i, e_j), e_k) + cyclic| over every index, one term at a time."""
+    n, c = m.shape[0], m.tolist()
+    worst = 0.0
+    for i, j, k, q in itertools.product(range(n), repeat=4):
+        total = 0.0
+        for l in range(n):
+            total += c[i][j][l] * c[l][k][q] + c[j][k][l] * c[l][i][q] + c[k][i][l] * c[l][j][q]
+        worst = max(worst, abs(total))
+    return worst
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_jacobi_residual_matches_index_loop(rng, n):
+    for _ in range(3):
+        m = oc.random_nilpotent(rng, n).coeffs + 0.1 * oc.random_skew_bracket(rng, n)
+        want = _jacobi_by_loops(m)
+        assert want > 0.0
+        assert abs(jacobi_residual(m) - want) <= 1e-13 * np.max(np.abs(m)) ** 2
 
 
 def test_nilpotency_step_examples():
