@@ -21,7 +21,8 @@ SAFETY                    0.9         step controller: safety factor on ratio^(-
 MIN_SHRINK                0.2         step controller: smallest step factor (and after a failed trial)
 MAX_GROW                  5.0         step controller: largest step factor
 MAX_STEPS                 1_000_000   hard cap on attempted steps (accepted plus rejected)
-STRUCTURE_TOL             1e-7        Jacobi / closedness residual allowed along GBF runs
+STRUCTURE_TOL             1e-7        Jacobi / closedness residual: flow start, GBF steps
+DECAY_BOUND_SLACK         1e-9        slack over the decay bound in gbf_decay_bound_check
 DEFAULT_HORIZON           1000.0      clock-time budget of a blowup_time search
 SWEEP_T_LONG              50.0        forward horizon used by the T_min sweep asymptotics
 SWEEP_HORIZON_BACK        10.0        clock-time budget of each backward search in the T_min sweep
@@ -43,6 +44,7 @@ MIN_SHRINK = 0.2
 MAX_GROW = 5.0
 MAX_STEPS = 1_000_000
 STRUCTURE_TOL = 1e-7
+DECAY_BOUND_SLACK = 1e-9
 
 DEFAULT_HORIZON = 1000.0
 SWEEP_T_LONG = 50.0

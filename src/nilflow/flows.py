@@ -29,16 +29,20 @@ states from rows, for Trajectory.states on first read and for
 BlowupReport.state.  Each flow has one right-hand-side kernel on its row,
 built once per run, that works on plain arrays and builds no Metric, KForm
 or LieBracket per evaluation; each evaluation makes exactly one
-ric_orthonormal call.  _gbf_kernel unpacks the "gbf" row (mu[i, j, :] for
-i < j, then the packed 3-form) through the index tables; integrate_gbf and
-gbf_rhs evaluate it.  _grf_kernel reads g off the "grf" row through
-_grf_metric and is built from the bracket alone: the matrices of d on 2- and
-3-forms, the pack/unpack index tables, and which d terms vanish for the
-bracket.  Each evaluation takes one Cholesky factor of g, the
-orthonormal-frame bracket and its ric_orthonormal, H o H, and the Laplacian
-through the d matrices; the frame change, the pullback of Rc and H o H are the
-functions that gl_action, rc_metric and h_circ_h call too.  integrate_grf,
-blowup_time and grf_rhs all evaluate it.
+ric_orthonormal call.  The form calculus is lie's, the packed layout
+(lie._unpack_tables, lie._pack_index) and d (lie._ce, lie._d_matrix); this
+module keeps no copy.  _gbf_kernel widens the layout's tables to the "gbf" row
+(mu[i, j, :] for i < j, then the packed 3-form) once per run, so each
+evaluation is one scatter and one gather; integrate_gbf and gbf_rhs evaluate
+it.  _grf_kernel reads g off the "grf" row through _grf_metric and is built
+from the bracket alone: the matrices of d on 2- and 3-forms, the layout's
+tables, and which d terms vanish for the bracket.  Each evaluation takes one
+Cholesky factor of g, the orthonormal-frame bracket and its ric_orthonormal,
+H o H, and the Laplacian through the d matrices; the frame change, the
+pullback of Rc and H o H are the functions that gl_action, rc_metric and
+h_circ_h call too.  integrate_grf, blowup_time and grf_rhs all evaluate it.
+Both flows check Jacobi and closedness (by lie._ce) of their initial data in
+_check_structure; the bracket flow checks both again on every accepted row.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import (
+    DECAY_BOUND_SLACK,
     DEFAULT_ATOL,
     DEFAULT_HORIZON,
     DEFAULT_RTOL,
@@ -71,9 +76,9 @@ from .config import (
 from .curvature import rc_metric, ric_orthonormal, _h_circ_h, _pull_back  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian  # noqa: F401
-from .lie import (KForm, ce_differential, index_tuples, jacobi_residual,
-                  _as_3form, _as_bracket, _ce_tables, _frame_change, _frozen, _index_array,
-                  _unpack_tables)
+from .lie import (KForm, LieBracket, index_tuples, jacobi_residual, _as_3form, _as_bracket,
+                  _ce, _d_matrix, _frame_change, _frozen, _index_array, _pack, _pack_index,
+                  _unpack, _unpack_tables)
 
 __all__ = [
     "PhiSpec",
@@ -508,38 +513,13 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
 # ---------------------------------------------------------------------------
 # bracket flow
 
-def _pack_index(n, k):
-    """Flat positions in the dense (n,) * k tensor of the increasing k-tuples, in packed order."""
-    return np.ravel_multi_index(_index_array(n, k).T, (n,) * k)
-
-
-@lru_cache(maxsize=None)
-def _bracket_tables(n):
-    """Index tables of the packed bracket: the entries mu[i, j, :] for i < j, row by row.
-
-    Returns (flat, src, sign, slots): the dense (n, n, n) bracket, flattened,
-    is sign * packed[src] at the positions flat and zero elsewhere, and
-    slots are the flat positions of the packed entries.  This is the
-    trajectory CSV's column order for mu.
-    """
-    flat2, src2, sign2 = _unpack_tables(n, 2)
-
-    def per_entry(rows):  # row r of the 2-form tables covers flat entries r * n .. r * n + n - 1
-        return (rows[:, None] * n + np.arange(n)).ravel()
-
-    return _frozen(per_entry(flat2), per_entry(src2), np.repeat(sign2, n),
-                   per_entry(_pack_index(n, 2)))
-
-
 def _packed_bracket(m):
-    return m.ravel()[_bracket_tables(m.shape[0])[3]]
+    """The "gbf" row's bracket columns: mu[i, j, :] for i < j, row by row."""
+    return _pack(m, 2).ravel()
 
 
 def _dense_bracket(mp, n):
-    flat, src, sign, _ = _bracket_tables(n)
-    m = np.zeros(n ** 3)
-    m[flat] = sign * mp[src]
-    return m.reshape(n, n, n)
+    return _unpack(mp.reshape(-1, n), n, 2)
 
 
 def _gbf_kernel(spec, n):
@@ -548,9 +528,10 @@ def _gbf_kernel(spec, n):
     y is the packed bracket (_packed_bracket) followed by the packed 3-form.
     Every dense entry of (mu, H) is plus or minus one of these or zero, so
     the step controller's error ratio is the same maximum as on the dense
-    tensors.  The index tables that depend on n alone are built here, once:
-    one scatter unpacks both parts into a stacked dense pair and one gather
-    reads the packed entries back.
+    tensors.  The index tables that depend on n alone are built here, once,
+    from lie's packed layout, with each 2-form slot (i, j) widened to the n
+    entries mu[i, j, :]: one scatter unpacks both parts into a stacked dense
+    pair and one gather reads the packed entries back.
 
     Per call: phi from one ric_orthonormal, minus (1/4) H^2 by a matmul for
     RIC_MINUS_QUARTER_HSQ; then -pi(phi) on the pair by three batched
@@ -558,12 +539,16 @@ def _gbf_kernel(spec, n):
     third slot -phi for mu (its output) and phi for H.
     """
     cube, split = n ** 3, math.comb(n, 2) * n
-    flat2, src2, sign2, slots2 = _bracket_tables(n)
+    flat2, src2, sign2 = _unpack_tables(n, 2)
     flat3, src3, sign3 = _unpack_tables(n, 3)
-    flat = np.concatenate([flat2, cube + flat3])
-    src = np.concatenate([src2, split + src3])
-    sign = np.concatenate([sign2, sign3])
-    slots = np.concatenate([slots2, cube + _pack_index(n, 3)])
+
+    def per_entry(rows):  # 2-form slot r covers the row entries r * n .. r * n + n - 1
+        return (rows[:, None] * n + np.arange(n)).ravel()
+
+    flat = np.concatenate([per_entry(flat2), cube + flat3])
+    src = np.concatenate([per_entry(src2), split + src3])
+    sign = np.concatenate([np.repeat(sign2, n), sign3])
+    slots = np.concatenate([per_entry(_pack_index(n, 2)), cube + _pack_index(n, 3)])
     flux = spec is PhiSpec.RIC_MINUS_QUARTER_HSQ
 
     def rhs(y):
@@ -582,30 +567,20 @@ def _gbf_kernel(spec, n):
     return rhs
 
 
-def _closedness_gate(n):
-    """|d_mu H|_inf on the "gbf" row, as residual(y); the tables are built here, once.
+def _sup(x):
+    """Sup-norm of an array, 0 for an empty one."""
+    return float(np.abs(x).max(initial=0.0))
 
-    It is ce_differential(KForm(n, 3, h), mu).norm_inf read straight off the
-    row y = (packed mu, packed h), through the index tables of lie._ce_tables:
-    output r of d sums, over its slot pairs p < q and over l,
-    (-1)^(p+q) mu[T_p, T_q, l] * sign * h[src], and since T_p < T_q,
-    mu[T_p, T_q, :] is a block of the packed bracket.  Below n = 4 there are
-    no 4-forms, so the residual is 0.
-    """
-    I, J, src, sign, odd = _ce_tables(n, 3)
-    if not I.size:
-        return lambda y: 0.0
-    pair_rank = np.zeros((n, n), dtype=np.intp)
-    pair_rank[tuple(_index_array(n, 2).T)] = np.arange(math.comb(n, 2))
-    mu_at = (pair_rank[I, J] * n)[:, :, None] + np.arange(n)
-    h_at = math.comb(n, 2) * n + src
-    weight = sign * np.where(odd, -1.0, 1.0)[:, None]
 
-    def residual(y):
-        d = (y[mu_at] * y[h_at] * weight).sum(axis=(1, 2))
-        return float(np.abs(d).max())
-
-    return residual
+def _check_structure(m, h):
+    """Reject an initial bracket m that violates Jacobi, or a packed 3-form h not closed for it."""
+    res = jacobi_residual(m)
+    if res > STRUCTURE_TOL:
+        raise ValidationError(f"initial bracket violates Jacobi (residual {res:.3e})")
+    res = _sup(_ce(m, h, 3))
+    if res > STRUCTURE_TOL:
+        raise ValidationError(
+            f"initial 3-form is not closed for the bracket (residual {res:.3e})")
 
 
 def _flux(H, n):
@@ -636,8 +611,8 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
 
     The initial bracket must satisfy Jacobi and H0 must be closed for it;
     both residuals are re-checked at every accepted step (NumericalError if
-    integration drift ever pushes them past STRUCTURE_TOL), closedness
-    straight off the packed state (_closedness_gate).  The run
+    integration drift ever pushes them past STRUCTURE_TOL), both on the
+    dense bracket of the packed state.  The run
     evaluates _gbf_kernel, built once, on the packed state: 1 right-hand-side
     evaluation plus 6 per attempted step (see the module docstring).  Each
     accepted packed state is kept as it is, as the trajectory row.
@@ -646,29 +621,21 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     controls = controls if controls is not None else IntegratorControls()
     m0 = _as_bracket(mu0).coeffs
     n = m0.shape[0]
-    h0 = _flux(H0, n)
-    jr = jacobi_residual(m0)
-    if jr > STRUCTURE_TOL:
-        raise ValidationError(
-            f"initial bracket violates Jacobi (residual {jr:.3e})")
-    y0 = np.concatenate([_packed_bracket(m0), h0.coeffs])
-    closedness = _closedness_gate(n)
-    cr = closedness(y0)
-    if cr > STRUCTURE_TOL:
-        raise ValidationError(
-            f"initial 3-form is not closed for the initial bracket "
-            f"(residual {cr:.3e})")
+    h0 = _flux(H0, n).coeffs
+    _check_structure(m0, h0)
+    y0 = np.concatenate([_packed_bracket(m0), h0])
     t0, t1 = (float(t_span[0]), float(t_span[1]))
     split = math.comb(n, 2) * n
     times, rows = [], []
 
     def on_accept(t, y):
-        res = jacobi_residual(_dense_bracket(y[:split], n))
+        m = _dense_bracket(y[:split], n)
+        res = jacobi_residual(m)
         if res > STRUCTURE_TOL:
             raise NumericalError(
                 f"Jacobi residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
                 f"at t={t:.9g}")
-        res = closedness(y)
+        res = _sup(_ce(m, y[split:], 3))
         if res > STRUCTURE_TOL:
             raise NumericalError(
                 f"closedness residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
@@ -681,13 +648,14 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
                       accepted=accepted, rejected=rejected)
 
 
-def gbf_decay_bound_check(trajectory, a, slack=1e-9):
+def gbf_decay_bound_check(trajectory, a):
     """Check x^2 + y^2 <= (1+a^2) / (1 + (1+a^2) t) along a Heisenberg run.
 
     x is the single bracket coefficient and y the 3-form coefficient of the
     three-dimensional family started at (1, a), read off the columns
     mu_12_3 and H_123.  Returns False if a stored sample exceeds the bound
-    by more than slack; raises if the trajectory is not from that family.
+    by more than DECAY_BOUND_SLACK; raises if the trajectory is not from
+    that family.
     """
     if not isinstance(trajectory, Trajectory) or trajectory.kind != "gbf":
         raise ValidationError("decay bound check needs a bracket-flow trajectory")
@@ -706,21 +674,11 @@ def gbf_decay_bound_check(trajectory, a, slack=1e-9):
             f"family trajectory must start at (1, {a}); got ({xs[0]}, {ys[0]})")
     s0 = 1.0 + a * a
     bound = s0 / (1.0 + s0 * (trajectory.times - trajectory.times[0]))
-    return not np.any(xs * xs + ys * ys > bound + slack)
+    return not np.any(xs * xs + ys * ys > bound + DECAY_BOUND_SLACK)
 
 
 # ---------------------------------------------------------------------------
 # generalized Ricci flow (gauge-fixed)
-
-def _d_matrix(m, k):
-    """Matrix of d_mu from packed k-forms to packed (k+1)-forms, read off _ce_tables."""
-    n = m.shape[0]
-    I, J, src, sign, odd = _ce_tables(n, k)
-    vals = m[I, J] * sign * np.where(odd, -1.0, 1.0)[:, None]
-    D = np.zeros((len(I), math.comb(n, k)))
-    np.add.at(D, (np.arange(len(I))[:, None, None], src), vals)
-    return D
-
 
 def _grf_kernel(m):
     """The flow's right-hand side for the bracket m, as rhs(y) -> dy on the "grf" row.
@@ -728,8 +686,9 @@ def _grf_kernel(m):
     y holds g = y[_grf_metric(n)], then the packed 3-form h; dy holds (dg, dh)
     alike.  dg is exactly symmetric, so the error ratio over the row is the one
     over the dense (g, h).  Everything that depends on m alone is built here,
-    once: the matrices D2, D3 of d on 2- and 3-forms and the pack/unpack index
-    tables.  A d term that is identically zero for m is dropped here too.
+    once: the matrices D2, D3 of d on 2- and 3-forms (lie._d_matrix) and the
+    tables of lie's packed layout.  A d term that is identically zero for m
+    is dropped here too.
 
     Per call: one Cholesky factor g = u^T u (LinAlgError off the domain);
     the orthonormal-frame bracket u.mu (lie._frame_change), whose Ricci form
@@ -803,6 +762,9 @@ def grf_rhs(mu, state):
 def _grf_setup(mu, g0, H0, direction):
     """Check the initial data; return (n, y0, f, in_domain) on the "grf" row y.
 
+    mu must satisfy Jacobi and H0 be closed for it (_check_structure), as
+    for the bracket flow.
+
     f(y) is the flow's right-hand side, negated when direction is -1; it
     raises LinAlgError where g is not positive definite.  in_domain(y) says
     whether g is positive definite; fixed-step runs check it after each step.
@@ -815,11 +777,8 @@ def _grf_setup(mu, g0, H0, direction):
     if met0.dim != n:
         raise ValidationError(
             f"metric dimension {met0.dim} does not match bracket dimension {n}")
-    h0 = _flux(H0, n)
-    cr = ce_differential(h0, m).norm_inf
-    if cr > STRUCTURE_TOL:
-        raise ValidationError(
-            f"initial 3-form is not closed for the bracket (residual {cr:.3e})")
+    h0 = _flux(H0, n).coeffs
+    _check_structure(m, h0)
     rhs = _grf_kernel(m)
 
     def in_domain(y):
@@ -830,7 +789,7 @@ def _grf_setup(mu, g0, H0, direction):
         return True
 
     f = rhs if direction == 1 else lambda y: -rhs(y)
-    return n, _grf_row(met0.entries, h0.coeffs), f, in_domain
+    return n, _grf_row(met0.entries, h0), f, in_domain
 
 
 def _stop_reason(y, y0, n):
@@ -850,7 +809,8 @@ def _stop_reason(y, y0, n):
 def integrate_grf(mu, g0, H0, t_span, controls=None, direction=1):
     """Integrate the gauge-fixed flow from (g0, H0) over t_span.
 
-    g0 must be positive definite and H0 closed for mu.  Adaptive steps
+    mu must satisfy Jacobi, g0 must be positive definite and H0 closed for
+    mu (ValidationError otherwise).  Adaptive steps
     that leave positive definiteness are rejected; a fixed-step run that
     leaves it raises NumericalError naming the last valid time.  So does a
     stall of the step controller at a singular time, with the cause read
@@ -912,13 +872,6 @@ def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None
 # ---------------------------------------------------------------------------
 # Heisenberg family sweep
 
-def _heisenberg_bracket():
-    m = np.zeros((3, 3, 3))
-    m[0, 1, 2] = 1.0
-    m[1, 0, 2] = -1.0
-    return m
-
-
 def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=SWEEP_HORIZON_BACK, controls=None):
     """Backward singular time and long-run forward state per family parameter.
 
@@ -940,8 +893,9 @@ def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=SWEEP_HORIZON_BACK, c
     if not 0 < horizon_back < math.inf:
         raise ValidationError("horizon_back must be finite and positive")
 
+    mu = LieBracket.from_entries(3, [(1, 2, 3, 1.0)])
+
     def run_one(a):
-        mu = _heisenberg_bracket()
         g0 = np.eye(3)
         H = KForm(3, 3, np.array([a]))
         try:

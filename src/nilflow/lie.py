@@ -12,9 +12,13 @@ is its derivative at the identity, so curves A(s) = exp(s phi) satisfy
 d/ds A(s).mu = pi(phi) mu at s = 0.
 
 The index bookkeeping of the form calculus does not depend on the bracket,
-the metric or the coefficients, only on (n, k).  ce_differential,
-compound_matrix and KForm.unpack therefore gather through integer tables
-built once per (n, k) and cached (read-only, shared by every caller).
+the metric or the coefficients, only on (n, k), so it lives in integer
+tables built once per (n, k) and cached (read-only, shared by every caller).
+_index_array serves compound_matrix; _unpack_tables and _pack_index are the
+packed layout, scattered by _unpack (KForm.unpack) and gathered by _pack
+(KForm.from_dense); _ce_tables is d, gathered by _ce (ce_differential) and
+summed into a matrix by _d_matrix.  The flows reach the layout and d only
+through these functions.
 """
 
 from __future__ import annotations
@@ -56,6 +60,13 @@ def _index_array(n, k):
     """index_tuples(n, k) as a read-only (C(n, k), k) integer array."""
     (arr,) = _frozen(np.array(index_tuples(n, k), dtype=np.intp).reshape(-1, k))
     return arr
+
+
+@lru_cache(maxsize=None)
+def _pack_index(n, k):
+    """Flat positions in the dense (n,) * k tensor of the increasing k-tuples, in packed order."""
+    (index,) = _frozen(np.ravel_multi_index(_index_array(n, k).T, (n,) * k))
+    return index
 
 
 def sort_sign(indices):
@@ -135,6 +146,21 @@ def _unpack_tables(n, k):
                    np.array(sign, dtype=float))
 
 
+def _unpack(x, n, k):
+    """Dense (n,) * k alternating tensor of the packed k-form x; x's trailing axes are kept."""
+    flat, src, sign = _unpack_tables(n, k)
+    tail = x.shape[1:]
+    out = np.zeros((n ** k,) + tail)
+    out[flat] = sign.reshape((-1,) + (1,) * len(tail)) * x[src]
+    return out.reshape((n,) * k + tail)
+
+
+def _pack(t, k):
+    """Packed k-form of the dense alternating tensor t; axes after its first k are kept."""
+    n = t.shape[0]
+    return t.reshape((n ** k,) + t.shape[k:])[_pack_index(n, k)]
+
+
 @dataclass(frozen=True)
 class KForm:
     """Left-invariant alternating k-form in packed storage.
@@ -210,17 +236,14 @@ class KForm:
         scale = 1.0 + float(np.max(np.abs(arr))) if arr.size else 1.0
         if arr.size and float(np.max(np.abs(arr - alt))) > SKEW_TOL * scale:
             raise ValidationError("dense tensor is not alternating")
-        coeffs = np.array([alt[t] for t in index_tuples(n, k)])
-        return cls(n, k, coeffs)
+        return cls(n, k, _pack(alt, k))
 
     def unpack(self):
         """Dense fully alternating tensor of shape (dim,) * degree."""
-        n, k = self.dim, self.degree
-        flat, src, sign = _unpack_tables(n, k)
-        dense = np.zeros(n ** k)
+        dense = _unpack(self.coeffs, self.dim, self.degree)
         # + 0.0 turns the -0.0 of a negated zero coefficient into the +0.0 of an unset entry
-        dense[flat] = sign * self.coeffs[src] + 0.0
-        return dense.reshape((n,) * k)
+        dense += 0.0
+        return dense
 
     def component(self, indices):
         """Value on basis vectors e_{i_1}, ..., e_{i_k} (0-based, any order)."""
@@ -442,6 +465,36 @@ def _ce_tables(n, k):
     return _frozen(I, J, src, sign, odd)
 
 
+def _d_matrix(m, k):
+    """Matrix of d_mu from packed k-forms to packed (k+1)-forms, summed from _ce_tables."""
+    n = m.shape[0]
+    I, J, src, sign, odd = _ce_tables(n, k)
+    vals = m[I, J] * sign * np.where(odd, -1.0, 1.0)[:, None]
+    D = np.zeros((len(I), math.comb(n, k)))
+    np.add.at(D, (np.arange(len(I))[:, None, None], src), vals)
+    return D
+
+
+def _ce(m, x, k):
+    """Packed d_mu x of the packed k-form x, for the dense (n, n, n) bracket m."""
+    I, J, src, sign, odd = _ce_tables(m.shape[0], k)
+    out = np.zeros(len(I))
+    if not I.size:  # no (k+1)-forms, or no slot pairs
+        return out
+    terms = m[I, J] * (sign * x[src])
+    # Sum over l, then over the pairs (p, q) in order, as the definition reads:
+    # any other order (a matrix product, numpy's pairwise sums) moves the last bits.
+    inner = np.zeros(I.shape)
+    for l in range(m.shape[0]):
+        inner += terms[:, :, l]
+    for j, is_odd in enumerate(odd):
+        if is_odd:
+            out -= inner[:, j]
+        else:
+            out += inner[:, j]
+    return out
+
+
 def ce_differential(omega, mu):
     """Chevalley-Eilenberg differential of a k-form.
 
@@ -452,20 +505,7 @@ def ce_differential(omega, mu):
     n, k = omega.dim, omega.degree
     if m.shape[0] != n:
         raise ValidationError("form and bracket dimensions differ")
-    I, J, src, sign, odd = _ce_tables(n, k)
-    terms = m[I, J] * (sign * omega.coeffs[src])
-    # Sum over l, then over the pairs (p, q) in order, as the definition reads:
-    # any other order (a matrix product, numpy's pairwise sums) moves the last bits.
-    inner = np.zeros(I.shape)
-    for l in range(n):
-        inner += terms[:, :, l]
-    out = np.zeros(len(I))
-    for j, is_odd in enumerate(odd):
-        if is_odd:
-            out -= inner[:, j]
-        else:
-            out += inner[:, j]
-    return KForm(n, k + 1, out)
+    return KForm(n, k + 1, _ce(m, omega.coeffs, k))
 
 
 def wedge(alpha, beta):

@@ -116,7 +116,7 @@ def test_04_bracket_flow_closed_form():
 
 def test_05_decay_bound(gbf_runs):
     for a, traj in gbf_runs.items():
-        assert gbf_decay_bound_check(traj, a, slack=1e-9) is True
+        assert gbf_decay_bound_check(traj, a) is True
 
 
 def test_06_grf_closed_forms():

@@ -373,17 +373,15 @@ def test_fixed_step_nan_stage_raises():
                          IntegratorControls(fixed_step=0.1), lambda t, y: None)
 
 
-@pytest.mark.parametrize("n", range(3, 8))
-def test_packed_closedness_gate_matches_ce_differential(rng, n):
-    """The bracket flow's closedness gate, read off the packed row, is |d_mu H|_inf."""
-    gate = flows._closedness_gate(n)
-    for _ in range(3):
-        m = oc.random_nilpotent(rng, n).coeffs + 0.1 * oc.random_skew_bracket(rng, n)
-        h = oc.random_form_coeffs(rng, n, 3)  # generic, so not closed
-        want = ce_differential(KForm(n, 3, h), m).norm_inf
-        got = gate(np.concatenate([flows._packed_bracket(m), h]))
-        assert (want > 0.0) == (n > 3)  # no 4-forms below n = 4
-        assert abs(got - want) <= 1e-13 * np.max(np.abs(m)) * np.max(np.abs(h))
+def test_integrate_gbf_checks_closedness_on_accepted_states(monkeypatch):
+    """A kernel that pushes H off closedness at n = 4 stops the run at the first accepted state."""
+    mu = LieBracket.from_entries(4, [(1, 2, 2, 1.0)])  # Jacobi holds; d_mu e^234 != 0
+    split = math.comb(4, 2) * 4
+    push = np.zeros(split + math.comb(4, 3))
+    push[-1] = 1.0  # H grows along e^234, the last packed 3-form; mu stays put
+    monkeypatch.setattr(flows, "_gbf_kernel", lambda spec, n: lambda y: push)
+    with pytest.raises(NumericalError, match="closedness residual .* at t="):
+        integrate_gbf("ric", mu, None, (0.0, 1.0))
 
 
 def test_integrate_gbf_validation(rng):
@@ -540,6 +538,10 @@ def test_integrate_grf_backward_hits_singularity():
                       direction=-1)
 
 
+# skew, with Jacobi residual 0.93: no Lie bracket
+NOT_LIE = oc.random_skew_bracket(np.random.default_rng(0), 3)
+
+
 def test_integrate_grf_validation():
     with pytest.raises(ValidationError):
         integrate_grf(HEIS, Metric.identity(3), _h3_flux(0.0), (0.0, 1.0),
@@ -552,6 +554,8 @@ def test_integrate_grf_validation():
                       KForm.from_entries(4, 3, [((2, 3, 4), 1.0)]), (0.0, 1.0))
     with pytest.raises(ValidationError):
         integrate_grf(HEIS, -np.eye(3), _h3_flux(0.0), (0.0, 1.0))
+    with pytest.raises(ValidationError, match="initial bracket violates Jacobi"):
+        integrate_grf(NOT_LIE, Metric.identity(3), None, (0.0, 0.1))
     for t_span in ((0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)):
         with pytest.raises(ValidationError):
             integrate_grf(HEIS, Metric.identity(3), _h3_flux(1.0), t_span)
@@ -668,6 +672,8 @@ def test_blowup_time_validation():
     with pytest.raises(ValidationError):
         blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0),
                     controls=IntegratorControls(fixed_step=0.01))
+    with pytest.raises(ValidationError, match="initial bracket violates Jacobi"):
+        blowup_time(NOT_LIE, Metric.identity(3), None)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,13 @@ def test_cli_grf_backward_singularity_is_exit_3(capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_cli_grf_rejects_a_bracket_that_violates_jacobi(tmp_path, capsys):
+    path = tmp_path / "not_lie.json"
+    path.write_text(json.dumps({"dim": 3, "mu": [[1, 2, 3, 1.0], [1, 3, 1, 1.0]]}))
+    assert main(["grf", "--input", str(path), "--t-end", "0.1"]) == 2
+    assert "initial bracket violates Jacobi" in capsys.readouterr().err
+
+
 def test_cli_tmin_sweep(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     code = main(["tmin-sweep", "--a-values", "0,1", "--t-long", "1",

@@ -287,6 +287,31 @@ def test_ce_differential_matches_dense_oracle(rng):
                 assert np.allclose(got.unpack(), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_d_matrix_matches_ce_differential(rng, n):
+    """d's matrix form, which the GRF kernel multiplies by, is the gather's d."""
+    m = oc.random_nilpotent(rng, n).coeffs + 0.1 * oc.random_skew_bracket(rng, n)
+    for k in range(n + 1):
+        x = oc.random_form_coeffs(rng, n, k)
+        want = ce_differential(KForm(n, k, x), m).coeffs
+        got = lie._d_matrix(m, k) @ x
+        assert got.shape == want.shape == (math.comb(n, k + 1),)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(m).max() * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pack_inverts_unpack_bitwise(rng, n):
+    for k in range(1, n + 2):  # k = n + 1 has no coefficients
+        for tail in ((), (2,), (3, 2)):
+            x = rng.standard_normal((math.comb(n, k),) + tail)
+            if x.size:
+                x.flat[0] = -0.0  # keeps its sign: the increasing slot is the identity permutation
+            dense = lie._unpack(x, n, k)
+            assert dense.shape == (n,) * k + tail
+            back = lie._pack(dense, k)
+            assert back.shape == x.shape and back.tobytes() == x.tobytes()
+
+
 def test_dd_equals_jacobiator(rng):
     # d(d xi)(x,y,z) = xi(Jacobiator(x,y,z)) exactly, so the sup over basis
     # 1-forms of |dd e^l| reproduces jacobi_residual; in particular dd = 0
@@ -408,7 +433,7 @@ def test_gl_action_rejects_singular():
 def test_cached_index_tables_are_read_only():
     # the tables are shared by every later call with the same (n, k)
     tables = (*lie._ce_tables(4, 2), lie._index_array(4, 2), *lie._unpack_tables(4, 2),
-              *hodge._star_tables(4, 2))
+              lie._pack_index(4, 2), *hodge._star_tables(4, 2))
     for table in tables:
         assert table.size
         with pytest.raises(ValueError):
