@@ -35,10 +35,10 @@ module keeps no copy.  _gbf_kernel widens the layout's tables to the "gbf" row
 (mu[i, j, :] for i < j, then the packed 3-form) once per run, so each
 evaluation is one scatter and one gather; integrate_gbf and gbf_rhs evaluate
 it.  _grf_kernel reads g off the "grf" row through _grf_metric and is built
-from the bracket alone: the matrices of d on 2- and 3-forms, the layout's
-tables, and which d terms vanish for the bracket.  Each evaluation takes one
-Cholesky factor of g, the orthonormal-frame bracket and its ric_orthonormal,
-H o H, and the Laplacian through the d matrices; the frame change, the
+from the bracket alone: the matrices of d on 2- and 3-forms and which d
+terms vanish for the bracket.  Each evaluation takes one Cholesky factor of
+g, the orthonormal-frame bracket and its ric_orthonormal, H o H, and the
+Laplacian through the d matrices and lie._unpack/_pack; the frame change, the
 pullback of Rc and H o H are the functions that gl_action, rc_metric and
 h_circ_h call too.  integrate_grf, blowup_time and grf_rhs all evaluate it.
 Both flows check Jacobi and closedness (by lie._ce) of their initial data in
@@ -567,17 +567,12 @@ def _gbf_kernel(spec, n):
     return rhs
 
 
-def _sup(x):
-    """Sup-norm of an array, 0 for an empty one."""
-    return float(np.abs(x).max(initial=0.0))
-
-
 def _check_structure(m, h):
     """Reject an initial bracket m that violates Jacobi, or a packed 3-form h not closed for it."""
     res = jacobi_residual(m)
     if res > STRUCTURE_TOL:
         raise ValidationError(f"initial bracket violates Jacobi (residual {res:.3e})")
-    res = _sup(_ce(m, h, 3))
+    res = float(np.abs(_ce(m, h, 3)).max(initial=0.0))
     if res > STRUCTURE_TOL:
         raise ValidationError(
             f"initial 3-form is not closed for the bracket (residual {res:.3e})")
@@ -635,7 +630,7 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
             raise NumericalError(
                 f"Jacobi residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
                 f"at t={t:.9g}")
-        res = _sup(_ce(m, y[split:], 3))
+        res = float(np.abs(_ce(m, y[split:], 3)).max(initial=0.0))
         if res > STRUCTURE_TOL:
             raise NumericalError(
                 f"closedness residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
@@ -686,9 +681,8 @@ def _grf_kernel(m):
     y holds g = y[_grf_metric(n)], then the packed 3-form h; dy holds (dg, dh)
     alike.  dg is exactly symmetric, so the error ratio over the row is the one
     over the dense (g, h).  Everything that depends on m alone is built here,
-    once: the matrices D2, D3 of d on 2- and 3-forms (lie._d_matrix) and the
-    tables of lie's packed layout.  A d term that is identically zero for m
-    is dropped here too.
+    once: the matrices D2, D3 of d on 2- and 3-forms (lie._d_matrix).  A d
+    term that is identically zero for m is dropped here too.
 
     Per call: one Cholesky factor g = u^T u (LinAlgError off the domain);
     the orthonormal-frame bracket u.mu (lie._frame_change), whose Ricci form
@@ -703,20 +697,12 @@ def _grf_kernel(m):
     metric, split = _grf_metric(n), n * (n + 1) // 2
     d2, d3 = _d_matrix(m, 2), _d_matrix(m, 3)
     down, up = np.any(d2), np.any(d3)
-    unpack = {k: _unpack_tables(n, k) for k in (2, 3, 4)}
-    pack = {k: _pack_index(n, k) for k in (2, 3, 4)}
-
-    def dense(x, k):
-        flat, src, sign = unpack[k]
-        out = np.zeros(n ** k)
-        out[flat] = sign * x[src]
-        return out.reshape((n,) * k)
 
     def on_slots(A, x, k):
         """C_k(A) x: A on each slot of the dense form x, each pass rotating one slot."""
         for _ in range(k):
             x = x.reshape(n, -1).T @ A.T
-        return x.ravel()[pack[k]]
+        return _pack(x.reshape((n,) * k), k)
 
     def rhs(y):
         g, h = y[metric], y[split:]
@@ -724,16 +710,16 @@ def _grf_kernel(m):
         u_inv = np.linalg.inv(u)
         g_inv = u_inv @ u_inv.T
         ric = ric_orthonormal(_frame_change(u, u_inv, m))
-        hh, raised = _h_circ_h(dense(h, 3), g_inv)
+        hh, raised = _h_circ_h(_unpack(h, n, 3), g_inv)
         dg = -2.0 * _pull_back(u, ric) + 0.5 * hh
         dg = (dg + dg.T) / 2.0
         lap = np.zeros(h.shape)
         if up:  # d* d h = C_3(g) D3^T C_4(g_inv) D3 h
-            c4 = on_slots(g_inv, dense(d3 @ h, 4), 4)
-            lap += on_slots(g, dense(d3.T @ c4, 3), 3)
+            c4 = on_slots(g_inv, _unpack(d3 @ h, n, 4), 4)
+            lap += on_slots(g, _unpack(d3.T @ c4, n, 3), 3)
         if down:  # d d* h = D2 C_2(g) D2^T C_3(g_inv) h, with g_inv on the first slot of raised
-            c3 = (g_inv @ raised.reshape(n, -1)).ravel()[pack[3]]
-            lap += d2 @ on_slots(g, dense(d2.T @ c3, 2), 2)
+            c3 = _pack((g_inv @ raised.reshape(n, -1)).reshape(n, n, n), 3)
+            lap += d2 @ on_slots(g, _unpack(d2.T @ c3, n, 2), 2)
         return _grf_row(dg, -lap)
 
     return rhs
