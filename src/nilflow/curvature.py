@@ -25,7 +25,7 @@ from .config import DEFAULT_TOL
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
 from .lie import (KForm, bracket_coeffs, ce_differential, form_dense, _as_3form, _as_bracket,
-                  _checked_inverse, _frame_change)
+                  _frame_change)
 
 __all__ = [
     "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
@@ -67,8 +67,11 @@ def rc_metric(mu, g):
     """
     gm = as_metric(g)
     m = _as_bracket(mu).coeffs
-    h, h_inv = _checked_inverse(gm.chol_upper, m.shape[0])
-    return symmetric_part(_pull_back(h, ric_orthonormal(_frame_change(h, h_inv, m))))
+    if gm.dim != m.shape[0]:
+        raise ValidationError(
+            f"metric dimension {gm.dim} does not match bracket dimension {m.shape[0]}")
+    h = gm.chol_upper  # triangular with a positive diagonal: invertible, whatever its condition
+    return symmetric_part(_pull_back(h, ric_orthonormal(_frame_change(h, np.linalg.inv(h), m))))
 
 
 def _pull_back(u, form):

@@ -26,21 +26,21 @@ STEP_FLOOR, which is where blowup_time stops.
 Every integrator state is its trajectory CSV row (trajectory_column_labels),
 and a Trajectory keeps each accepted one as it is; _row_state builds typed
 states from rows, for Trajectory.states on first read and for
-BlowupReport.state.  Each flow has one right-hand-side kernel on its row,
-built once per run, that works on plain arrays and builds no Metric, KForm
-or LieBracket per evaluation; each evaluation makes exactly one
-ric_orthonormal call.  The form calculus is lie's, the packed layout
-(lie._unpack_tables, lie._pack_index) and d (lie._ce, lie._d_matrix); this
-module keeps no copy.  _gbf_kernel widens the layout's tables to the "gbf" row
-(mu[i, j, :] for i < j, then the packed 3-form) once per run, so each
-evaluation is one scatter and one gather; integrate_gbf and gbf_rhs evaluate
-it.  _grf_kernel reads g off the "grf" row through _grf_metric and is built
+BlowupReport.state.  Each flow has one right-hand-side kernel on its row
+that works on plain arrays and builds no Metric, KForm or LieBracket per
+evaluation.  The form calculus is lie's, the packed layout
+(lie._unpack, lie._pack) and d (lie._ce, lie._d_matrix); this
+module keeps no copy.  The bracket flow is a cubic in its "gbf" row
+(mu[i, j, :] for i < j, then the packed 3-form), kept by _gbf_tables as two
+monomial tables per (spec, n); each evaluation of _gbf_kernel, by
+integrate_gbf and gbf_rhs, is one gather-multiply-bincount pass over each.
+_grf_kernel reads g off the "grf" row through _grf_metric and is built
 from the bracket alone: the matrices of d on 2- and 3-forms and which d
 terms vanish for the bracket.  Each evaluation takes one Cholesky factor of
-g, the orthonormal-frame bracket and its ric_orthonormal, H o H, and the
-Laplacian through the d matrices and lie._unpack/_pack; the frame change, the
-pullback of Rc and H o H are the functions that gl_action, rc_metric and
-h_circ_h call too.  integrate_grf, blowup_time and grf_rhs all evaluate it.
+g, the orthonormal-frame bracket and its ric_orthonormal (one call), H o H,
+and the Laplacian through the d matrices and lie._unpack/_pack; the frame
+change, the pullback of Rc and H o H are the functions that gl_action,
+rc_metric and h_circ_h call too; integrate_grf, blowup_time and grf_rhs run it.
 Both flows check Jacobi and closedness (by lie._ce) of their initial data in
 _check_structure; the bracket flow checks both again on every accepted row.
 """
@@ -77,8 +77,7 @@ from .curvature import rc_metric, ric_orthonormal, _h_circ_h, _pull_back  # noqa
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian  # noqa: F401
 from .lie import (KForm, LieBracket, index_tuples, jacobi_residual, _as_3form, _as_bracket,
-                  _ce, _d_matrix, _frame_change, _frozen, _index_array, _pack, _pack_index,
-                  _unpack, _unpack_tables)
+                  _ce, _d_matrix, _frame_change, _frozen, _index_array, _pack, _unpack)
 
 __all__ = [
     "PhiSpec",
@@ -522,47 +521,64 @@ def _dense_bracket(mp, n):
     return _unpack(mp.reshape(-1, n), n, 2)
 
 
+def _monomials(families):
+    """A read-only table of the rows (key, ..., coefficient) of the families, sorted by key:
+    zero coefficients dropped, rows with equal keys summed, zero sums dropped."""
+    keys = np.concatenate([np.stack(family[:-1]) for family in families], axis=1)
+    coeffs = np.concatenate([family[-1] for family in families])
+    keys, coeffs = keys[:, coeffs != 0.0], coeffs[coeffs != 0.0]
+    keys, inverse = np.unique(keys, axis=1, return_inverse=True)
+    coeffs = np.bincount(inverse.ravel(), coeffs, minlength=keys.shape[1])
+    return _frozen(*keys[:, coeffs != 0.0], coeffs[coeffs != 0.0])
+
+
+@lru_cache(maxsize=None)
+def _gbf_tables(spec, n):
+    """The bracket flow's right-hand side on R^n as two monomial tables on the "gbf" row y.
+
+    (E, A, B, C): row r adds C[r] * y[A[r]] * y[B[r]] to phi.flat[E[r]], for
+    phi = Ric_mu (- 1/4 H^2 for RIC_MINUS_QUARTER_HSQ) on and above its
+    diagonal, with Ric_ij = -1/2 mu_ikl mu_jkl + 1/4 mu_kli mu_klj and
+    (H^2)_ij = H_ikl H_jkl.  (O, F, G, D): row r adds D[r] * phi.flat[F[r]] *
+    y[G[r]] to dy[O[r]], for dy = -pi(phi) on (mu, H): phi on the first two
+    slots of both, -phi on mu's third slot and phi on H's.
+    """
+    split = math.comb(n, 2) * n
+    # each dense entry of mu (s = 0) and H (s = 1) is sign * y[slot], sign 0 where an
+    # index repeats: the dense tensors of the row y = 1, 2, 3, ... hold sign * (slot + 1)
+    code = np.arange(1.0, split + math.comb(n, 3) + 1)
+    code = np.array([_dense_bracket(code[:split], n), _unpack(code[split:], n, 3)])
+    slot, sign = np.abs(code).astype(np.intp) - 1, np.sign(code)
+    i, j, k, l = np.indices((n,) * 4).reshape(4, -1)
+    phi_terms = [(0, (i, k, l), (j, k, l), -0.5), (0, (k, l, i), (k, l, j), 0.25)]
+    if spec is PhiSpec.RIC_MINUS_QUARTER_HSQ:
+        phi_terms.append((1, (i, k, l), (j, k, l), -0.25))
+    phi_table = _monomials([
+        (i * n + j, np.minimum(slot[s][x], slot[s][z]), np.maximum(slot[s][x], slot[s][z]),
+         c * (i <= j) * sign[s][x] * sign[s][z]) for s, x, z, c in phi_terms])
+    outputs = ((0, i < j, -1.0), (1, (i < j) & (j < k), 1.0))  # packed entries, third-slot sign
+    dy_table = _monomials([
+        (slot[s][i, j, k], np.minimum(p, l) * n + np.maximum(p, l),  # phi_pl = phi_lp
+         slot[s][x], c * packed * sign[s][x])
+        for s, packed, third in outputs
+        for p, x, c in ((i, (l, j, k), 1.0), (j, (i, l, k), 1.0), (k, (i, j, l), third))])
+    return phi_table + dy_table
+
+
 def _gbf_kernel(spec, n):
     """The bracket flow's right-hand side on R^n, as rhs(y) -> dy on the packed state.
 
     y is the packed bracket (_packed_bracket) followed by the packed 3-form.
     Every dense entry of (mu, H) is plus or minus one of these or zero, so
     the step controller's error ratio is the same maximum as on the dense
-    tensors.  The index tables that depend on n alone are built here, once,
-    from lie's packed layout, with each 2-form slot (i, j) widened to the n
-    entries mu[i, j, :]: one scatter unpacks both parts into a stacked dense
-    pair and one gather reads the packed entries back.
-
-    Per call: phi from one ric_orthonormal, minus (1/4) H^2 by a matmul for
-    RIC_MINUS_QUARTER_HSQ; then -pi(phi) on the pair by three batched
-    matmuls, phi on the first and on the second slot of each, and on the
-    third slot -phi for mu (its output) and phi for H.
+    tensors.  dy is a cubic in y, and each call is one gather-multiply-bincount
+    pass over each monomial table of _gbf_tables.
     """
-    cube, split = n ** 3, math.comb(n, 2) * n
-    flat2, src2, sign2 = _unpack_tables(n, 2)
-    flat3, src3, sign3 = _unpack_tables(n, 3)
-
-    def per_entry(rows):  # 2-form slot r covers the row entries r * n .. r * n + n - 1
-        return (rows[:, None] * n + np.arange(n)).ravel()
-
-    flat = np.concatenate([per_entry(flat2), cube + flat3])
-    src = np.concatenate([per_entry(src2), split + src3])
-    sign = np.concatenate([np.repeat(sign2, n), sign3])
-    slots = np.concatenate([per_entry(_pack_index(n, 2)), cube + _pack_index(n, 3)])
-    flux = spec is PhiSpec.RIC_MINUS_QUARTER_HSQ
+    E, A, B, C, O, F, G, D = _gbf_tables(spec, n)
 
     def rhs(y):
-        pair = np.zeros(2 * cube)
-        pair[flat] = sign * y[src]
-        pair = pair.reshape(2, n, n, n)
-        m, hd = pair
-        p = ric_orthonormal(m)
-        if flux:
-            hf = hd.reshape(n, -1)
-            p = p - 0.25 * (hf @ hf.T)
-        third = np.array([-p, p.T])[:, None]
-        out = (p @ pair.reshape(2, n, -1)).reshape(pair.shape) + p @ pair + pair @ third
-        return out.ravel()[slots]
+        phi = np.bincount(E, C * y[A] * y[B], minlength=n * n)
+        return np.bincount(O, D * phi[F] * y[G], minlength=y.size)
 
     return rhs
 

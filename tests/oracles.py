@@ -74,6 +74,8 @@ def packed_ce(coeffs, m, k):
     The same alternating sum as dense_ce, evaluated only on increasing
     (k+1)-tuples, with omega read off its packed slots through perm_sign.  Its
     cost grows like C(n, k+1) rather than n^(k+1), so it reaches n = 10.
+    Trailing axes of coeffs index several forms at once, so
+    packed_ce(np.eye(C(n, k)), m, k) is the matrix of d on k-forms.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
@@ -83,7 +85,7 @@ def packed_ce(coeffs, m, k):
         if len(set(idx)) < len(idx):
             return 0.0
         order = sorted(range(len(idx)), key=lambda r: idx[r])
-        return perm_sign(order) * float(slots[tuple(idx[r] for r in order)])
+        return perm_sign(order) * slots[tuple(idx[r] for r in order)]
 
     out = []
     for T in itertools.combinations(range(n), k + 1):
@@ -98,7 +100,7 @@ def packed_ce(coeffs, m, k):
                         inner += c * omega((l,) + rest)
                 acc += (-1) ** (p + q) * inner
         out.append(acc)
-    return np.array(out)
+    return np.array(out).reshape((-1,) + np.shape(coeffs)[1:])
 
 
 def dense_form(coeffs, n, k):

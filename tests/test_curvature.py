@@ -64,10 +64,14 @@ def test_ric_orthonormal_symmetric_and_orthogonally_equivariant(rng):
 def test_rc_metric_identity_and_diagonal_closed_form():
     assert np.allclose(rc_metric(HEIS, Metric.identity(3)),
                        np.diag([-0.5, -0.5, 0.5]), atol=1e-14)
-    g1, g2, g3 = 2.0, 3.0, 5.0
-    got = rc_metric(HEIS, Metric.diagonal([g1, g2, g3]))
-    want = np.diag([-g3 / (2 * g2), -g3 / (2 * g1), g3 * g3 / (2 * g1 * g2)])
-    assert np.allclose(got, want, atol=1e-12)
+    # (1, 1, 1e-24) is a valid metric whose Cholesky factor has condition number 1e12; its
+    # Ricci entries are of order 1e-25, which the atol of the first input would pass however
+    # wrong, so it is compared relatively
+    for (g1, g2, g3), tol in (((2.0, 3.0, 5.0), {"atol": 1e-12}),
+                              ((1.0, 1.0, 1e-24), {"rtol": 1e-12, "atol": 0.0})):
+        got = rc_metric(HEIS, Metric.diagonal([g1, g2, g3]))
+        want = np.diag([-g3 / (2 * g2), -g3 / (2 * g1), g3 * g3 / (2 * g1 * g2)])
+        assert np.allclose(got, want, **tol)
 
 
 def test_rc_metric_scale_invariant_in_g(rng):
@@ -92,6 +96,8 @@ def test_rc_metric_agrees_with_riemann_trace_oracle(rng):
 def test_rc_metric_rejects_bad_metric():
     with pytest.raises(ValidationError):
         rc_metric(HEIS, np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(ValidationError, match="^metric dimension 3 does not match bracket dimension 4$"):
+        rc_metric(LieBracket.zero(4), Metric.identity(3))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ from nilflow import (
     IntegratorControls,
     KForm,
     LieBracket,
+    MAX_PROBLEM_DIM,
     Metric,
     NumericalError,
     PhiSpec,
     Trajectory,
     ValidationError,
     blowup_time,
+    builtin_problem,
     ce_differential,
     emit_trajectory_csv,
     gbf_decay_bound_check,
@@ -91,7 +93,7 @@ def test_gbf_rhs_ric_spec_drops_flux_term():
 def _closed_3form(rng, m):
     """A random closed 3-form: a combination of the null space of d (oc.packed_ce)."""
     n3 = math.comb(m.shape[0], 3)
-    d3 = np.column_stack([oc.packed_ce(e, m, 3) for e in np.eye(n3)])
+    d3 = oc.packed_ce(np.eye(n3), m, 3)
     _, s, vt = np.linalg.svd(d3)
     rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
     null = vt[rank:].T  # at n = 3, d3 has no rows and every 3-form is closed
@@ -109,7 +111,7 @@ def _oracle_phi(spec, m, h):
 
 
 def test_gbf_rhs_is_minus_pi_of_phi(rng):
-    for n, spec in itertools.product((3, 4, 5, 6, 7), PhiSpec):
+    for n, spec in itertools.product(range(3, MAX_PROBLEM_DIM + 1), PhiSpec):
         mu = oc.random_nilpotent(rng, n)
         h = _closed_3form(rng, mu.coeffs)
         H = KForm(n, 3, h)
@@ -121,9 +123,11 @@ def test_gbf_rhs_is_minus_pi_of_phi(rng):
 
 
 def test_gbf_rhs_zero_data():
-    dmu, dH = gbf_rhs("ric", LieBracket.zero(3), None)
-    assert np.max(np.abs(dmu)) == 0.0
-    assert dH.norm_inf == 0.0
+    # n = 1 has no bracket entries and no monomials, n = 2 no 3-forms
+    for n, spec in itertools.product((1, 2, 3), PhiSpec):
+        dmu, dH = gbf_rhs(spec, builtin_problem(f"abelian({n})").mu, None)
+        assert dmu.shape == (n, n, n) and np.max(np.abs(dmu)) == 0.0
+        assert dH.norm_inf == 0.0
 
 
 def test_gbf_rhs_bad_spec():
@@ -292,14 +296,27 @@ def test_integrate_gbf_matches_scipy(rng):
 
 
 def test_adaptive_steps_share_their_first_stage(monkeypatch):
-    """An adaptive run evaluates the RHS once, then 6 times per attempted step; a fixed step 4 times."""
+    """An adaptive run evaluates the RHS once, then 6 times per attempted step; a fixed step 4 times.
+
+    A GRF evaluation makes one ric_orthonormal call and a bracket-flow one makes none, so one
+    counter on both ric_orthonormal and the bracket-flow kernel counts each evaluation once.
+    """
     calls = [0]
 
     def counting(m):
         calls[0] += 1
         return ric_orthonormal(m)
 
+    def counting_kernel(spec, n, kernel=flows._gbf_kernel):
+        rhs = kernel(spec, n)
+
+        def counted(y):
+            calls[0] += 1
+            return rhs(y)
+        return counted
+
     monkeypatch.setattr("nilflow.flows.ric_orthonormal", counting)
+    monkeypatch.setattr(flows, "_gbf_kernel", counting_kernel)
     runs = (lambda t, c=None: integrate_grf(HEIS, np.eye(3), _h3_flux(2.0), (0.0, t), c),
             lambda t, c=None: integrate_gbf("ric-h2", HEIS, _h3_flux(2.0), (0.0, t), c))
     for run in runs:
@@ -401,6 +418,15 @@ def test_gbf_decay_bound_holds_on_family():
     for a in (0.0, 0.5, 1.0, 2.0):
         traj = integrate_gbf("ric-h2", HEIS, _h3_flux(a), (0.0, 5.0))
         assert gbf_decay_bound_check(traj, a) is True
+
+
+def test_gbf_heisenberg_family_keeps_its_zero_entries_exactly():
+    """Every bracket entry but mu_12_3 stays exactly 0; gbf_decay_bound_check allows 1e-8."""
+    labels = trajectory_column_labels("gbf", 3)
+    stray = [c for c, label in enumerate(labels) if label.startswith("mu_") and label != "mu_12_3"]
+    for a in (0.0, 0.5, 1.0, 2.0, 4.0):
+        traj = integrate_gbf("ric-h2", HEIS, _h3_flux(a), (0.0, 50.0))
+        assert len(stray) == 8 and np.all(traj.rows[:, stray] == 0.0)
 
 
 def test_gbf_decay_bound_detects_violation():

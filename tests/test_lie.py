@@ -26,7 +26,7 @@ from nilflow import (
     shuffle_sign,
     wedge,
 )
-from nilflow import hodge, lie
+from nilflow import flows, hodge, lie
 
 import oracles as oc
 
@@ -431,9 +431,10 @@ def test_gl_action_rejects_singular():
 
 
 def test_cached_index_tables_are_read_only():
-    # the tables are shared by every later call with the same (n, k)
+    # the tables are shared by every later call with the same (n, k), or (spec, n)
     tables = (*lie._ce_tables(4, 2), lie._index_array(4, 2), *lie._unpack_tables(4, 2),
-              lie._pack_index(4, 2), *hodge._star_tables(4, 2))
+              lie._pack_index(4, 2), *hodge._star_tables(4, 2),
+              *flows._gbf_tables(flows.PhiSpec.RIC_MINUS_QUARTER_HSQ, 4))
     for table in tables:
         assert table.size
         with pytest.raises(ValueError):
