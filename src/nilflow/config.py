@@ -21,7 +21,7 @@ SAFETY                    0.9         step controller: safety factor on ratio^(-
 MIN_SHRINK                0.2         step controller: smallest step factor (and after a failed trial)
 MAX_GROW                  5.0         step controller: largest step factor
 MAX_STEPS                 1_000_000   hard cap on attempted steps (accepted plus rejected)
-STRUCTURE_TOL             1e-7        Jacobi / closedness residual: flow start, GBF steps
+STRUCTURE_TOL             1e-7        Jacobi, closedness (flow start, GBF steps), tr ad (d*)
 DECAY_BOUND_SLACK         1e-9        slack over the decay bound in gbf_decay_bound_check
 DEFAULT_HORIZON           1000.0      clock-time budget of a blowup_time search
 SWEEP_T_LONG              50.0        forward horizon used by the T_min sweep asymptotics

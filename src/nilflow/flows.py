@@ -28,17 +28,17 @@ and a Trajectory keeps each accepted one as it is; _row_state builds typed
 states from rows, for Trajectory.states on first read and for
 BlowupReport.state.  Each flow has one right-hand-side kernel on its row
 that works on plain arrays and builds no Metric, KForm or LieBracket per
-evaluation.  The form calculus is lie's, the packed layout
-(lie._unpack, lie._pack) and d (lie._ce, lie._d_matrix); this
-module keeps no copy.  The bracket flow is a cubic in its "gbf" row
+evaluation.  The form calculus is lie's, the packed layout (lie._unpack,
+lie._pack) and d (lie._ce, lie._d_block), and d* is hodge._codiff; this module
+keeps no copy.  The bracket flow is a cubic in its "gbf" row
 (mu[i, j, :] for i < j, then the packed 3-form), kept by _gbf_tables as two
 monomial tables per (spec, n); each evaluation of _gbf_kernel, by
 integrate_gbf and gbf_rhs, is one gather-multiply-bincount pass over each.
 _grf_kernel reads g off the "grf" row through _grf_metric and is built
-from the bracket alone: the matrices of d on 2- and 3-forms and which d
-terms vanish for the bracket.  Each evaluation takes one Cholesky factor of
+from the bracket alone, which must be unimodular: the blocks of d on 2- and
+3-forms, None where d vanishes.  Each evaluation takes one Cholesky factor of
 g, the orthonormal-frame bracket and its ric_orthonormal (one call), H o H,
-and the Laplacian through the d matrices and lie._unpack/_pack; the frame
+and the Laplacian d d* + d* d through those blocks and _codiff; the frame
 change, the pullback of Rc and H o H are the functions that gl_action,
 rc_metric and h_circ_h call too; integrate_grf, blowup_time and grf_rhs run it.
 Both flows check Jacobi and closedness (by lie._ce) of their initial data in
@@ -75,9 +75,9 @@ from .config import (
 # benchmark's tracer (bench/spans.py) and its tests look them up on this module.
 from .curvature import rc_metric, ric_orthonormal, _h_circ_h, _pull_back  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
-from .hodge import Metric, as_metric, hodge_laplacian  # noqa: F401
+from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
 from .lie import (KForm, LieBracket, index_tuples, jacobi_residual, _as_3form, _as_bracket,
-                  _ce, _d_matrix, _frame_change, _frozen, _index_array, _pack, _unpack)
+                  _ce, _d_block, _frame_change, _frozen, _index_array, _on_slots, _pack, _unpack)
 
 __all__ = [
     "PhiSpec",
@@ -697,28 +697,17 @@ def _grf_kernel(m):
     y holds g = y[_grf_metric(n)], then the packed 3-form h; dy holds (dg, dh)
     alike.  dg is exactly symmetric, so the error ratio over the row is the one
     over the dense (g, h).  Everything that depends on m alone is built here,
-    once: the matrices D2, D3 of d on 2- and 3-forms (lie._d_matrix).  A d
-    term that is identically zero for m is dropped here too.
+    once: the blocks d2, d3 of d on 2- and 3-forms (lie._d_block, which rejects
+    a bracket that is not unimodular), None where d vanishes for m.
 
     Per call: one Cholesky factor g = u^T u (LinAlgError off the domain);
     the orthonormal-frame bracket u.mu (lie._frame_change), whose Ricci form
-    pulled back by u is Rc_g (curvature._pull_back); H o H
-    (curvature._h_circ_h), whose raised H also feeds d d*; and the Laplacian
-    d d* + d* d with d* = C_k(g) D_k^T C_{k+1}(g^-1), the adjoint of d, which
-    is the library's sign * star d star for the unimodular brackets it
-    targets.  A compound C_k(A) acts on a packed form as A on every slot of
-    the dense form.
+    pulled back by u is Rc_g (curvature._pull_back); H o H (curvature._h_circ_h),
+    whose raised H also feeds d d*; and d d* + d* d by hodge._codiff.
     """
     n = m.shape[0]
     metric, split = _grf_metric(n), n * (n + 1) // 2
-    d2, d3 = _d_matrix(m, 2), _d_matrix(m, 3)
-    down, up = np.any(d2), np.any(d3)
-
-    def on_slots(A, x, k):
-        """C_k(A) x: A on each slot of the dense form x, each pass rotating one slot."""
-        for _ in range(k):
-            x = x.reshape(n, -1).T @ A.T
-        return _pack(x.reshape((n,) * k), k)
+    d2, d3 = _d_block(m, 3), _d_block(m, 4)
 
     def rhs(y):
         g, h = y[metric], y[split:]
@@ -730,12 +719,11 @@ def _grf_kernel(m):
         dg = -2.0 * _pull_back(u, ric) + 0.5 * hh
         dg = (dg + dg.T) / 2.0
         lap = np.zeros(h.shape)
-        if up:  # d* d h = C_3(g) D3^T C_4(g_inv) D3 h
-            c4 = on_slots(g_inv, _unpack(d3 @ h, n, 4), 4)
-            lap += on_slots(g, _unpack(d3.T @ c4, n, 3), 3)
-        if down:  # d d* h = D2 C_2(g) D2^T C_3(g_inv) h, with g_inv on the first slot of raised
+        if d3 is not None:  # d* d h
+            lap += _codiff(d3, g, _on_slots(g_inv, d3 @ h, n, 4), n, 4)
+        if d2 is not None:  # d d* h; C_3(g_inv) h is g_inv on the first slot of raised
             c3 = _pack((g_inv @ raised.reshape(n, -1)).reshape(n, n, n), 3)
-            lap += d2 @ on_slots(g, _unpack(d2.T @ c3, n, 2), 2)
+            lap += d2 @ _codiff(d2, g, c3, n, 3)
         return _grf_row(dg, -lap)
 
     return rhs
@@ -747,8 +735,8 @@ def grf_rhs(mu, state):
     Evaluates _grf_kernel, as integrate_grf and blowup_time do, on the state's
     "grf" row: Rc is the Ricci form of the orthonormal-frame bracket pulled
     back by the Cholesky factor of g, and Lap = d d* + d* d with d* the
-    g-adjoint of d (sign * star d star for unimodular brackets).  Orientation
-    plays no part.  mu is a LieBracket or a skew (n, n, n) array.
+    g-adjoint of d.  Orientation plays no part.  mu is a unimodular LieBracket
+    or skew (n, n, n) array (ValidationError otherwise).
     """
     if not isinstance(state, GrfState):
         raise ValidationError("grf_rhs expects a GrfState")

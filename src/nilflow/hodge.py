@@ -3,9 +3,9 @@
 All operations are algebraic: they act on left-invariant forms through the
 structure constants, so "d" below is the Chevalley-Eilenberg differential.
 The star is defined by alpha wedge star(beta) = <alpha, beta>_g vol_g with
-vol_g = orientation * sqrt(det g) e^{1...n}; the codifferential uses the sign
-(-1)^{n(k+1)+1} star d star on k-forms, which is the adjoint of d for the
-unimodular (in particular nilpotent) brackets this library targets.
+vol_g = orientation * sqrt(det g) e^{1...n}.  The codifferential d* is the
+g-adjoint of d, C_{k-1}(g) D^T C_k(g^-1) on packed k-forms (D is d on (k-1)-forms,
+C_k a compound), for unimodular brackets only; the flows' GRF kernel shares _codiff.
 
 The star is a compound matrix of g^-1 followed by a signed permutation of
 packed slots (complement tuples with their shuffle signs); the permutation
@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import METRIC_SYMMETRY_TOL
 from .errors import ValidationError
-from .lie import (KForm, ce_differential, complement, compound_matrix, index_tuples,
-                  shuffle_sign, _frozen, _tuple_rank)
+from .lie import (KForm, bracket_coeffs, ce_differential, complement, compound_matrix,
+                  index_tuples, shuffle_sign, _d_block, _frozen, _on_slots, _tuple_rank)
 
 
 @dataclass(frozen=True)
@@ -163,20 +163,25 @@ def hodge_star(omega, g, orientation=1):
     return KForm(n, n - k, out)
 
 
-def codifferential(omega, mu, g):
-    """Codifferential d* = (-1)^{n(k+1)+1} star d star on k-forms; zero on 0-forms.
+def _codiff(D, g, c, n, k):
+    """d* on k-forms, C_{k-1}(g) D^T c, for D = lie._d_block(m, k) and c = C_k(g^-1) x."""
+    return _on_slots(g, D.T @ c, n, k - 1)
 
-    The two stars cancel the orientation, so the result is orientation-free.
+
+def codifferential(omega, mu, g):
+    """Codifferential d*, the g-adjoint of d; zero on 0-forms and n-forms, orientation-free.
+
+    ValidationError if mu is not unimodular, or mu or g has another dimension than the form.
     """
-    gm = as_metric(g)
+    gm, m = as_metric(g), bracket_coeffs(mu)
     n, k = omega.dim, omega.degree
-    if k == 0:
-        return KForm.zero(n, 0)
-    if k > n:
-        return KForm.zero(n, k - 1)  # the form itself is identically zero
-    sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
-    inner = hodge_star(omega, gm)
-    return sign * hodge_star(ce_differential(inner, mu), gm)
+    if gm.dim != n or m.shape[0] != n:
+        raise ValidationError("form, bracket and metric dimensions differ")
+    D = _d_block(m, k)
+    if D is None:
+        return KForm.zero(n, max(k - 1, 0))
+    c = _on_slots(gm.inverse, omega.coeffs, n, k)
+    return KForm(n, k - 1, _codiff(D, gm.entries, c, n, k))
 
 
 def hodge_laplacian(omega, mu, g):

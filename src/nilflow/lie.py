@@ -17,8 +17,8 @@ tables built once per (n, k) and cached (read-only, shared by every caller).
 _index_array serves compound_matrix; _unpack_tables and _pack_index are the
 packed layout, scattered by _unpack (KForm.unpack) and gathered by _pack
 (KForm.from_dense); _ce_tables is d, gathered by _ce (ce_differential) and
-summed into a matrix by _d_matrix.  The flows reach the layout and d only
-through these functions.
+summed into a matrix by _d_matrix, whose blocks for d* _d_block decides.  The
+flows reach the layout, d and compounds (_on_slots) only through these.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import RANK_TOL_FACTOR, SKEW_TOL
+from .config import RANK_TOL_FACTOR, SKEW_TOL, STRUCTURE_TOL
 from .errors import ValidationError
 
 
@@ -159,6 +159,17 @@ def _pack(t, k):
     """Packed k-form of the dense alternating tensor t; axes after its first k are kept."""
     n = t.shape[0]
     return t.reshape((n ** k,) + t.shape[k:])[_pack_index(n, k)]
+
+
+def _on_slots(A, x, n, k):
+    """C_k(A) x = compound_matrix(A, k) @ x for a packed k-form x (k >= 1): one matmul per slot
+    of the dense form, unless its n^k entries outnumber the compound's C(n, k)^2 a hundredfold."""
+    if n ** k > 100 * math.comb(n, k) ** 2:
+        return compound_matrix(A, k) @ x
+    x = _unpack(x, n, k)
+    for _ in range(k):
+        x = x.reshape(n, -1).T @ A.T
+    return _pack(x.reshape((n,) * k), k)
 
 
 @dataclass(frozen=True)
@@ -473,6 +484,17 @@ def _d_matrix(m, k):
     D = np.zeros((len(I), math.comb(n, k)))
     np.add.at(D, (np.arange(len(I))[:, None, None], src), vals)
     return D
+
+
+def _d_block(m, k):
+    """D, the matrix of d_mu on packed (k-1)-forms that d* on k-forms reads; None where D = 0.
+    d is 0 on 0-forms and +-tr ad on (n-1)-forms (Milnor, Adv. Math. 1976).  d* is the
+    adjoint of d only if tr ad = 0: at any k, ValidationError past STRUCTURE_TOL (1 + |mu|)."""
+    trace = float(np.abs(np.einsum('ijj->i', m)).max())  # |d on (n-1)-forms|
+    if trace > STRUCTURE_TOL * (1.0 + float(np.abs(m).max())):
+        raise ValidationError(f"bracket is not unimodular (|tr ad| = {trace:.3e}); d* needs it")
+    D = _d_matrix(m, k - 1) if 1 < k < m.shape[0] else np.zeros(0)  # d on 0, n - 1, n forms
+    return D if D.any() else None
 
 
 def _ce(m, x, k):

@@ -260,6 +260,13 @@ def test_generalized_ricci_plus_rejects_non_closed():
         generalized_ricci_plus(mu4, Metric.identity(4), H, KForm.zero(4, 1))
 
 
+def test_generalized_ricci_plus_rejects_a_bracket_that_is_not_unimodular(rng):
+    # d*H is the adjoint of d only for a unimodular bracket; e1, e2 -> e2 is not one
+    with pytest.raises(ValidationError, match="not unimodular"):
+        generalized_ricci_plus(oc.bracket_from(oc.AFFINE, 3), Metric(oc.random_spd(rng, 3)),
+                               _h3_flux(1.0), KForm.zero(3, 1))
+
+
 def test_two_form_matrix():
     w = KForm.from_entries(3, 2, [((1, 2), 2.0)])
     m = two_form_matrix(w)

@@ -202,6 +202,30 @@ def test_grf_rhs_flat_and_bare():
     assert np.allclose(dg, np.diag([1.0, 1.0, -1.0]), atol=1e-14)
 
 
+def test_grf_rhs_structural_zero_on_heis3_in_a_random_basis(rng):
+    # d on 2-forms is +-tr ad on R^3, zero for a unimodular bracket, and d on 3-forms has
+    # no target: the Laplacian of H is an exact zero, not the round-off of the basis change
+    for _ in range(5):
+        mu = gl_action(oc.random_basis_change(rng, 3), HEIS)
+        state = GrfState(Metric(oc.random_spd(rng, 3)), KForm(3, 3, rng.standard_normal(1)))
+        _, dH = grf_rhs(mu, state)
+        assert dH.norm_inf == 0.0
+
+
+def test_grf_drivers_reject_a_bracket_that_is_not_unimodular():
+    # e1, e2 -> e2 satisfies Jacobi, but tr ad e1 = 1: the Laplacian's d* is not defined
+    affine, g = oc.bracket_from(oc.AFFINE, 3), Metric.identity(3)
+    with pytest.raises(ValidationError, match="not unimodular"):
+        grf_rhs(affine, GrfState(g, _h3_flux(1.0)))
+    with pytest.raises(ValidationError, match="not unimodular"):
+        integrate_grf(affine, g, _h3_flux(1.0), (0.0, 0.1))
+    with pytest.raises(ValidationError, match="not unimodular"):
+        blowup_time(affine, g, _h3_flux(1.0), horizon=0.1)
+    sl2 = oc.bracket_from(oc.SL2, 3)  # unimodular, not nilpotent: accepted
+    grf_rhs(sl2, GrfState(g, _h3_flux(1.0)))
+    assert integrate_grf(sl2, g, _h3_flux(1.0), (0.0, 0.1)).times[-1] == 0.1
+
+
 def test_grf_rhs_validation():
     with pytest.raises(ValidationError):
         grf_rhs(HEIS, (Metric.identity(3), KForm.zero(3, 3)))

@@ -20,6 +20,8 @@ from nilflow import (
 import oracles as oc
 
 HEIS = oc.bracket_from(oc.HEIS3, 3)
+# e1, e2 -> e2: a Lie bracket with tr ad e1 = 1, so not unimodular
+AFFINE = oc.bracket_from(oc.AFFINE, 3)
 
 
 def _basis_form(n, idx):
@@ -208,23 +210,50 @@ def test_codifferential_degree_edges():
 
 
 def test_codifferential_orientation_free(rng):
-    n = 4
-    mu = oc.random_nilpotent(rng, n)
-    g = Metric(oc.random_spd(rng, n))
-    for k in (1, 2, 3, 4):
-        w = KForm(n, k, oc.random_form_coeffs(rng, n, k))
-        sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
-        inner = hodge_star(w, g, -1)
-        minus = sign * hodge_star(ce_differential(inner, mu), g, -1)
-        assert codifferential(w, mu, g).allclose(minus, tol=1e-12)
+    # sign * star d star with the opposite orientation shares no code path with the
+    # adjoint form C_{k-1}(g) D^T C_k(g^-1) that codifferential computes
+    brackets = [oc.random_nilpotent(rng, n) for n in (4, 3, 5, 6, 7)]
+    for mu in brackets + [oc.bracket_from(oc.SL2, 3)]:  # sl2: unimodular, not nilpotent
+        n = mu.dim
+        g = Metric(oc.random_spd(rng, n))
+        for k in range(1, n + 1):
+            w = KForm(n, k, oc.random_form_coeffs(rng, n, k))
+            sign = -1.0 if (n * (k + 1) + 1) % 2 else 1.0
+            inner = hodge_star(w, g, -1)
+            minus = sign * hodge_star(ce_differential(inner, mu), g, -1)
+            assert codifferential(w, mu, g).allclose(minus, tol=1e-12 * w.norm_inf), (n, k)
 
 
 def test_codifferential_null_on_top_forms_dim3(rng):
-    for _ in range(5):
-        mu = oc.random_nilpotent(rng, 3)
-        g = Metric(oc.random_spd(rng, 3))
-        w = KForm(3, 3, rng.standard_normal(1))
+    # d on (n-1)-forms is +-tr ad, zero for a unimodular bracket: d* of a top form is
+    # an exact zero, not round-off, in dimension 3 and in dimensions 4..7 too
+    for n in (3, 3, 3, 3, 3, 4, 5, 6, 7):
+        mu = oc.random_nilpotent(rng, n)
+        g = Metric(oc.random_spd(rng, n))
+        w = KForm(n, n, rng.standard_normal(1))
         assert codifferential(w, mu, g).norm_inf == 0.0
+
+
+def test_codifferential_and_laplacian_reject_a_bracket_that_is_not_unimodular(rng):
+    g = Metric(oc.random_spd(rng, 3))
+    for k in range(0, 4):
+        w = KForm(3, k, oc.random_form_coeffs(rng, 3, k))
+        with pytest.raises(ValidationError, match="not unimodular"):
+            codifferential(w, AFFINE, g)
+        with pytest.raises(ValidationError, match="not unimodular"):
+            hodge_laplacian(w, AFFINE, g)
+
+
+def test_codifferential_and_laplacian_reject_mismatched_dimensions(rng):
+    mu4, g4 = oc.random_nilpotent(rng, 4), Metric(oc.random_spd(rng, 4))
+    g3 = Metric(oc.random_spd(rng, 3))
+    for k in range(0, 4):
+        w = KForm(3, k, oc.random_form_coeffs(rng, 3, k))
+        for mu, g in ((mu4, g3), (HEIS, g4)):
+            with pytest.raises(ValidationError):
+                codifferential(w, mu, g)
+            with pytest.raises(ValidationError):
+                hodge_laplacian(w, mu, g)
 
 
 def test_adjointness_on_nilpotent_brackets(rng):

@@ -356,6 +356,15 @@ def test_cli_grf_rejects_a_bracket_that_violates_jacobi(tmp_path, capsys):
     assert "initial bracket violates Jacobi" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_bracket_that_is_not_unimodular(tmp_path, capsys):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"dim": 3, "mu": [[1, 2, 2, 1.0]], "H": [[1, 2, 3, 1.0]]}))
+    for argv in (["grf", "--input", str(path), "--t-end", "0.1"],
+                 ["soliton-fit", "--input", str(path)]):
+        assert main(argv) == 2
+        assert "not unimodular" in capsys.readouterr().err
+
+
 def test_cli_tmin_sweep(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     code = main(["tmin-sweep", "--a-values", "0,1", "--t-long", "1",

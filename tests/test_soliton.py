@@ -247,6 +247,16 @@ def test_soliton_fit_equivariant_under_orthogonal_change(rng):
     assert skew <= 1e-9
 
 
+def test_soliton_fit_and_residual_reject_a_bracket_that_is_not_unimodular():
+    # the skew target holds d*H, the adjoint of d only for a unimodular bracket
+    affine, g = oc.bracket_from(oc.AFFINE, 3), Metric.identity(3)
+    with pytest.raises(ValidationError, match="not unimodular"):
+        soliton_fit(affine, g, _h3_flux(1.0), _theta(0.5))
+    with pytest.raises(ValidationError, match="not unimodular"):
+        soliton_residual(affine, g, _h3_flux(1.0), _theta(0.5), 0.0, np.zeros((3, 3)),
+                         KForm.zero(3, 2))
+
+
 def test_soliton_fit_rejects_non_closed():
     mu4 = LieBracket.from_entries(4, [(1, 2, 2, 1.0)])
     with pytest.raises(ValidationError):

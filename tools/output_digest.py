@@ -18,6 +18,9 @@ last line produced bitwise-equal outputs on these runs:
     forward and backward (or the text of its NumericalError) and
     ``blowup_time``;
   - every survey result (all seven diagnostics) for seeds 1..8, 3 passes each;
+  - ``codifferential`` and ``hodge_laplacian`` of a seeded form of every
+    degree 0..n on a random nilpotent bracket with a random metric, n = 3..7,
+    so that a change to d* shows up under its own name;
   - ``nilflow.cli.main`` on each command line of README.md's CLI block and
     on CLI_EXIT_2, run in a fresh directory with relative output names: the
     exit code, the stdout and the bytes of each file the command wrote
@@ -141,6 +144,20 @@ def _survey(nf, workloads, outdir):
             for op in workloads.WORKLOADS["survey"].make_pass(seed, p, outdir)]
 
 
+def _hodge(nf, workloads, outdir):
+    import oracles
+
+    rng = np.random.default_rng(20260818)
+    out = []
+    for n in range(3, 8):
+        mu = oracles.random_nilpotent(rng, n)
+        g = oracles.random_spd(rng, n)
+        for k in range(n + 1):
+            w = nf.KForm(n, k, oracles.random_form_coeffs(rng, n, k))
+            out.append((nf.codifferential(w, mu, g), nf.hodge_laplacian(w, mu, g)))
+    return out
+
+
 # command lines that exit 2, each on a flag the CLI or the library rejects
 CLI_EXIT_2 = [
     ["fly", "--input", "heisenberg3"],
@@ -211,7 +228,8 @@ def _cli(nf, workloads, outdir):
 
 SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
             ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
-            ("random brackets", _random), ("survey", _survey), ("cli", _cli))
+            ("random brackets", _random), ("survey", _survey), ("hodge", _hodge),
+            ("cli", _cli))
 
 
 def main(argv):
