@@ -4,11 +4,11 @@ Conventions, all in a fixed basis with bracket coefficients mu[i, j, k]:
 
   - ric_orthonormal is the Ricci form of a nilpotent bracket seen through the
     identity metric: Ric_ij = -1/2 mu_{ikl} mu_{jkl} + 1/4 mu_{kli} mu_{klj}.
-  - rc_metric transports a general metric to an orthonormal frame with the
-    Cholesky factor of g and pulls the result back, so it agrees with the
-    Koszul/curvature-tensor computation without ever forming Christoffels.
-    rc_metric and h_circ_h share the arithmetic of the generalized Ricci flow's
-    kernel (flows._grf_kernel): lie._frame_change, _pull_back and _h_circ_h.
+  - rc_metric moves mu to an orthonormal frame of g = L L^T by K = L^-1 (x) L^-1
+    on its inputs and pulls the result back, so it agrees with the Koszul/curvature
+    computation without Christoffels; h_circ_h is P P^T for P = H K^T, exactly
+    symmetric.  Both share the GRF kernel's arithmetic (flows._grf_kernel):
+    lie._two_slots, lie._frame_change, _pull_back and _h_circ_h.
   - The Bismut connection is nabla^g + 1/2 g^{-1} H, with H a 3-form; its
     action on a 1-form theta is returned as the full (non-symmetric) matrix
     (nabla theta)_ij = (nabla_{e_i} theta)(e_j).
@@ -25,7 +25,7 @@ from .config import DEFAULT_TOL
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
 from .lie import (KForm, bracket_coeffs, ce_differential, form_dense, _as_3form, _as_bracket,
-                  _frame_change)
+                  _frame_change, _two_slots)
 
 __all__ = [
     "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
@@ -52,11 +52,11 @@ def two_form_matrix(omega):
 
 
 def ric_orthonormal(mu):
-    """Ricci form of the metric Lie algebra (mu, identity metric)."""
+    """Ricci form of (mu, identity metric), exactly symmetric: -1/2 A A^T + 1/4 B^T B
+    for mu as the (n, n^2) matrix A and as the (n^2, n) matrix B."""
     m = bracket_coeffs(mu)
-    a = np.einsum('ikl,jkl->ij', m, m)
-    b = np.einsum('kli,klj->ij', m, m)
-    return -0.5 * a + 0.25 * b
+    a, b = m.reshape(len(m), -1), m.reshape(-1, len(m))
+    return -0.5 * (a @ a.T) + 0.25 * (b.T @ b)
 
 
 def rc_metric(mu, g):
@@ -71,7 +71,8 @@ def rc_metric(mu, g):
         raise ValidationError(
             f"metric dimension {gm.dim} does not match bracket dimension {m.shape[0]}")
     h = gm.chol_upper  # triangular with a positive diagonal: invertible, whatever its condition
-    return symmetric_part(_pull_back(h, ric_orthonormal(_frame_change(h, np.linalg.inv(h), m))))
+    K = _two_slots(np.linalg.inv(h.T))
+    return symmetric_part(_pull_back(h, ric_orthonormal(_frame_change(K, h, m))))
 
 
 def _pull_back(u, form):
@@ -80,20 +81,19 @@ def _pull_back(u, form):
 
 
 def h_circ_h(H, g):
-    """Symmetric form (H.H)_ij = g^{rl} g^{st} H_{irs} H_{jlt}; PSD for any H.
-
-    H is a KForm, a packed coefficient vector or a dense alternating tensor.
+    """Symmetric form (H.H)_ij = g^{rl} g^{st} H_{irs} H_{jlt}, as P P^T (_h_circ_h): exactly
+    symmetric and PSD.  H is a KForm, a packed coefficient vector or a dense alternating tensor.
     """
     gm = as_metric(g)
-    hh, _ = _h_circ_h(_as_3form(H, gm.dim).unpack(), gm.inverse)
-    return symmetric_part(hh)
+    hh, _ = _h_circ_h(_as_3form(H, gm.dim).unpack(), _two_slots(np.linalg.inv(gm.chol_upper.T)))
+    return hh
 
 
-def _h_circ_h(hd, g_inv):
-    """Unsymmetrized H o H of a dense 3-form hd, and hd with g_inv on its last two slots."""
-    n = hd.shape[0]
-    raised = g_inv @ hd @ g_inv
-    return raised.reshape(n, -1) @ hd.reshape(n, -1).T, raised
+def _h_circ_h(hd, K):
+    """(H o H, P) for a dense 3-form hd: P = hd K^T as (n, n^2) matrices, and H o H = P P^T.
+    K = lie._two_slots(L^-1) for g = L L^T puts P in an orthonormal frame on hd's last two slots."""
+    P = hd.reshape(len(hd), -1) @ K.T
+    return P @ P.T, P
 
 
 def h_squared_neutral(H):

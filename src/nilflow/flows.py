@@ -29,20 +29,22 @@ states from rows, for Trajectory.states on first read and for
 BlowupReport.state.  Each flow has one right-hand-side kernel on its row
 that works on plain arrays and builds no Metric, KForm or LieBracket per
 evaluation.  The form calculus is lie's, the packed layout (lie._unpack,
-lie._pack) and d (lie._ce, lie._d_block), and d* is hodge._codiff; this module
-keeps no copy.  The bracket flow is a cubic in its "gbf" row
-(mu[i, j, :] for i < j, then the packed 3-form), kept by _gbf_tables as two
-monomial tables per (spec, n); each evaluation of _gbf_kernel, by
-integrate_gbf and gbf_rhs, is one gather-multiply-bincount pass over each.
-_grf_kernel reads g off the "grf" row through _grf_metric and is built
-from the bracket alone, which must be unimodular: the blocks of d on 2- and
-3-forms, None where d vanishes.  Each evaluation takes one Cholesky factor of
-g, the orthonormal-frame bracket and its ric_orthonormal (one call), H o H,
-and the Laplacian d d* + d* d through those blocks and _codiff; the frame
-change, the pullback of Rc and H o H are the functions that gl_action,
-rc_metric and h_circ_h call too; integrate_grf, blowup_time and grf_rhs run it.
-Both flows check Jacobi and closedness (by lie._ce) of their initial data in
-_check_structure; the bracket flow checks both again on every accepted row.
+lie._pack) and d (lie._d_block), and d* is hodge._codiff; this module keeps
+no copy.  The bracket flow is a cubic in its "gbf" row (mu[i, j, :] for
+i < j, then the packed 3-form), kept by _gbf_tables as two monomial tables
+per (spec, n); each evaluation of _gbf_kernel, by integrate_gbf and gbf_rhs,
+is one gather-multiply-bincount pass over each.  Its Jacobi and closedness
+residuals are quadratic in the row: one more table (_gate_table) and pass,
+which checks the initial data of both flows (_check_structure) and every
+accepted row of the bracket flow.  _grf_kernel reads g off the "grf" row
+through _grf_metric and is built from the bracket alone, which must be
+unimodular: the blocks of d on 2- and 3-forms, None where d vanishes.  Each
+evaluation takes one Cholesky factor g = L L^T and K = L^-1 (x) L^-1, which
+serves the orthonormal-frame bracket and its ric_orthonormal (one call),
+H o H = P P^T and d d*; dg's upper triangle is gathered into the row, and
+the Laplacian is formed only where a block is not None.  The frame change,
+the pullback of Rc and H o H are what gl_action, rc_metric and h_circ_h call
+too; integrate_grf, blowup_time and grf_rhs run the kernel.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ from .config import (
 from .curvature import rc_metric, ric_orthonormal, _h_circ_h, _pull_back  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
-from .lie import (KForm, LieBracket, index_tuples, jacobi_residual, _as_3form, _as_bracket,
-                  _ce, _d_block, _frame_change, _frozen, _index_array, _on_slots, _pack, _unpack)
+from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _d_block,
+                  _frame_change, _frozen, _index_array, _on_slots, _pack, _two_slots, _unpack)
 
 __all__ = [
     "PhiSpec",
@@ -527,9 +529,21 @@ def _monomials(families):
     keys = np.concatenate([np.stack(family[:-1]) for family in families], axis=1)
     coeffs = np.concatenate([family[-1] for family in families])
     keys, coeffs = keys[:, coeffs != 0.0], coeffs[coeffs != 0.0]
-    keys, inverse = np.unique(keys, axis=1, return_inverse=True)
-    coeffs = np.bincount(inverse.ravel(), coeffs, minlength=keys.shape[1])
+    # one integer per row, ordered as the rows sort: np.unique on it beats np.unique(axis=1)
+    code = np.ravel_multi_index(keys, keys.max(axis=1, initial=0) + 1)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    keys, coeffs = keys[:, first], np.bincount(inverse, coeffs, minlength=first.size)
     return _frozen(*keys[:, coeffs != 0.0], coeffs[coeffs != 0.0])
+
+
+def _row_slots(n):
+    """(slot, sign), each (2, n, n, n): the dense entry [s][i, j, k] of mu (s = 0) and of H
+    (s = 1) is sign * y[slot] on the "gbf" row y, sign 0 where an index repeats.  Read off
+    the dense tensors of the row y = 1, 2, 3, ..., which hold sign * (slot + 1)."""
+    split = math.comb(n, 2) * n
+    code = np.arange(1.0, split + math.comb(n, 3) + 1)
+    code = np.array([_dense_bracket(code[:split], n), _unpack(code[split:], n, 3)])
+    return np.abs(code).astype(np.intp) - 1, np.sign(code)
 
 
 @lru_cache(maxsize=None)
@@ -543,12 +557,7 @@ def _gbf_tables(spec, n):
     y[G[r]] to dy[O[r]], for dy = -pi(phi) on (mu, H): phi on the first two
     slots of both, -phi on mu's third slot and phi on H's.
     """
-    split = math.comb(n, 2) * n
-    # each dense entry of mu (s = 0) and H (s = 1) is sign * y[slot], sign 0 where an
-    # index repeats: the dense tensors of the row y = 1, 2, 3, ... hold sign * (slot + 1)
-    code = np.arange(1.0, split + math.comb(n, 3) + 1)
-    code = np.array([_dense_bracket(code[:split], n), _unpack(code[split:], n, 3)])
-    slot, sign = np.abs(code).astype(np.intp) - 1, np.sign(code)
+    slot, sign = _row_slots(n)
     i, j, k, l = np.indices((n,) * 4).reshape(4, -1)
     phi_terms = [(0, (i, k, l), (j, k, l), -0.5), (0, (k, l, i), (k, l, j), 0.25)]
     if spec is PhiSpec.RIC_MINUS_QUARTER_HSQ:
@@ -583,15 +592,50 @@ def _gbf_kernel(spec, n):
     return rhs
 
 
-def _check_structure(m, h):
-    """Reject an initial bracket m that violates Jacobi, or a packed 3-form h not closed for it."""
-    res = jacobi_residual(m)
-    if res > STRUCTURE_TOL:
-        raise ValidationError(f"initial bracket violates Jacobi (residual {res:.3e})")
-    res = float(np.abs(_ce(m, h, 3)).max(initial=0.0))
-    if res > STRUCTURE_TOL:
+@lru_cache(maxsize=None)
+def _gate_table(n):
+    """The Jacobi and closedness residuals of the "gbf" row y on R^n as one monomial table.
+
+    (K, A, B, C): row r adds C[r] * y[A[r]] * y[B[r]] to out[K[r]].  out[t * n + l] is the
+    e_l part of the Jacobiator on the t-th increasing triple (i, j, k), mu_ijs mu_skl +
+    mu_jks mu_sil + mu_kis mu_sjl; out[C(n, 3) n + q] is d_mu H on the q-th increasing 4-tuple.
+    """
+    slot, sign = _row_slots(n)
+
+    def monomial(key, x, z, c):  # c * (dense entry x) * (dense entry z); x, z = (s, index)
+        a, b = slot[x[0]][x[1]], slot[z[0]][z[1]]
+        return key, np.minimum(a, b), np.maximum(a, b), c * sign[x[0]][x[1]] * sign[z[0]][z[1]]
+
+    t, l, s = np.indices((math.comb(n, 3), n, n)).reshape(3, -1)
+    i, j, k = _index_array(n, 3)[t].T
+    jacobi = [monomial(t * n + l, (0, x), (0, z), 1.0) for x, z in (
+        ((i, j, s), (s, k, l)), ((j, k, s), (s, i, l)), ((k, i, s), (s, j, l)))]
+    q, s = np.indices((math.comb(n, 4), n)).reshape(2, -1)
+    i, j, k, l = _index_array(n, 4)[q].T
+    closed = [monomial(math.comb(n, 3) * n + q, (0, x), (1, z), c) for x, z, c in (  # dH(e_ijkl)
+        ((i, j, s), (s, k, l), -1.0), ((i, k, s), (s, j, l), 1.0), ((i, l, s), (s, j, k), -1.0),
+        ((j, k, s), (s, i, l), -1.0), ((j, l, s), (s, i, k), 1.0), ((k, l, s), (s, i, j), -1.0))]
+    return _monomials(jacobi + closed)
+
+
+def _structure_residuals(y, n):
+    """(Jacobi residual, closedness residual) of the "gbf" row y on R^n: the max |.| over the
+    Jacobiator on increasing triples and over d_mu H, by one pass over _gate_table(n)."""
+    K, A, B, C = _gate_table(n)
+    cut = math.comb(n, 3) * n
+    res = np.abs(np.bincount(K, C * y[A] * y[B], minlength=cut + math.comb(n, 4)))
+    return float(res[:cut].max(initial=0.0)), float(res[cut:].max(initial=0.0))
+
+
+def _check_structure(y, n):
+    """Reject initial data, as the "gbf" row y on R^n, whose bracket violates Jacobi or whose
+    3-form is not closed for it."""
+    jacobi, closed = _structure_residuals(y, n)
+    if jacobi > STRUCTURE_TOL:
+        raise ValidationError(f"initial bracket violates Jacobi (residual {jacobi:.3e})")
+    if closed > STRUCTURE_TOL:
         raise ValidationError(
-            f"initial 3-form is not closed for the bracket (residual {res:.3e})")
+            f"initial 3-form is not closed for the bracket (residual {closed:.3e})")
 
 
 def _flux(H, n):
@@ -622,35 +666,29 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
 
     The initial bracket must satisfy Jacobi and H0 must be closed for it;
     both residuals are re-checked at every accepted step (NumericalError if
-    integration drift ever pushes them past STRUCTURE_TOL), both on the
-    dense bracket of the packed state.  The run
-    evaluates _gbf_kernel, built once, on the packed state: 1 right-hand-side
-    evaluation plus 6 per attempted step (see the module docstring).  Each
-    accepted packed state is kept as it is, as the trajectory row.
+    integration drift ever pushes them past STRUCTURE_TOL), by one pass over
+    the gate table (_gate_table) on the packed state.  The run evaluates
+    _gbf_kernel, built once, on the packed state: 1 right-hand-side evaluation
+    plus 6 per attempted step (see the module docstring).  Each accepted
+    packed state is kept as it is, as the trajectory row.
     """
     spec = _as_phi(spec)
     controls = controls if controls is not None else IntegratorControls()
     m0 = _as_bracket(mu0).coeffs
     n = m0.shape[0]
-    h0 = _flux(H0, n).coeffs
-    _check_structure(m0, h0)
-    y0 = np.concatenate([_packed_bracket(m0), h0])
+    y0 = np.concatenate([_packed_bracket(m0), _flux(H0, n).coeffs])
+    _check_structure(y0, n)
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-    split = math.comb(n, 2) * n
     times, rows = [], []
 
     def on_accept(t, y):
-        m = _dense_bracket(y[:split], n)
-        res = jacobi_residual(m)
-        if res > STRUCTURE_TOL:
+        jacobi, closed = _structure_residuals(y, n)
+        if jacobi > STRUCTURE_TOL:
             raise NumericalError(
-                f"Jacobi residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
-                f"at t={t:.9g}")
-        res = float(np.abs(_ce(m, y[split:], 3)).max(initial=0.0))
-        if res > STRUCTURE_TOL:
+                f"Jacobi residual {jacobi:.3e} exceeded {STRUCTURE_TOL:.1e} at t={t:.9g}")
+        if closed > STRUCTURE_TOL:
             raise NumericalError(
-                f"closedness residual {res:.3e} exceeded {STRUCTURE_TOL:.1e} "
-                f"at t={t:.9g}")
+                f"closedness residual {closed:.3e} exceeded {STRUCTURE_TOL:.1e} at t={t:.9g}")
         times.append(t)
         rows.append(y)
 
@@ -695,36 +733,40 @@ def _grf_kernel(m):
     """The flow's right-hand side for the bracket m, as rhs(y) -> dy on the "grf" row.
 
     y holds g = y[_grf_metric(n)], then the packed 3-form h; dy holds (dg, dh)
-    alike.  dg is exactly symmetric, so the error ratio over the row is the one
-    over the dense (g, h).  Everything that depends on m alone is built here,
-    once: the blocks d2, d3 of d on 2- and 3-forms (lie._d_block, which rejects
-    a bracket that is not unimodular), None where d vanishes for m.
-
-    Per call: one Cholesky factor g = u^T u (LinAlgError off the domain);
-    the orthonormal-frame bracket u.mu (lie._frame_change), whose Ricci form
-    pulled back by u is Rc_g (curvature._pull_back); H o H (curvature._h_circ_h),
-    whose raised H also feeds d d*; and d d* + d* d by hodge._codiff.
+    alike, dg as one gather of its upper triangle.  Built once from m: that
+    gather and the blocks d2, d3 of d on 2- and 3-forms (lie._d_block, which
+    rejects a bracket that is not unimodular), None where d vanishes for m.
+    Per call: g = L L^T (LinAlgError off the domain) and K = L^-1 (x) L^-1
+    (lie._two_slots).  K takes mu to an orthonormal frame (lie._frame_change),
+    whose Ricci form pulled back by L^T is Rc_g; gives H o H = P P^T for P = H K^T
+    (curvature._h_circ_h); and, where d2 is not None, C_3(g^-1) h, which is g^-1
+    on the first slot of P K, for Lap = d d* + d* d (hodge._codiff).  Where d2
+    and d3 are both None, dh = 0 and no Laplacian is formed.
     """
     n = m.shape[0]
     metric, split = _grf_metric(n), n * (n + 1) // 2
+    upper = np.unique(metric, return_index=True)[1]  # flat (i, j), i <= j, in row order
     d2, d3 = _d_block(m, 3), _d_block(m, 4)
+    harmonic = d2 is None and d3 is None  # Lap = 0 on every 3-form
+    zero = np.zeros(math.comb(n, 3))
 
     def rhs(y):
         g, h = y[metric], y[split:]
-        u = np.linalg.cholesky(g).T
-        u_inv = np.linalg.inv(u)
-        g_inv = u_inv @ u_inv.T
-        ric = ric_orthonormal(_frame_change(u, u_inv, m))
-        hh, raised = _h_circ_h(_unpack(h, n, 3), g_inv)
-        dg = -2.0 * _pull_back(u, ric) + 0.5 * hh
-        dg = (dg + dg.T) / 2.0
+        L = np.linalg.cholesky(g)
+        L_inv = np.linalg.inv(L)
+        K = _two_slots(L_inv)
+        hh, P = _h_circ_h(_unpack(h, n, 3), K)
+        dg = 0.5 * hh - 2.0 * _pull_back(L.T, ric_orthonormal(_frame_change(K, L.T, m)))
+        if harmonic:
+            return np.concatenate((dg.ravel()[upper], zero))
+        g_inv = L_inv.T @ L_inv
         lap = np.zeros(h.shape)
         if d3 is not None:  # d* d h
             lap += _codiff(d3, g, _on_slots(g_inv, d3 @ h, n, 4), n, 4)
-        if d2 is not None:  # d d* h; C_3(g_inv) h is g_inv on the first slot of raised
-            c3 = _pack((g_inv @ raised.reshape(n, -1)).reshape(n, n, n), 3)
+        if d2 is not None:  # d d* h
+            c3 = _pack((g_inv @ (P @ K)).reshape(n, n, n), 3)
             lap += d2 @ _codiff(d2, g, c3, n, 3)
-        return _grf_row(dg, -lap)
+        return np.concatenate((dg.ravel()[upper], -lap))
 
     return rhs
 
@@ -733,10 +775,10 @@ def grf_rhs(mu, state):
     """Time derivative (dg, dH) of the flow dg = -2 Rc + (1/2) H o H, dH = -Lap H.
 
     Evaluates _grf_kernel, as integrate_grf and blowup_time do, on the state's
-    "grf" row: Rc is the Ricci form of the orthonormal-frame bracket pulled
-    back by the Cholesky factor of g, and Lap = d d* + d* d with d* the
-    g-adjoint of d.  Orientation plays no part.  mu is a unimodular LieBracket
-    or skew (n, n, n) array (ValidationError otherwise).
+    "grf" row.  With g = L L^T and K = L^-1 (x) L^-1, Rc is the Ricci form of the
+    orthonormal-frame bracket (K on its inputs, L^T on its output) pulled back by L^T,
+    H o H = P P^T for P = H K^T, and Lap = d d* + d* d with d* the g-adjoint of d; dg is
+    exactly symmetric.  mu is a unimodular LieBracket or skew (n, n, n) array, else ValidationError.
     """
     if not isinstance(state, GrfState):
         raise ValidationError("grf_rhs expects a GrfState")
@@ -768,7 +810,7 @@ def _grf_setup(mu, g0, H0, direction):
         raise ValidationError(
             f"metric dimension {met0.dim} does not match bracket dimension {n}")
     h0 = _flux(H0, n).coeffs
-    _check_structure(m, h0)
+    _check_structure(np.concatenate([_packed_bracket(m), h0]), n)
     rhs = _grf_kernel(m)
 
     def in_domain(y):

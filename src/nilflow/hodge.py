@@ -7,9 +7,9 @@ vol_g = orientation * sqrt(det g) e^{1...n}.  The codifferential d* is the
 g-adjoint of d, C_{k-1}(g) D^T C_k(g^-1) on packed k-forms (D is d on (k-1)-forms,
 C_k a compound), for unimodular brackets only; the flows' GRF kernel shares _codiff.
 
-The star is a compound matrix of g^-1 followed by a signed permutation of
-packed slots (complement tuples with their shuffle signs); the permutation
-depends only on (n, k) and is built once per (n, k) and cached read-only.
+The star is C_k(g^-1) (lie._on_slots, as in form_inner) followed by a signed
+permutation of packed slots (complement tuples with their shuffle signs),
+built once per (n, k) and cached read-only.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import METRIC_SYMMETRY_TOL
 from .errors import ValidationError
-from .lie import (KForm, bracket_coeffs, ce_differential, complement, compound_matrix,
-                  index_tuples, shuffle_sign, _d_block, _frozen, _on_slots, _tuple_rank)
+from .lie import (KForm, bracket_coeffs, ce_differential, complement, index_tuples,
+                  shuffle_sign, _d_block, _frozen, _on_slots, _tuple_rank)
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,7 @@ def form_inner(alpha, beta, g):
     gm = as_metric(g)
     if gm.dim != alpha.dim:
         raise ValidationError("metric dimension does not match the forms")
-    comp = compound_matrix(gm.inverse, alpha.degree)
-    return float(alpha.coeffs @ comp @ beta.coeffs)
+    return float(alpha.coeffs @ _on_slots(gm.inverse, beta.coeffs, gm.dim, alpha.degree))
 
 
 def vol_form(g, orientation=1):
@@ -155,8 +154,7 @@ def hodge_star(omega, g, orientation=1):
         raise ValidationError("metric dimension does not match the form")
     if k > n:
         raise ValidationError(f"cannot star a degree-{k} form on R^{n}")
-    comp = compound_matrix(gm.inverse, k)
-    inner = comp @ omega.coeffs  # <e^I, omega>_g over increasing I
+    inner = _on_slots(gm.inverse, omega.coeffs, n, k)  # <e^I, omega>_g over increasing I
     dest, sign = _star_tables(n, k)
     out = np.zeros(math.comb(n, n - k))
     out[dest] = sign * (orientation * gm.sqrt_det) * inner

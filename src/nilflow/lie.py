@@ -162,9 +162,9 @@ def _pack(t, k):
 
 
 def _on_slots(A, x, n, k):
-    """C_k(A) x = compound_matrix(A, k) @ x for a packed k-form x (k >= 1): one matmul per slot
-    of the dense form, unless its n^k entries outnumber the compound's C(n, k)^2 a hundredfold."""
-    if n ** k > 100 * math.comb(n, k) ** 2:
+    """C_k(A) x = compound_matrix(A, k) @ x for a packed k-form x: one matmul per slot of the
+    dense form, unless k = 0 or its n^k entries outnumber the compound's C(n, k)^2 a hundredfold."""
+    if k == 0 or n ** k > 100 * math.comb(n, k) ** 2:
         return compound_matrix(A, k) @ x
     x = _unpack(x, n, k)
     for _ in range(k):
@@ -568,14 +568,19 @@ def _checked_inverse(A, n):
     return A, np.linalg.inv(A)
 
 
-def _frame_change(A, A_inv, m):
-    """A.m as a plain array, for a skew (n, n, n) array m and A_inv = A^-1.
+def _two_slots(B):
+    """B (x) B as an (n^2, n^2) matrix: row (a, b), column (i, j) holds B[a, i] B[b, j]."""
+    return (B[:, None, :, None] * B[:, None, :]).reshape(B.size, B.size)
 
-    A_inv on both inputs and A on the output by three matmuls, then the
-    exact skew part.  gl_action and the generalized Ricci flow's kernel share it.
+
+def _frame_change(K, A, m):
+    """A.m as a plain array, for a skew (n, n, n) array m and K = _two_slots(A^-T).
+
+    K on both input slots and A on the output by two matmuls, then the exact
+    skew part.  gl_action, rc_metric and the generalized Ricci flow's kernel share it.
     """
     n = m.shape[0]
-    b = (A_inv.T @ (A_inv.T @ (m @ A.T)).reshape(n, -1)).reshape(n, n, n)
+    b = ((K @ m.reshape(n * n, n)) @ A.T).reshape(n, n, n)
     return (b - b.swapaxes(0, 1)) / 2.0
 
 
@@ -583,14 +588,14 @@ def gl_action(A, mu):
     """Basis change on brackets: (A.mu)(X, Y) = A mu(A^-1 X, A^-1 Y)."""
     m = _as_bracket(mu).coeffs
     A, Ainv = _checked_inverse(A, m.shape[0])
-    return LieBracket(_frame_change(A, Ainv, m))
+    return LieBracket(_frame_change(_two_slots(Ainv.T), A, m))
 
 
 def gl_action_form(A, omega):
     """Basis change on forms: (A.w)(X_1, ..., X_k) = w(A^-1 X_1, ..., A^-1 X_k)."""
     _, Ainv = _checked_inverse(A, omega.dim)
-    comp = compound_matrix(Ainv, omega.degree)
-    return KForm(omega.dim, omega.degree, comp.T @ omega.coeffs)
+    # C_k(A^-1)^T = C_k(A^-T)
+    return KForm(omega.dim, omega.degree, _on_slots(Ainv.T, omega.coeffs, omega.dim, omega.degree))
 
 
 def pi_mu(phi, mu):

@@ -171,6 +171,8 @@ def _oracle_grf_rhs(m, G, Hd):
 
     def codiff(w):
         k = w.ndim
+        if k > n:  # d of an n-form: the zero (n + 1)-form, whose d* is zero
+            return np.zeros((n,) * (k - 1))
         sign = (-1.0) ** (n * (k + 1) + 1)
         # the star of a top-degree form is a 0-form, whose d vanishes
         inner = oc.dense_star(w, G)
@@ -192,6 +194,25 @@ def test_grf_rhs_matches_oracle_where_the_laplacian_is_not_zero(rng):
             assert np.max(np.abs(want_dh)) > 1e-2  # the Laplacian term is exercised
             assert np.max(np.abs(dg - want_dg)) <= 1e-12 * np.max(np.abs(want_dg))
             assert np.max(np.abs(dH.coeffs - want_dh)) <= 1e-12 * np.max(np.abs(want_dh))
+
+
+def test_grf_rhs_on_heis3_in_a_random_basis_matches_oracle(rng):
+    """n = 3 against the oracles, which share neither the frame change nor H o H with the kernel.
+
+    test_grf_rhs_assembly compares with rc_metric and h_circ_h, which share both.
+    """
+    for _ in range(5):
+        m = gl_action(oc.random_basis_change(rng, 3), HEIS).coeffs
+        G = oc.random_spd(rng, 3)
+        H = KForm(3, 3, rng.standard_normal(1))
+        dg, dH = grf_rhs(m, GrfState(Metric(G), H))
+        want_dg, want_dh = _oracle_grf_rhs(m, G, oc.dense_form(H.coeffs, 3, 3))
+        scale = np.max(np.abs(want_dg))
+        assert np.max(np.abs(dg - want_dg)) <= 1e-12 * scale
+        assert dH.norm_inf == 0.0 and np.max(np.abs(want_dh)) <= 1e-12 * scale
+        assert np.array_equal(dg, dg.T)
+        hh = h_circ_h(H, Metric(G))
+        assert np.array_equal(hh, hh.T)
 
 
 def test_grf_rhs_flat_and_bare():
@@ -423,6 +444,31 @@ def test_integrate_gbf_checks_closedness_on_accepted_states(monkeypatch):
     monkeypatch.setattr(flows, "_gbf_kernel", lambda spec, n: lambda y: push)
     with pytest.raises(NumericalError, match="closedness residual .* at t="):
         integrate_gbf("ric", mu, None, (0.0, 1.0))
+
+
+def test_integrate_gbf_checks_jacobi_on_accepted_states(monkeypatch):
+    """A kernel that pushes mu off Jacobi at n = 4 stops the run at the first accepted state."""
+    mu = LieBracket.from_entries(4, [(1, 2, 3, 1.0)])
+    # [e2, e3] grows along e2, so the Jacobiator on (e1, e2, e3) is -t e3; H stays 0
+    push = np.concatenate([flows._packed_bracket(LieBracket.from_entries(4, [(2, 3, 2, 1.0)]).coeffs),
+                           np.zeros(math.comb(4, 3))])
+    monkeypatch.setattr(flows, "_gbf_kernel", lambda spec, n: lambda y: push)
+    with pytest.raises(NumericalError, match="Jacobi residual .* at t="):
+        integrate_gbf("ric", mu, None, (0.0, 1.0))
+
+
+def test_structure_gate_table_matches_the_library_residuals(rng):
+    """The bracket flow's gates, one monomial table on the packed row, against jacobi_residual
+    and d_mu H on raw skew brackets with a random (not closed) H."""
+    for n in range(1, 8):
+        m = oc.random_skew_bracket(rng, n)
+        h = oc.random_form_coeffs(rng, n, 3)
+        jacobi, closed = flows._structure_residuals(np.concatenate([flows._packed_bracket(m), h]), n)
+        want_jacobi = jacobi_residual(m)
+        want_closed = ce_differential(KForm(n, 3, h), m).norm_inf
+        assert (want_jacobi > 0.0) == (n >= 3) and (want_closed > 0.0) == (n >= 4)
+        assert abs(jacobi - want_jacobi) <= 1e-12 * want_jacobi
+        assert abs(closed - want_closed) <= 1e-12 * want_closed
 
 
 def test_integrate_gbf_validation(rng):

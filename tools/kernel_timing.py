@@ -1,0 +1,76 @@
+"""Microseconds per call of the flow kernels, best of k, for n = 3..7.
+
+    python tools/kernel_timing.py [--repeat K] [--number N]
+
+Imports nilflow from this checkout's ``src`` and times one call of each of:
+
+  - ``grf``: the generalized Ricci flow's right-hand side (``flows._grf_kernel``);
+  - ``gbf``: the ``ric-h2`` bracket flow's right-hand side (``flows._gbf_kernel``);
+  - ``gates``: the bracket flow's Jacobi and closedness residuals on one
+    state (``flows._structure_residuals``, one pass over ``flows._gate_table``).
+
+The brackets are the Heisenberg algebras of dimension 3, 5 and 7
+([e1, e2] = e3; [e1, e2] = [e3, e4] = e5; and so on) and the standard
+filiform algebras [e1, ej] = e(j+1) of dimension 4 to 7.  The GRF state is
+g = I + 0.1 (every entry) with every packed coefficient of H equal to 1;
+the bracket-flow state is the bracket's own packed row with the same H.
+Closedness plays no part in a kernel's cost.  Each number is the least of K
+repeats of N calls, divided by N.  BLAS is pinned to one thread, as in
+``bench/run.py``.  The numbers are for reading, not for gating: they move
+with the host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import sys
+import timeit
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def brackets(LieBracket):
+    """(name, LieBracket) for heis3, filiform4, heis5, filiform5, ..., heis7, filiform7."""
+    out = []
+    for n in range(3, 8):
+        if n % 2:
+            pairs = [(2 * i + 1, 2 * i + 2, n, 1.0) for i in range(n // 2)]
+            out.append((f"heis{n}", LieBracket.from_entries(n, pairs)))
+        if n >= 4:
+            chain = [(1, j, j + 1, 1.0) for j in range(2, n)]
+            out.append((f"filiform{n}", LieBracket.from_entries(n, chain)))
+    return out
+
+
+def per_call_us(fn, repeat, number):
+    fn()  # builds what a kernel caches on first use
+    return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=5, help="repeats; the least is kept")
+    ap.add_argument("--number", type=int, default=2000, help="calls per repeat")
+    args = ap.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads BLAS
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import numpy as np
+    from nilflow import LieBracket, flows
+
+    print(f"{'bracket':<10} {'n':>2} {'grf us':>9} {'gbf us':>9} {'gates us':>9}")
+    for name, mu in brackets(LieBracket):
+        m, n = mu.coeffs, mu.dim
+        h = np.ones(math.comb(n, 3))
+        grf, y_grf = flows._grf_kernel(m), flows._grf_row(np.eye(n) + 0.1, h)
+        gbf = flows._gbf_kernel(flows.PhiSpec.RIC_MINUS_QUARTER_HSQ, n)
+        y_gbf = np.concatenate([flows._packed_bracket(m), h])
+        times = [per_call_us(fn, args.repeat, args.number) for fn in (
+            lambda: grf(y_grf), lambda: gbf(y_gbf), lambda: flows._structure_residuals(y_gbf, n))]
+        print(f"{name:<10} {n:>2} " + " ".join(f"{t:9.1f}" for t in times))
+
+
+if __name__ == "__main__":
+    main()
