@@ -70,8 +70,8 @@ def rc_metric(mu, g):
     if gm.dim != m.shape[0]:
         raise ValidationError(
             f"metric dimension {gm.dim} does not match bracket dimension {m.shape[0]}")
-    h = gm.chol_upper  # triangular with a positive diagonal: invertible, whatever its condition
-    K = _two_slots(np.linalg.inv(h.T))
+    h = gm.chol_upper
+    K = _two_slots(gm.chol_lower_inv)
     return symmetric_part(_pull_back(h, ric_orthonormal(_frame_change(K, h, m))))
 
 
@@ -85,7 +85,7 @@ def h_circ_h(H, g):
     symmetric and PSD.  H is a KForm, a packed coefficient vector or a dense alternating tensor.
     """
     gm = as_metric(g)
-    hh, _ = _h_circ_h(_as_3form(H, gm.dim).unpack(), _two_slots(np.linalg.inv(gm.chol_upper.T)))
+    hh, _ = _h_circ_h(_as_3form(H, gm.dim).unpack(), _two_slots(gm.chol_lower_inv))
     return hh
 
 

@@ -140,26 +140,42 @@ def dorfman_structure_constants(mu, H):
 
 
 def dorfman_total_skew_residual(mu, H):
-    """Deviation of <muH(E_a, E_b), E_c> from total skewness; ~0 for valid data."""
+    """Deviation of <muH(E_a, E_b), E_c> from total skewness; ~0 for valid data.
+
+    The alternation of P = T / 2 sums six transposed views of P.
+    """
     P = 0.5 * dorfman_structure_constants(mu, H)
-    alt = np.zeros_like(P)
-    for perm, sign in (('abc', 1), ('acb', -1), ('bac', -1),
-                       ('bca', 1), ('cab', 1), ('cba', -1)):
-        alt += sign * np.einsum(perm + '->abc', P)
-    alt /= 6.0
+    alt = (P - P.transpose(0, 2, 1) - P.transpose(1, 0, 2)
+           + P.transpose(2, 0, 1) + P.transpose(1, 2, 0) - P.transpose(2, 1, 0)) / 6.0
     return float(np.max(np.abs(P - alt)))
 
 
 def dorfman_jacobi_residual(mu, H):
     """Sup-norm Leibniz defect muH(a, muH(b, c)) - muH(muH(a, b), c) - muH(b, muH(a, c))
-    over all basis triples of the doubled space."""
+    over all basis triples of the doubled space.
+
+    With C[a, b, e] the coefficient of E_e in muH(E_a, E_b), every sum over e
+    is one of two matrix products of X = C as an (N^2, N) matrix:
+      - A = X @ (C[a, e, f] as (e, af)), A[p, q, a, f] = sum_e C[p, q, e] C[a, e, f],
+        is the first term as A[b, c, a, f] and the third as A[a, c, b, f];
+      - B = X @ (C as (e, cf)), B[a, b, c, f] = sum_e C[a, b, e] C[e, c, f],
+        is the middle term.
+    """
     T = dorfman_structure_constants(mu, H)
+    N = T.shape[0]
+    if N == 0:
+        return 0.0
     # C[a, b, e]: coefficient of E_e in muH(E_a, E_b), vectors first
-    C = np.roll(T, T.shape[0] // 2, axis=2)
-    defect = (np.einsum('bce,aef->abcf', C, C)
-              - np.einsum('abe,ecf->abcf', C, C)
-              - np.einsum('ace,bef->abcf', C, C))
-    return float(np.max(np.abs(defect))) if defect.size else 0.0
+    C = np.roll(T, N // 2, axis=2)
+    X = C.reshape(N * N, N)
+    # A and B share one buffer and B becomes the defect in place: at N = 14 each
+    # N^4 block is 300 kB, and two separate ones get their pages faulted in anew on
+    # every call once the allocator returns them to the system
+    A, defect = (X @ np.stack([C.transpose(1, 0, 2).reshape(N, N * N), C.reshape(N, N * N)])
+                 ).reshape(2, N, N, N, N)
+    np.subtract(A.transpose(2, 0, 1, 3), defect, out=defect)
+    defect -= A.transpose(0, 2, 1, 3)
+    return float(np.max(np.abs(defect, out=defect)))
 
 
 def closedness_residual(mu, H):

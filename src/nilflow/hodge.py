@@ -32,8 +32,8 @@ class Metric:
 
     Construction symmetrizes exactly after checking the asymmetry is below
     METRIC_SYMMETRY_TOL (relative), and fails if the matrix is not positive
-    definite.  The inverse and the upper-triangular Cholesky factor
-    (entries = h^T h) are precomputed.
+    definite.  The inverse, the upper-triangular Cholesky factor
+    (entries = h^T h) and the inverse of its transpose L = h^T are precomputed.
     """
 
     entries: np.ndarray
@@ -54,11 +54,13 @@ class Metric:
             raise ValidationError("metric matrix is not positive definite") from None
         inv = np.linalg.inv(arr)
         inv = (inv + inv.T) / 2.0
-        for a in (arr, inv, lower):
+        lower_inv = np.linalg.inv(lower)  # positive diagonal: invertible, whatever its condition
+        for a in (arr, inv, lower, lower_inv):
             a.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_chol_lower", lower)
+        object.__setattr__(self, "_chol_lower_inv", lower_inv)
         object.__setattr__(self, "_sqrt_det", float(np.prod(np.diag(lower))))
 
     @property
@@ -73,6 +75,11 @@ class Metric:
     def chol_upper(self):
         """Upper-triangular h with entries = h.T @ h."""
         return self._chol_lower.T
+
+    @property
+    def chol_lower_inv(self):
+        """L^-1 for the lower-triangular L = chol_upper.T, entries = L L^T."""
+        return self._chol_lower_inv
 
     @property
     def sqrt_det(self):

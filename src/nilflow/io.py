@@ -171,11 +171,11 @@ def load_problem(path):
 def emit_trajectory_csv(traj, path):
     """Write t plus the flat state columns, one row per accepted step."""
     labels = traj.column_labels()
+    table = np.column_stack([traj.times, traj.rows]).tolist()  # Python floats format faster
+    line = ",".join(["%.17g"] * (len(labels) + 1)) + "\r\n"  # csv.writer's row terminator
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + labels)
-        table = np.column_stack([traj.times, traj.rows]).tolist()  # Python floats format faster
-        writer.writerows([format(v, ".17g") for v in row] for row in table)
+        csv.writer(fh).writerow(["t"] + labels)
+        fh.write("".join([line % tuple(row) for row in table]))
 
 
 def read_trajectory_csv(path):

@@ -317,6 +317,33 @@ def dorfman_residuals(m, Hd):
     return skew, leibniz
 
 
+def derivation_constraints(m, G=None):
+    """Rows of the linear conditions on phi (flattened row-major) for phi to be a
+    derivation of m: (pi(phi)mu)(e_i, e_j) = phi mu(e_i, e_j) - mu(phi e_i, e_j)
+    - mu(e_i, phi e_j) = 0 for every i, j, with phi e_i = sum_l phi[l, i] e_l.
+    With a metric G, the rows of G phi = (G phi)^T follow, one per i < j.
+    Built entry by entry from the definitions.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    rows = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        row = np.zeros((n, n))
+        for l in range(n):
+            row[k, l] += m[i, j, l]
+            row[l, i] -= m[l, j, k]
+            row[l, j] -= m[i, l, k]
+        rows.append(row.ravel())
+    if G is not None:
+        for i, j in itertools.combinations(range(n), 2):
+            row = np.zeros((n, n))
+            for r in range(n):
+                row[r, j] += G[i, r]
+                row[r, i] -= G[j, r]
+            rows.append(row.ravel())
+    return np.array(rows)
+
+
 # ---------------------------------------------------------------------------
 # reference brackets (0-based entry rows (i, j, k, value), i < j)
 

@@ -176,6 +176,26 @@ def test_trajectory_csv_gbf_round_trip(tmp_path):
     assert np.array_equal(back.final.mu, traj.final.mu)
 
 
+def test_trajectory_csv_text_matches_csv_writer(tmp_path):
+    # extreme and signed values: the file's text is csv.writer's on format(v, ".17g")
+    vals = [-0.0, 0.1, 1e-300, 1.7976931348623157e308, 2.5e-17]
+    rows = np.array([vals + vals, vals[::-1] + vals[::-1]])
+    traj = Trajectory(np.array([0.0, 2.5e-17]), rows, "gbf")
+    path = tmp_path / "gbf.csv"
+    emit_trajectory_csv(traj, path)
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + trajectory_column_labels("gbf", 3))
+        for t, row in zip(traj.times, rows):
+            writer.writerow([format(float(v), ".17g") for v in (t, *row)])
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert path.read_bytes().split(b"\r\n")[1] == (
+        b"0,-0,0.10000000000000001,1e-300,1.7976931348623157e+308,2.4999999999999999e-17,"
+        b"-0,0.10000000000000001,1e-300,1.7976931348623157e+308,2.4999999999999999e-17")
+    back = read_trajectory_csv(path)
+    assert np.array_equal(back.rows, rows) and np.signbit(back.rows[0, 0])
+
+
 def test_read_trajectory_csv_errors(tmp_path):
     p = tmp_path / "junk.csv"
     p.write_text("x,y\n1,2\n")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nilflow import (
     KForm,
@@ -106,6 +107,37 @@ def test_symmetric_derivations_scaled_metric_members(rng):
         assert np.max(np.abs(pi_mu(phi, HEIS))) <= 1e-9
         gphi = G.entries @ phi
         assert np.max(np.abs(gphi - gphi.T)) <= 1e-9
+
+
+def _projector(basis, n):
+    q = np.asarray(basis).reshape(-1, n * n)
+    return q.T @ q
+
+
+def _derivation_cases(rng):
+    """(bracket, metric) pairs: random nilpotent and abelian brackets at n = 1..7,
+    each with the identity and a random metric, and the reference nilpotent
+    brackets in a random basis."""
+    cases = []
+    for n in range(1, 8):
+        for mu in (oc.random_nilpotent(rng, n), LieBracket.zero(n)):
+            cases.extend([(mu, np.eye(n)), (mu, oc.random_spd(rng, n))])
+    for entries, n in ((oc.HEIS3, 3), (oc.FILIFORM4, 4), (oc.HEIS5, 5)):
+        A = oc.random_basis_change(rng, n, spread=0.5)
+        cases.append((gl_action(A, oc.bracket_from(entries, n)), oc.random_spd(rng, n)))
+    return cases
+
+
+def test_derivation_spaces_match_scipy_null_space(rng):
+    # the projector onto each returned basis is the one onto the null space of
+    # the loop-built constraints, so no direction is missing or extra
+    for mu, G in _derivation_cases(rng):
+        n = mu.dim
+        want = scipy.linalg.null_space(oc.derivation_constraints(mu.coeffs))
+        assert np.max(np.abs(_projector(derivation_space(mu), n) - want @ want.T)) <= 1e-10
+        want = scipy.linalg.null_space(oc.derivation_constraints(mu.coeffs, G))
+        got = _projector(symmetric_derivations(mu, Metric(G)), n)
+        assert np.max(np.abs(got - want @ want.T)) <= 1e-10
 
 
 def test_derivation_space_rejects_non_lie(rng):

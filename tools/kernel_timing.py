@@ -7,7 +7,11 @@ Imports nilflow from this checkout's ``src`` and times one call of each of:
   - ``grf``: the generalized Ricci flow's right-hand side (``flows._grf_kernel``);
   - ``gbf``: the ``ric-h2`` bracket flow's right-hand side (``flows._gbf_kernel``);
   - ``gates``: the bracket flow's Jacobi and closedness residuals on one
-    state (``flows._structure_residuals``, one pass over ``flows._gate_table``).
+    state (``flows._structure_residuals``, one pass over ``flows._gate_table``);
+
+and, in a second table, one call of each Dorfman residual of the bracket and
+the same H, on the doubled space of dimension 2n: ``dorfman_jacobi_residual``
+and ``dorfman_total_skew_residual``.
 
 The brackets are the Heisenberg algebras of dimension 3, 5 and 7
 ([e1, e2] = e3; [e1, e2] = [e3, e4] = e5; and so on) and the standard
@@ -58,7 +62,8 @@ def main(argv=None):
         os.environ[var] = "1"  # before numpy loads BLAS
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import numpy as np
-    from nilflow import LieBracket, flows
+    from nilflow import (KForm, LieBracket, dorfman_jacobi_residual,
+                         dorfman_total_skew_residual, flows)
 
     print(f"{'bracket':<10} {'n':>2} {'grf us':>9} {'gbf us':>9} {'gates us':>9}")
     for name, mu in brackets(LieBracket):
@@ -70,6 +75,12 @@ def main(argv=None):
         times = [per_call_us(fn, args.repeat, args.number) for fn in (
             lambda: grf(y_grf), lambda: gbf(y_gbf), lambda: flows._structure_residuals(y_gbf, n))]
         print(f"{name:<10} {n:>2} " + " ".join(f"{t:9.1f}" for t in times))
+    print(f"\n{'bracket':<10} {'n':>2} {'dorfman jacobi us':>18} {'dorfman skew us':>16}")
+    for name, mu in brackets(LieBracket):
+        h = KForm(mu.dim, 3, np.ones(math.comb(mu.dim, 3)))
+        times = [per_call_us(lambda: fn(mu, h), args.repeat, args.number)
+                 for fn in (dorfman_jacobi_residual, dorfman_total_skew_residual)]
+        print(f"{name:<10} {mu.dim:>2} {times[0]:18.1f} {times[1]:16.1f}")
 
 
 if __name__ == "__main__":

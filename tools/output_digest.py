@@ -17,7 +17,12 @@ last line produced bitwise-equal outputs on these runs:
     and on the same brackets with a closed H: adaptive ``integrate_grf``
     forward and backward (or the text of its NumericalError) and
     ``blowup_time``;
-  - every survey result (all seven diagnostics) for seeds 1..8, 3 passes each;
+  - every survey result for seeds 1..8, 3 passes each, in five sections by
+    diagnostic: "survey structure" (Jacobi residual, nilpotency step,
+    closedness residual), "survey ricci+" (the generalized Ricci tensor),
+    "survey soliton omega", "survey soliton lam/D/residuals" (the rest of the
+    soliton fit) and "survey dorfman" (both Dorfman residuals), so that a
+    change to one diagnostic shows up under its own name;
   - ``codifferential`` and ``hodge_laplacian`` of a seeded form of every
     degree 0..n on a random nilpotent bracket with a random metric, n = 3..7,
     so that a change to d* shows up under its own name;
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import os
@@ -139,9 +145,31 @@ def _random(nf, workloads, outdir):
     return out
 
 
-def _survey(nf, workloads, outdir):
+@functools.lru_cache(maxsize=1)
+def _survey_results(nf, workloads, outdir):
     return [op.run() for seed in range(1, 9) for p in range(3)
             for op in workloads.WORKLOADS["survey"].make_pass(seed, p, outdir)]
+
+
+def _survey(pick):
+    """A section of the survey results: pick(result dict) for every operation."""
+    return lambda nf, workloads, outdir: [pick(out) for out in
+                                          _survey_results(nf, workloads, outdir)]
+
+
+def _fit_numbers(fit):
+    return fit.lam, fit.D, fit.sym_residual, fit.skew_residual, fit.residual_norm
+
+
+SURVEY_SECTIONS = (
+    ("survey structure", _survey(lambda out: (
+        out["jacobi_residual"], out["nilpotency_step"], out["closedness_residual"]))),
+    ("survey ricci+", _survey(lambda out: out["generalized_ricci_plus"])),
+    ("survey soliton omega", _survey(lambda out: out["soliton_fit"].omega)),
+    ("survey soliton lam/D/residuals", _survey(lambda out: _fit_numbers(out["soliton_fit"]))),
+    ("survey dorfman", _survey(lambda out: (
+        out["dorfman_total_skew_residual"], out["dorfman_jacobi_residual"]))),
+)
 
 
 def _hodge(nf, workloads, outdir):
@@ -228,7 +256,7 @@ def _cli(nf, workloads, outdir):
 
 SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
             ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
-            ("random brackets", _random), ("survey", _survey), ("hodge", _hodge),
+            ("random brackets", _random), *SURVEY_SECTIONS, ("hodge", _hodge),
             ("cli", _cli))
 
 
