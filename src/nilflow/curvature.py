@@ -14,7 +14,9 @@ Conventions, all in a fixed basis with bracket coefficients mu[i, j, k]:
     (nabla theta)_ij = (nabla_{e_i} theta)(e_j).
   - The generalized Ricci tensor is
     Rc_plus = Rc_g - 1/4 H.H - 1/2 d*H + 1/2 nabla^+ theta,
-    with the 2-form d*H embedded as a skew matrix.
+    with the 2-form d*H embedded as a skew matrix.  Its four terms
+    (_generalized_terms) also give the soliton equations
+    Rc_plus = lam g + g(D ., .) + 1/2 omega (soliton.py).
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOL
+from .dorfman import closedness_residual
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
-from .lie import (KForm, bracket_coeffs, ce_differential, form_dense, _as_3form, _as_bracket,
-                  _frame_change, _two_slots)
+from .lie import (KForm, bracket_coeffs, form_dense, _as_3form, _as_bracket, _frame_change,
+                  _two_slots)
 
 __all__ = [
     "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
@@ -134,11 +137,22 @@ def bismut_nabla_theta(mu, g, H, theta):
     return -np.einsum('ijk,k->ij', gam_plus, th)
 
 
-def require_closed(mu, H, tol=DEFAULT_TOL):
-    """Raise unless |d_mu H| <= tol; the generalized tensors assume closed flux."""
-    res = ce_differential(H, mu).norm_inf
-    if res > tol:
-        raise ValidationError(f"H is not closed: |d_mu H| = {res:g} exceeds {tol:g}")
+def require_closed(mu, H):
+    """Raise unless |d_mu H| <= DEFAULT_TOL; the generalized tensors assume closed flux."""
+    res = closedness_residual(mu, H)
+    if res > DEFAULT_TOL:
+        raise ValidationError(f"H is not closed: |d_mu H| = {res:g} exceeds {DEFAULT_TOL:g}")
+
+
+def _generalized_terms(mu, g, H, theta):
+    """The validated (Metric, 3-form, theta vector) and the four terms of Rc_plus:
+    Rc_g, H.H, d*H as a 2-form and nabla^+ theta.  H must be closed for mu."""
+    gm = as_metric(g)
+    H = _as_3form(H, gm.dim)
+    require_closed(mu, H)
+    th = _theta_vector(theta, gm.dim)
+    return (gm, H, th), (rc_metric(mu, gm), h_circ_h(H, gm), codifferential(H, mu, gm),
+                         bismut_nabla_theta(mu, gm, H, th))
 
 
 def generalized_ricci_plus(mu, g, H, theta):
@@ -147,14 +161,8 @@ def generalized_ricci_plus(mu, g, H, theta):
     Returns the full matrix; symmetric_part / skew_part split it into the
     metric-direction and 2-form-direction components.
     """
-    gm = as_metric(g)
-    H = _as_3form(H, gm.dim)
-    require_closed(mu, H)
-    rc = rc_metric(mu, gm)
-    hh = h_circ_h(H, gm)
-    dstar = two_form_matrix(codifferential(H, mu, gm))
-    nab = bismut_nabla_theta(mu, gm, H, theta)
-    return rc - 0.25 * hh - 0.5 * dstar + 0.5 * nab
+    _, (rc, hh, dstar, nab) = _generalized_terms(mu, g, H, theta)
+    return rc - 0.25 * hh - 0.5 * two_form_matrix(dstar) + 0.5 * nab
 
 
 def _theta_vector(theta, n):

@@ -34,9 +34,10 @@ no copy.  The bracket flow is a cubic in its "gbf" row (mu[i, j, :] for
 i < j, then the packed 3-form), kept by _gbf_tables as two monomial tables
 per (spec, n); each evaluation of _gbf_kernel, by integrate_gbf and gbf_rhs,
 is one gather-multiply-bincount pass over each.  Its Jacobi and closedness
-residuals are quadratic in the row: one more table (_gate_table) and pass,
-which checks the initial data of both flows (_check_structure) and every
-accepted row of the bracket flow.  _grf_kernel reads g off the "grf" row
+residuals are d_mu (lie._ce_tables) of the row's own forms, the 2-forms
+mu^l = mu[., ., l] (minus the Jacobiator) and H: one more table (_gate_table)
+and pass, which checks the initial data of both flows (_check_structure) and
+every accepted row of the bracket flow.  _grf_kernel reads g off the "grf" row
 through _grf_metric and is built from the bracket alone, which must be
 unimodular: the blocks of d on 2- and 3-forms, None where d vanishes.  Each
 evaluation takes one Cholesky factor g = L L^T and K = L^-1 (x) L^-1, which
@@ -78,7 +79,7 @@ from .config import (
 from .curvature import rc_metric, ric_orthonormal, _h_circ_h, _pull_back  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
-from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _d_block,
+from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _ce_tables, _d_block,
                   _frame_change, _frozen, _index_array, _on_slots, _pack, _two_slots, _unpack)
 
 __all__ = [
@@ -524,10 +525,11 @@ def _dense_bracket(mp, n):
 
 
 def _monomials(families):
-    """A read-only table of the rows (key, ..., coefficient) of the families, sorted by key:
-    zero coefficients dropped, rows with equal keys summed, zero sums dropped."""
-    keys = np.concatenate([np.stack(family[:-1]) for family in families], axis=1)
-    coeffs = np.concatenate([family[-1] for family in families])
+    """A read-only table of the rows (key, ..., coefficient) of the families (broadcast arrays),
+    sorted by key: zero coefficients dropped, rows with equal keys summed, zero sums dropped."""
+    families = [np.broadcast_arrays(*family) for family in families]
+    keys = np.concatenate([np.stack(f[:-1]).reshape(len(f) - 1, -1) for f in families], axis=1)
+    coeffs = np.concatenate([f[-1].ravel() for f in families])
     keys, coeffs = keys[:, coeffs != 0.0], coeffs[coeffs != 0.0]
     # one integer per row, ordered as the rows sort: np.unique on it beats np.unique(axis=1)
     code = np.ravel_multi_index(keys, keys.max(axis=1, initial=0) + 1)
@@ -596,31 +598,29 @@ def _gbf_kernel(spec, n):
 def _gate_table(n):
     """The Jacobi and closedness residuals of the "gbf" row y on R^n as one monomial table.
 
-    (K, A, B, C): row r adds C[r] * y[A[r]] * y[B[r]] to out[K[r]].  out[t * n + l] is the
-    e_l part of the Jacobiator on the t-th increasing triple (i, j, k), mu_ijs mu_skl +
-    mu_jks mu_sil + mu_kis mu_sjl; out[C(n, 3) n + q] is d_mu H on the q-th increasing 4-tuple.
+    (K, A, B, C): row r adds C[r] * y[A[r]] * y[B[r]] to out[K[r]].  Both residuals are d_mu
+    (lie._ce_tables) of forms the row holds.  out[t * n + l] is d_mu of the 2-form
+    mu^l = mu[., ., l] on the t-th increasing triple, minus the e_l part of the Jacobiator;
+    out[C(n, 3) n + q] is d_mu H on the q-th increasing 4-tuple.
     """
-    slot, sign = _row_slots(n)
-
-    def monomial(key, x, z, c):  # c * (dense entry x) * (dense entry z); x, z = (s, index)
-        a, b = slot[x[0]][x[1]], slot[z[0]][z[1]]
-        return key, np.minimum(a, b), np.maximum(a, b), c * sign[x[0]][x[1]] * sign[z[0]][z[1]]
-
-    t, l, s = np.indices((math.comb(n, 3), n, n)).reshape(3, -1)
-    i, j, k = _index_array(n, 3)[t].T
-    jacobi = [monomial(t * n + l, (0, x), (0, z), 1.0) for x, z in (
-        ((i, j, s), (s, k, l)), ((j, k, s), (s, i, l)), ((k, i, s), (s, j, l)))]
-    q, s = np.indices((math.comb(n, 4), n)).reshape(2, -1)
-    i, j, k, l = _index_array(n, 4)[q].T
-    closed = [monomial(math.comb(n, 3) * n + q, (0, x), (1, z), c) for x, z, c in (  # dH(e_ijkl)
-        ((i, j, s), (s, k, l), -1.0), ((i, k, s), (s, j, l), 1.0), ((i, l, s), (s, j, k), -1.0),
-        ((j, k, s), (s, i, l), -1.0), ((j, l, s), (s, i, k), 1.0), ((k, l, s), (s, i, j), -1.0))]
-    return _monomials(jacobi + closed)
+    slot = _row_slots(n)[0][0]  # y[slot[i, j, s]] = mu[i, j, s] for i < j
+    split, cut = math.comb(n, 2) * n, math.comb(n, 3) * n
+    families = []
+    # d_mu of `width` k-forms: the 2-forms mu^l at y[src * n + l], the 3-form H at y[split + src]
+    for k, base, offset, width in ((2, 0, 0, n), (3, split, cut, 1)):
+        I, J, src, sign, odd = _ce_tables(n, k)
+        l = np.arange(width)
+        a = slot[I[..., None], J[..., None], np.arange(n)][..., None]
+        b = base + src[..., None] * width + l
+        key = offset + np.arange(len(I))[:, None, None, None] * width + l
+        c = (sign * np.where(odd, -1.0, 1.0)[:, None])[..., None]
+        families.append((key, np.minimum(a, b), np.maximum(a, b), c))
+    return _monomials(families)
 
 
 def _structure_residuals(y, n):
     """(Jacobi residual, closedness residual) of the "gbf" row y on R^n: the max |.| over the
-    Jacobiator on increasing triples and over d_mu H, by one pass over _gate_table(n)."""
+    d_mu mu^l (the Jacobiator) and over d_mu H, by one pass over _gate_table(n)."""
     K, A, B, C = _gate_table(n)
     cut = math.comb(n, 3) * n
     res = np.abs(np.bincount(K, C * y[A] * y[B], minlength=cut + math.comb(n, 4)))

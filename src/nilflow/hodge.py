@@ -40,8 +40,8 @@ class Metric:
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"metric must be a square matrix, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise ValidationError(f"metric must be a nonempty square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("metric entries must be finite")
         scale = 1.0 + float(np.max(np.abs(arr)))

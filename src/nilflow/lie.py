@@ -310,8 +310,9 @@ class LieBracket:
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=float, copy=True)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1:
-            raise ValidationError(f"bracket coefficients must be (n, n, n), got shape {arr.shape}")
+        if arr.ndim != 3 or len(set(arr.shape)) != 1 or not arr.size:
+            raise ValidationError(
+                f"bracket coefficients must be (n, n, n) with n >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("bracket coefficients must be finite")
         swapped = arr.swapaxes(0, 1)

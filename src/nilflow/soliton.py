@@ -1,15 +1,17 @@
 """Derivation spaces and generalized soliton fitting.
 
 A metric g on a Lie algebra (mu, H, theta) is a generalized soliton when
+Rc_plus = lam g + g(D ., .) + 1/2 omega for a constant lam, a g-symmetric
+derivation D and a 2-form omega.  In the terms of the generalized Ricci
+tensor Rc_plus (curvature._generalized_terms) its two parts read
 
   symmetric part:  Rc_g = lam g + g(D ., .) + 1/4 H.H - 1/2 S(nabla^+ theta)
   skew part:       omega = -d*H + 1/2 d theta - 1/2 iota_{g^-1 theta} H
 
-for a constant lam, a g-symmetric derivation D, and a 2-form omega.  The fit
-solves the symmetric equation by linear least squares over lam and the space
-of g-symmetric derivations (Frobenius objective, minimum-norm solution when
-the decomposition is not unique) and takes omega from the skew equation,
-which determines it explicitly.
+The fit solves the symmetric equation by linear least squares over lam and
+the space of g-symmetric derivations (Frobenius objective, minimum-norm
+solution when the decomposition is not unique) and takes omega from the skew
+equation, which determines it explicitly.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RANK_TOL_FACTOR
-from .curvature import (bismut_nabla_theta, h_circ_h, rc_metric, require_closed,
-                        symmetric_part, _theta_vector)
+from .curvature import symmetric_part, _generalized_terms
 from .errors import ValidationError
-from .hodge import as_metric, codifferential
-from .lie import KForm, bracket_coeffs, ce_differential, _as_3form
+from .hodge import as_metric
+from .lie import KForm, bracket_coeffs, ce_differential
 
 
 @dataclass(frozen=True)
@@ -83,25 +84,13 @@ def symmetric_derivations(mu, g):
     return _null_space(stacked).reshape(-1, n, n)
 
 
-def _skew_target(mu, gm, H, theta_vec):
-    # -d*H + 1/2 d theta - 1/2 iota_{g^-1 theta} H, as a 2-form
-    n = gm.dim
-    theta_form = KForm(n, 1, theta_vec)
-    dstar = codifferential(H, mu, gm)
-    dth = ce_differential(theta_form, mu)
-    xi = gm.inverse @ theta_vec
-    iota = KForm.from_dense(np.einsum('i,ijk->jk', xi, H.unpack()))
-    return -1.0 * dstar + 0.5 * dth - 0.5 * iota
-
-
 def _soliton_terms(mu, g, H, theta):
-    """Validated gm and the data's terms: Rc_g, H.H, S(nabla^+ theta), the skew target."""
-    gm = as_metric(g)
-    H = _as_3form(H, gm.dim)
-    require_closed(mu, H)
-    th = _theta_vector(theta, gm.dim)
-    return (gm, rc_metric(mu, gm), h_circ_h(H, gm),
-            symmetric_part(bismut_nabla_theta(mu, gm, H, th)), _skew_target(mu, gm, H, th))
+    """Validated gm and the data's terms: Rc_g, H.H, S(nabla^+ theta) and the skew target
+    -d*H + 1/2 d theta - 1/2 iota_{g^-1 theta} H, as a 2-form."""
+    (gm, H, th), (rc, hh, dstar, nab) = _generalized_terms(mu, g, H, theta)
+    dth = ce_differential(KForm(gm.dim, 1, th), mu)
+    iota = KForm.from_dense(np.einsum('i,ijk->jk', gm.inverse @ th, H.unpack()))
+    return gm, rc, hh, symmetric_part(nab), -1.0 * dstar + 0.5 * dth - 0.5 * iota
 
 
 def _residuals(terms, lam, D, omega):

@@ -389,6 +389,17 @@ def random_form_coeffs(rng, n, k):
     return rng.standard_normal(math.comb(n, k))
 
 
+def random_closed_3form(rng, m):
+    """Packed coefficients of a random closed 3-form for the bracket m: a combination of the
+    null space of d (packed_ce)."""
+    n3 = math.comb(m.shape[0], 3)
+    d3 = packed_ce(np.eye(n3), m, 3)
+    _, s, vt = np.linalg.svd(d3)
+    rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
+    null = vt[rank:].T  # at n = 3, d3 has no rows and every 3-form is closed
+    return null @ rng.standard_normal(null.shape[1])
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

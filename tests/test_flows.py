@@ -90,16 +90,6 @@ def test_gbf_rhs_ric_spec_drops_flux_term():
     assert dH.coeffs[0] == pytest.approx(-1.0, abs=1e-14)
 
 
-def _closed_3form(rng, m):
-    """A random closed 3-form: a combination of the null space of d (oc.packed_ce)."""
-    n3 = math.comb(m.shape[0], 3)
-    d3 = oc.packed_ce(np.eye(n3), m, 3)
-    _, s, vt = np.linalg.svd(d3)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
-    null = vt[rank:].T  # at n = 3, d3 has no rows and every 3-form is closed
-    return null @ rng.standard_normal(null.shape[1])
-
-
 def _oracle_phi(spec, m, h):
     """phi of the bracket flow by the oracles: Riemann-tensor Ricci and an einsum for H^2."""
     n = m.shape[0]
@@ -113,7 +103,7 @@ def _oracle_phi(spec, m, h):
 def test_gbf_rhs_is_minus_pi_of_phi(rng):
     for n, spec in itertools.product(range(3, MAX_PROBLEM_DIM + 1), PhiSpec):
         mu = oc.random_nilpotent(rng, n)
-        h = _closed_3form(rng, mu.coeffs)
+        h = oc.random_closed_3form(rng, mu.coeffs)
         H = KForm(n, 3, h)
         phi = _oracle_phi(spec, mu.coeffs, h)
         want_mu, want_h = -pi_mu(phi, mu), -pi_form(phi, H).coeffs
@@ -187,7 +177,7 @@ def test_grf_rhs_matches_oracle_where_the_laplacian_is_not_zero(rng):
     for n in (4, 5, 6, 7):
         m = oc.random_nilpotent(rng, n).coeffs
         G = oc.random_spd(rng, n)
-        for h in (_closed_3form(rng, m), oc.random_form_coeffs(rng, n, 3)):
+        for h in (oc.random_closed_3form(rng, m), oc.random_form_coeffs(rng, n, 3)):
             dg, dH = grf_rhs(m, GrfState(Metric(G), KForm(n, 3, h)))
             want_dg, want_dh = _oracle_grf_rhs(m, G, oc.dense_form(h, n, 3))
             want_dh = np.array([want_dh[T] for T in itertools.combinations(range(n), 3)])
@@ -459,13 +449,13 @@ def test_integrate_gbf_checks_jacobi_on_accepted_states(monkeypatch):
 
 def test_structure_gate_table_matches_the_library_residuals(rng):
     """The bracket flow's gates, one monomial table on the packed row, against jacobi_residual
-    and d_mu H on raw skew brackets with a random (not closed) H."""
+    and the loop-built d_mu H on raw skew brackets with a random (not closed) H."""
     for n in range(1, 8):
         m = oc.random_skew_bracket(rng, n)
         h = oc.random_form_coeffs(rng, n, 3)
         jacobi, closed = flows._structure_residuals(np.concatenate([flows._packed_bracket(m), h]), n)
         want_jacobi = jacobi_residual(m)
-        want_closed = ce_differential(KForm(n, 3, h), m).norm_inf
+        want_closed = float(np.abs(oc.packed_ce(h, m, 3)).max(initial=0.0))
         assert (want_jacobi > 0.0) == (n >= 3) and (want_closed > 0.0) == (n >= 4)
         assert abs(jacobi - want_jacobi) <= 1e-12 * want_jacobi
         assert abs(closed - want_closed) <= 1e-12 * want_closed
@@ -873,7 +863,7 @@ def test_trajectory_columns_hold_the_entries_their_labels_name(rng, tmp_path):
     n = 5
     mu = oc.random_nilpotent(rng, n).coeffs
     G = Metric(oc.random_spd(rng, n)).entries
-    h = _closed_3form(rng, mu)
+    h = oc.random_closed_3form(rng, mu)
     grf = integrate_grf(mu, G, h, (0.0, 0.05))
     gbf = integrate_gbf("ric-h2", mu, h, (0.0, 0.05))
     path = tmp_path / "grf.csv"

@@ -8,8 +8,10 @@ from nilflow import (
     DorfmanBracket,
     GrfState,
     KForm,
+    LieBracket,
     Metric,
     ValidationError,
+    as_metric,
     bismut_nabla_theta,
     closedness_residual,
     generalized_ricci_plus,
@@ -68,3 +70,13 @@ def test_integrate_grf_takes_a_diagonal_metric():
 def test_non_skew_raw_bracket_rejected(op):
     with pytest.raises(ValidationError, match="not skew"):
         op(np.ones((3, 3, 3)))
+
+
+@pytest.mark.parametrize("make", [lambda: LieBracket(np.zeros((0, 0, 0))),
+                                  lambda: Metric(np.zeros((0, 0))),
+                                  lambda: as_metric(np.zeros(0))],
+                         ids=["LieBracket", "Metric", "as_metric"])
+def test_dimension_zero_rejected(make):
+    """Dimension 0 is a bad shape, as it is for KForm, not a numpy reduction error."""
+    with pytest.raises(ValidationError, match="n >= 1|nonempty"):
+        make()

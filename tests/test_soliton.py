@@ -9,14 +9,18 @@ from nilflow import (
     LieBracket,
     Metric,
     ValidationError,
+    bismut_nabla_theta,
     derivation_space,
+    generalized_ricci_plus,
     gl_action,
     gl_action_form,
+    h_circ_h,
     pi_mu,
     rc_metric,
     soliton_fit,
     soliton_residual,
     symmetric_derivations,
+    symmetric_part,
 )
 
 import oracles as oc
@@ -254,10 +258,28 @@ def test_soliton_fit_evaluates_ricci_once(monkeypatch, rng):
         calls[0] += 1
         return rc_metric(mu, g)
 
-    monkeypatch.setattr("nilflow.soliton.rc_metric", counting)
+    monkeypatch.setattr("nilflow.curvature.rc_metric", counting)
     soliton_fit(HEIS, Metric.diagonal([1.0, 2.0, 3.0]), _h3_flux(1.0),
                 KForm(3, 1, rng.standard_normal(3)))
     assert calls[0] == 1
+
+
+def test_soliton_equations_are_the_parts_of_the_generalized_ricci_tensor(rng):
+    """Rc_plus = lam g + g(D ., .) + 1/2 omega: the fit's omega is Rc_plus - Rc_plus^T, and
+    its symmetric target Rc_g - 1/4 H.H + 1/2 S(nabla^+ theta) is the symmetric part of
+    Rc_plus.  omega reaches theta through d and iota, Rc_plus through the Christoffels."""
+    for n in range(3, 8):
+        mu = oc.random_nilpotent(rng, n)
+        g = Metric(oc.random_spd(rng, n))
+        H = KForm(n, 3, oc.random_closed_3form(rng, mu.coeffs))
+        theta = KForm(n, 1, rng.standard_normal(n))
+        rc_plus = generalized_ricci_plus(mu, g, H, theta)
+        bar = 1e-12 * (1.0 + np.max(np.abs(rc_plus)))
+        omega = soliton_fit(mu, g, H, theta).omega.unpack()
+        assert np.max(np.abs(omega - (rc_plus - rc_plus.T))) <= bar
+        target = (rc_metric(mu, g) - 0.25 * h_circ_h(H, g)
+                  + 0.5 * symmetric_part(bismut_nabla_theta(mu, g, H, theta)))
+        assert np.max(np.abs(target - symmetric_part(rc_plus))) <= bar
 
 
 def test_soliton_fit_equivariant_under_orthogonal_change(rng):
