@@ -14,9 +14,8 @@ Conventions, all in a fixed basis with bracket coefficients mu[i, j, k]:
     (nabla theta)_ij = (nabla_{e_i} theta)(e_j).
   - The generalized Ricci tensor is
     Rc_plus = Rc_g - 1/4 H.H - 1/2 d*H + 1/2 nabla^+ theta,
-    with the 2-form d*H embedded as a skew matrix.  Its four terms
-    (_generalized_terms) also give the soliton equations
-    Rc_plus = lam g + g(D ., .) + 1/2 omega (soliton.py).
+    with the 2-form d*H embedded as a skew matrix; generalized solitons
+    solve Rc_plus = lam g + g(D ., .) + 1/2 omega (soliton.py).
 """
 
 from __future__ import annotations
@@ -145,8 +144,7 @@ def require_closed(mu, H):
 
 
 def _generalized_terms(mu, g, H, theta):
-    """The validated (Metric, 3-form, theta vector) and the four terms of Rc_plus:
-    Rc_g, H.H, d*H as a 2-form and nabla^+ theta.  H must be closed for mu."""
+    """Validated (Metric, closed 3-form, theta) and Rc_plus's terms Rc_g, H.H, d*H, nabla^+ theta."""
     gm = as_metric(g)
     H = _as_3form(H, gm.dim)
     require_closed(mu, H)

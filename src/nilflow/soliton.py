@@ -24,7 +24,7 @@ from .config import RANK_TOL_FACTOR
 from .curvature import symmetric_part, _generalized_terms
 from .errors import ValidationError
 from .hodge import as_metric
-from .lie import KForm, bracket_coeffs, ce_differential
+from .lie import KForm, bracket_coeffs, ce_differential, _pack
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,18 @@ class SolitonData:
 
 
 def _derivation_constraint_matrix(m):
-    # Rows: the linear map phi -> pi(phi)mu flattened to (n^3, n^2); null space = Der(mu).
+    # Rows: phi -> pi(phi)mu on its packed i < j entries, (C(n, 2) n, n^2); null space = Der(mu).
     n = m.shape[0]
     eye = np.eye(n)
     a1 = np.einsum('kr,ijs->ijkrs', eye, m)
     a2 = np.einsum('is,rjk->ijkrs', eye, m)
     a3 = np.einsum('js,irk->ijkrs', eye, m)
-    return (a1 - a2 - a3).reshape(n ** 3, n * n)
+    return _pack(a1 - a2 - a3, 2).reshape(-1, n * n)
 
 
 def _null_space(mat):
-    _, s, vt = np.linalg.svd(mat, full_matrices=False)
+    # with fewer rows than columns (n <= 2) a thin SVD lacks part of the null space
+    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > RANK_TOL_FACTOR * smax)) if smax > 0.0 else 0
     return vt[rank:].copy()
@@ -77,10 +78,9 @@ def symmetric_derivations(mu, g):
         raise ValidationError("bracket and metric dimensions differ")
     eye = np.eye(n)
     G = gm.entries
-    # (g phi - phi^T g)[i, j] as a linear map of phi[r, s]
-    sym = (np.einsum('ir,js->ijrs', G, eye)
-           - np.einsum('jr,is->ijrs', G, eye)).reshape(n * n, n * n)
-    stacked = np.vstack([_derivation_constraint_matrix(m), sym])
+    # (g phi - phi^T g)[i, j] for i < j (it is skew) as a linear map of phi[r, s]
+    sym = _pack(np.einsum('ir,js->ijrs', G, eye) - np.einsum('jr,is->ijrs', G, eye), 2)
+    stacked = np.vstack([_derivation_constraint_matrix(m), sym.reshape(-1, n * n)])
     return _null_space(stacked).reshape(-1, n, n)
 
 
