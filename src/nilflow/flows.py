@@ -620,7 +620,7 @@ def _gate_table(n):
 
 def _structure_residuals(y, n):
     """(Jacobi residual, closedness residual) of the "gbf" row y on R^n: the max |.| over the
-    d_mu mu^l (the Jacobiator) and over d_mu H, by one pass over _gate_table(n)."""
+    d_mu mu^l (minus the Jacobiator) and over d_mu H, by one pass over _gate_table(n)."""
     K, A, B, C = _gate_table(n)
     cut = math.comb(n, 3) * n
     res = np.abs(np.bincount(K, C * y[A] * y[B], minlength=cut + math.comb(n, 4)))
