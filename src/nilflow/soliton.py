@@ -24,7 +24,7 @@ from .config import RANK_TOL_FACTOR
 from .curvature import symmetric_part, _generalized_terms
 from .errors import ValidationError
 from .hodge import as_metric
-from .lie import KForm, bracket_coeffs, ce_differential, _pack
+from .lie import KForm, ce_differential, _as_bracket, _pack
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ def _null_space(mat):
 
 
 def derivation_space(mu):
-    """Orthonormal basis of Der(mu) = {phi : pi(phi)mu = 0}, shape (m, n, n)."""
-    m = bracket_coeffs(mu)
+    """Orthonormal basis of Der(mu) = {phi : pi(phi)mu = 0}, shape (m, n, n); mu must be skew."""
+    m = _as_bracket(mu).coeffs
     n = m.shape[0]
     basis = _null_space(_derivation_constraint_matrix(m))
     return basis.reshape(-1, n, n)
@@ -71,7 +71,7 @@ def derivation_space(mu):
 
 def symmetric_derivations(mu, g):
     """Orthonormal basis of the g-symmetric derivations {phi in Der(mu) : g phi = (g phi)^T}."""
-    m = bracket_coeffs(mu)
+    m = _as_bracket(mu).coeffs
     n = m.shape[0]
     gm = as_metric(g)
     if gm.dim != n:

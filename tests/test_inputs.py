@@ -14,6 +14,7 @@ from nilflow import (
     as_metric,
     bismut_nabla_theta,
     closedness_residual,
+    derivation_space,
     generalized_ricci_plus,
     gl_action,
     grf_rhs,
@@ -21,6 +22,7 @@ from nilflow import (
     integrate_gbf,
     integrate_grf,
     rc_metric,
+    symmetric_derivations,
 )
 
 import oracles as oc
@@ -65,8 +67,12 @@ def test_integrate_grf_takes_a_diagonal_metric():
 @pytest.mark.parametrize("op", [lambda m: rc_metric(m, np.eye(3)),
                                 lambda m: gl_action(2.0 * np.eye(3), m),
                                 lambda m: grf_rhs(m, GrfState(Metric.identity(3),
-                                                              KForm(3, 3, [1.0])))],
-                         ids=["rc_metric", "gl_action", "grf_rhs"])
+                                                              KForm(3, 3, [1.0]))),
+                                # the derivation constraints keep only the i < j rows
+                                derivation_space,
+                                lambda m: symmetric_derivations(m, np.eye(3))],
+                         ids=["rc_metric", "gl_action", "grf_rhs", "derivation_space",
+                              "symmetric_derivations"])
 def test_non_skew_raw_bracket_rejected(op):
     with pytest.raises(ValidationError, match="not skew"):
         op(np.ones((3, 3, 3)))
