@@ -37,15 +37,18 @@ is one gather-multiply-bincount pass over each.  Its Jacobi and closedness
 residuals are d_mu (lie._ce_tables) of the row's own forms, the 2-forms
 mu^l = mu[., ., l] (minus the Jacobiator) and H: one more table (_gate_table)
 and pass, which checks the initial data of both flows (_check_structure) and
-every accepted row of the bracket flow.  _grf_kernel reads g off the "grf" row
-through _grf_metric and is built from the bracket alone, which must be
-unimodular: the blocks of d on 2- and 3-forms, None where d vanishes.  Each
+every accepted row of the bracket flow.  The generalized Ricci flow carries a
+closed H, so its H equation -Lap H is -d d*_g H: the flow is defined on the
+closed 3-forms, and every increment lies in im d.  _grf_kernel reads g off
+the "grf" row through _grf_metric and is built from the bracket alone, which
+must be unimodular: the block of d on 2-forms, None where it vanishes.  Each
 evaluation takes one Cholesky factor g = L L^T and K = L^-1 (x) L^-1, which
 serves the orthonormal-frame bracket and its ric_orthonormal (one call),
 H o H = P P^T and d d*; dg's upper triangle is gathered into the row, and
-the Laplacian is formed only where a block is not None.  The frame change,
-the pullback of Rc and H o H are what gl_action, rc_metric and h_circ_h call
-too; integrate_grf, blowup_time and grf_rhs run the kernel.
+d d* H is formed only where the block is not None.  The frame change, the
+pullback of Rc and H o H are what gl_action, rc_metric and h_circ_h call too;
+integrate_grf, blowup_time and grf_rhs check their data by the one gate of
+_grf_setup and run the kernel.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from .curvature import rc_metric, ric_orthonormal, _h_circ_h, _pull_back  # noqa
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
 from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _ce_tables, _d_block,
-                  _frame_change, _frozen, _index_array, _on_slots, _pack, _two_slots, _unpack)
+                  _frame_change, _frozen, _index_array, _pack, _two_slots, _unpack)
 
 __all__ = [
     "PhiSpec",
@@ -734,20 +737,20 @@ def _grf_kernel(m):
 
     y holds g = y[_grf_metric(n)], then the packed 3-form h; dy holds (dg, dh)
     alike, dg as one gather of its upper triangle.  Built once from m: that
-    gather and the blocks d2, d3 of d on 2- and 3-forms (lie._d_block, which
-    rejects a bracket that is not unimodular), None where d vanishes for m.
-    Per call: g = L L^T (LinAlgError off the domain) and K = L^-1 (x) L^-1
+    gather and the block d2 of d on 2-forms (lie._d_block, which rejects a
+    bracket that is not unimodular), None where d vanishes for m.  Per call:
+    g = L L^T (LinAlgError off the domain) and K = L^-1 (x) L^-1
     (lie._two_slots).  K takes mu to an orthonormal frame (lie._frame_change),
     whose Ricci form pulled back by L^T is Rc_g; gives H o H = P P^T for P = H K^T
     (curvature._h_circ_h); and, where d2 is not None, C_3(g^-1) h, which is g^-1
-    on the first slot of P K, for Lap = d d* + d* d (hodge._codiff).  Where d2
-    and d3 are both None, dh = 0 and no Laplacian is formed.
+    on the first slot of P K, for dh = -d d* h (hodge._codiff).  That is -Lap h
+    only for a closed h, as the callers' gate (_grf_setup) ensures; the d* d h
+    of any other h is left out.  Where d2 is None, dh = 0.
     """
     n = m.shape[0]
     metric, split = _grf_metric(n), n * (n + 1) // 2
     upper = np.unique(metric, return_index=True)[1]  # flat (i, j), i <= j, in row order
-    d2, d3 = _d_block(m, 3), _d_block(m, 4)
-    harmonic = d2 is None and d3 is None  # Lap = 0 on every 3-form
+    d2 = _d_block(m, 3)
     zero = np.zeros(math.comb(n, 3))
 
     def rhs(y):
@@ -757,37 +760,28 @@ def _grf_kernel(m):
         K = _two_slots(L_inv)
         hh, P = _h_circ_h(_unpack(h, n, 3), K)
         dg = 0.5 * hh - 2.0 * _pull_back(L.T, ric_orthonormal(_frame_change(K, L.T, m)))
-        if harmonic:
+        if d2 is None:
             return np.concatenate((dg.ravel()[upper], zero))
-        g_inv = L_inv.T @ L_inv
-        lap = np.zeros(h.shape)
-        if d3 is not None:  # d* d h
-            lap += _codiff(d3, g, _on_slots(g_inv, d3 @ h, n, 4), n, 4)
-        if d2 is not None:  # d d* h
-            c3 = _pack((g_inv @ (P @ K)).reshape(n, n, n), 3)
-            lap += d2 @ _codiff(d2, g, c3, n, 3)
-        return np.concatenate((dg.ravel()[upper], -lap))
+        c3 = _pack(((L_inv.T @ L_inv) @ (P @ K)).reshape(n, n, n), 3)
+        return np.concatenate((dg.ravel()[upper], -(d2 @ _codiff(d2, g, c3, n, 3))))
 
     return rhs
 
 
 def grf_rhs(mu, state):
-    """Time derivative (dg, dH) of the flow dg = -2 Rc + (1/2) H o H, dH = -Lap H.
+    """Time derivative (dg, dH) of the flow dg = -2 Rc + (1/2) H o H, dH = -d d*_g H.
 
-    Evaluates _grf_kernel, as integrate_grf and blowup_time do, on the state's
-    "grf" row.  With g = L L^T and K = L^-1 (x) L^-1, Rc is the Ricci form of the
+    The state passes the drivers' gate (_grf_setup): mu is a LieBracket or skew (n, n, n)
+    array that satisfies Jacobi and is unimodular, and H is closed for it, so -d d* H is
+    -Lap H (ValidationError otherwise).  Evaluates _grf_kernel on the state's "grf" row.
+    With g = L L^T and K = L^-1 (x) L^-1, Rc is the Ricci form of the
     orthonormal-frame bracket (K on its inputs, L^T on its output) pulled back by L^T,
-    H o H = P P^T for P = H K^T, and Lap = d d* + d* d with d* the g-adjoint of d; dg is
-    exactly symmetric.  mu is a unimodular LieBracket or skew (n, n, n) array, else ValidationError.
+    H o H = P P^T for P = H K^T, and d* is the g-adjoint of d; dg is exactly symmetric.
     """
     if not isinstance(state, GrfState):
         raise ValidationError("grf_rhs expects a GrfState")
-    m = _as_bracket(mu).coeffs
-    n = m.shape[0]
-    if state.dim != n:
-        raise ValidationError(
-            f"state dimension {state.dim} does not match bracket dimension {n}")
-    dy = _grf_kernel(m)(_grf_row(state.g.entries, state.H.coeffs))
+    n, y, f, _ = _grf_setup(mu, state.g, state.H, 1)
+    dy = f(y)
     return dy[_grf_metric(n)], KForm(n, 3, dy[n * (n + 1) // 2:])
 
 
@@ -795,7 +789,7 @@ def _grf_setup(mu, g0, H0, direction):
     """Check the initial data; return (n, y0, f, in_domain) on the "grf" row y.
 
     mu must satisfy Jacobi and H0 be closed for it (_check_structure), as
-    for the bracket flow.
+    for the bracket flow; the kernel rejects a bracket that is not unimodular.
 
     f(y) is the flow's right-hand side, negated when direction is -1; it
     raises LinAlgError where g is not positive definite.  in_domain(y) says

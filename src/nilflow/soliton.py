@@ -24,7 +24,7 @@ from .config import RANK_TOL_FACTOR
 from .curvature import symmetric_part, _generalized_terms
 from .errors import ValidationError
 from .hodge import as_metric
-from .lie import KForm, ce_differential, _as_bracket, _pack
+from .lie import KForm, ce_differential, _as_bracket, _index_array, _pack
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,11 @@ def _derivation_constraint_matrix(m):
     # Rows: phi -> pi(phi)mu on its packed i < j entries, (C(n, 2) n, n^2); null space = Der(mu).
     n = m.shape[0]
     eye = np.eye(n)
-    a1 = np.einsum('kr,ijs->ijkrs', eye, m)
-    a2 = np.einsum('is,rjk->ijkrs', eye, m)
-    a3 = np.einsum('js,irk->ijkrs', eye, m)
-    return _pack(a1 - a2 - a3, 2).reshape(-1, n * n)
+    i, j = _index_array(n, 2).T
+    a1 = np.einsum('kr,ps->pkrs', eye, m[i, j])
+    a2 = np.einsum('ps,rpk->pkrs', eye[i], m[:, j])
+    a3 = np.einsum('ps,prk->pkrs', eye[j], m[i])
+    return (a1 - a2 - a3).reshape(-1, n * n)
 
 
 def _null_space(mat):

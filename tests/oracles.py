@@ -88,12 +88,13 @@ def packed_ce(coeffs, m, k):
         return perm_sign(order) * slots[tuple(idx[r] for r in order)]
 
     out = []
+    batch = np.shape(coeffs)[1:]  # a row of d with no terms still has the batch shape
     for T in itertools.combinations(range(n), k + 1):
-        acc = 0.0
+        acc = np.zeros(batch)
         for p in range(k + 1):
             for q in range(p + 1, k + 1):
                 rest = tuple(T[r] for r in range(k + 1) if r != p and r != q)
-                inner = 0.0
+                inner = np.zeros(batch)
                 for l in range(n):
                     c = m[T[p], T[q], l]
                     if c != 0.0:

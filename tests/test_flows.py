@@ -174,11 +174,20 @@ def _oracle_grf_rhs(m, G, Hd):
 
 
 def test_grf_rhs_matches_oracle_where_the_laplacian_is_not_zero(rng):
+    """dH = -d d* H against the oracle's full -(d d* + d* d) H, on the closed H the flow
+    carries; a 3-form that is not closed is refused, since there the two differ.  At n = 4
+    d on 3-forms is +-tr ad = 0, so the random 3-form is closed too."""
     for n in (4, 5, 6, 7):
         m = oc.random_nilpotent(rng, n).coeffs
         G = oc.random_spd(rng, n)
-        for h in (oc.random_closed_3form(rng, m), oc.random_form_coeffs(rng, n, 3)):
-            dg, dH = grf_rhs(m, GrfState(Metric(G), KForm(n, 3, h)))
+        for closed, h in ((True, oc.random_closed_3form(rng, m)),
+                          (n == 4, oc.random_form_coeffs(rng, n, 3))):
+            state = GrfState(Metric(G), KForm(n, 3, h))
+            if not closed:
+                with pytest.raises(ValidationError, match="not closed"):
+                    grf_rhs(m, state)
+                continue
+            dg, dH = grf_rhs(m, state)
             want_dg, want_dh = _oracle_grf_rhs(m, G, oc.dense_form(h, n, 3))
             want_dh = np.array([want_dh[T] for T in itertools.combinations(range(n), 3)])
             assert np.max(np.abs(want_dh)) > 1e-2  # the Laplacian term is exercised
@@ -237,11 +246,14 @@ def test_grf_drivers_reject_a_bracket_that_is_not_unimodular():
     assert integrate_grf(sl2, g, _h3_flux(1.0), (0.0, 0.1)).times[-1] == 0.1
 
 
-def test_grf_rhs_validation():
+def test_grf_rhs_validation(rng):
     with pytest.raises(ValidationError):
         grf_rhs(HEIS, (Metric.identity(3), KForm.zero(3, 3)))
     with pytest.raises(ValidationError):
         grf_rhs(HEIS, GrfState(Metric.identity(4), KForm.zero(4, 3)))
+    # the drivers' gate: a skew bracket that violates Jacobi is refused
+    with pytest.raises(ValidationError, match="violates Jacobi"):
+        grf_rhs(oc.random_skew_bracket(rng, 4), GrfState(Metric.identity(4), KForm.zero(4, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +565,22 @@ def test_integrate_grf_flux_and_symmetry_invariants():
         G = st.g.entries
         assert abs(G[0, 0] - G[1, 1]) <= 1e-10
         assert np.max(np.abs(G - np.diag(np.diag(G)))) <= 1e-12
+
+
+def test_integrate_grf_keeps_the_flux_in_its_cohomology_class(rng):
+    """H(t) - H0 lies in im d on 2-forms: every increment -d d* H is exact, so the flow keeps
+    the class [H0].  The image comes from the packed oracle's d, not from nilflow's."""
+    for n in (4, 5, 6):
+        mu = oc.random_nilpotent(rng, n)
+        h0 = oc.random_closed_3form(rng, mu.coeffs)
+        d2 = oc.packed_ce(np.eye(math.comb(n, 2)), mu.coeffs, 2)
+        u, s, _ = np.linalg.svd(d2)
+        image = u[:, :int(np.sum(s > 1e-10 * s[0]))]
+        traj = integrate_grf(mu, oc.random_spd(rng, n), h0, (0.0, 2.0))
+        moved = traj.rows[:, n * (n + 1) // 2:] - h0
+        assert np.max(np.abs(moved)) > 1e-2  # H moves, so the check is not vacuous
+        off_image = moved - (moved @ image) @ image.T
+        assert np.max(np.abs(off_image)) <= 1e-13 * max(1.0, np.max(np.abs(h0)))
 
 
 def test_integrate_grf_matches_scipy():

@@ -287,6 +287,22 @@ def test_ce_differential_matches_dense_oracle(rng):
                 assert np.allclose(got.unpack(), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("entries, n", [(oc.HEIS3, 3), (oc.FILIFORM4, 4), (oc.HEIS5, 5)],
+                         ids=["heis3", "filiform4", "heis5"])
+def test_packed_ce_batches_agree_with_single_forms(rng, entries, n):
+    """The packed oracle on forms stacked along a trailing axis, as random_closed_3form calls
+    it, equals one call per form, also where a row of d vanishes, as on these brackets."""
+    m = oc.bracket_from(entries, n).coeffs
+    for k in range(n + 1):
+        batch = rng.standard_normal((math.comb(n, k), 3))
+        got = oc.packed_ce(batch, m, k)
+        want = np.stack([oc.packed_ce(col, m, k) for col in batch.T], axis=1)
+        assert got.shape == want.shape == (math.comb(n, k + 1), 3)
+        assert np.array_equal(got, want)
+    h = oc.random_closed_3form(rng, m)
+    assert np.abs(oc.packed_ce(h, m, 3)).max(initial=0.0) <= 1e-12 * np.abs(h).max()
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_d_matrix_matches_ce_differential(rng, n):
     """d's matrix form, which the GRF kernel multiplies by, is the gather's d."""

@@ -1,4 +1,4 @@
-"""Microseconds per call of the flow kernels, best of k, for n = 3..7.
+"""Microseconds per call of the flow kernels, best of k, for n = 3..10.
 
     python tools/kernel_timing.py [--repeat K] [--number N]
 
@@ -13,9 +13,10 @@ and, in a second table, one call of each Dorfman residual of the bracket and
 the same H, on the doubled space of dimension 2n: ``dorfman_jacobi_residual``
 and ``dorfman_total_skew_residual``.
 
-The brackets are the Heisenberg algebras of dimension 3, 5 and 7
+The brackets are the Heisenberg algebras of dimension 3, 5, 7 and 9
 ([e1, e2] = e3; [e1, e2] = [e3, e4] = e5; and so on) and the standard
-filiform algebras [e1, ej] = e(j+1) of dimension 4 to 7.  The GRF state is
+filiform algebras [e1, ej] = e(j+1) of dimension 4 to 10, the largest
+dimension a problem may have (MAX_PROBLEM_DIM).  The GRF state is
 g = I + 0.1 (every entry) with every packed coefficient of H equal to 1;
 the bracket-flow state is the bracket's own packed row with the same H.
 Closedness plays no part in a kernel's cost.  Each number is the least of K
@@ -36,9 +37,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def brackets(LieBracket):
-    """(name, LieBracket) for heis3, filiform4, heis5, filiform5, ..., heis7, filiform7."""
+    """(name, LieBracket) for heis3, filiform4, heis5, filiform5, ..., filiform9, filiform10."""
     out = []
-    for n in range(3, 8):
+    for n in range(3, 11):
         if n % 2:
             pairs = [(2 * i + 1, 2 * i + 2, n, 1.0) for i in range(n // 2)]
             out.append((f"heis{n}", LieBracket.from_entries(n, pairs)))

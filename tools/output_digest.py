@@ -13,10 +13,10 @@ last line produced bitwise-equal outputs on these runs:
   - heis3 ``blowup_time`` in both directions with horizon 1;
   - the fixed-step nil7 pairs of nil7-forward for seeds 1, 2, 3, 5 and 7;
   - the ``tmin_sweep`` rows over the benchmark's a values;
-  - ``grf_rhs`` and ``gbf_rhs`` on 16 random nilpotent brackets, n = 3..6,
-    and on the same brackets with a closed H: adaptive ``integrate_grf``
-    forward and backward (or the text of its NumericalError) and
-    ``blowup_time``;
+  - ``gbf_rhs`` on 16 random nilpotent brackets, n = 3..6, with a random
+    3-form, and on the same brackets with a closed H (the GRF rejects any
+    other): ``grf_rhs``, adaptive ``integrate_grf`` forward and backward (or
+    the text of its NumericalError) and ``blowup_time``;
   - every survey result for seeds 1..8, 3 passes each, in five sections by
     diagnostic: "survey structure" (Jacobi residual, nilpotency step,
     closedness residual), "survey ricci+" (the generalized Ricci tensor),
@@ -133,11 +133,11 @@ def _random(nf, workloads, outdir):
         n = 3 + i % 4
         mu = oracles.random_nilpotent(rng, n)
         g = oracles.random_spd(rng, n)
-        state = nf.GrfState(nf.Metric(g), nf.KForm(n, 3, oracles.random_form_coeffs(rng, n, 3)))
-        out.append(nf.grf_rhs(mu, state))
+        flux = nf.KForm(n, 3, oracles.random_form_coeffs(rng, n, 3))
         for spec in ("ric", "ric-h2"):
-            out.append(nf.gbf_rhs(spec, mu, state.H))
+            out.append(nf.gbf_rhs(spec, mu, flux))
         H = problems.pack(problems.closed_flux(rng, mu.coeffs, 0.5))
+        out.append(nf.grf_rhs(mu, nf.GrfState(nf.Metric(g), nf.KForm(n, 3, H))))
         for direction in (1, -1):
             out.append(_or_error(nf, lambda: nf.integrate_grf(
                 mu, g, H, (0.0, 1.0), direction=direction)))
