@@ -631,14 +631,13 @@ def _structure_residuals(y, n):
 
 
 def _check_structure(y, n):
-    """Reject initial data, as the "gbf" row y on R^n, whose bracket violates Jacobi or whose
+    """Reject a state, as the "gbf" row y on R^n, whose bracket violates Jacobi or whose
     3-form is not closed for it."""
     jacobi, closed = _structure_residuals(y, n)
     if jacobi > STRUCTURE_TOL:
-        raise ValidationError(f"initial bracket violates Jacobi (residual {jacobi:.3e})")
+        raise ValidationError(f"bracket violates Jacobi (residual {jacobi:.3e})")
     if closed > STRUCTURE_TOL:
-        raise ValidationError(
-            f"initial 3-form is not closed for the bracket (residual {closed:.3e})")
+        raise ValidationError(f"3-form is not closed for the bracket (residual {closed:.3e})")
 
 
 def _flux(H, n):

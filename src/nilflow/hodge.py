@@ -8,8 +8,9 @@ g-adjoint of d, C_{k-1}(g) D^T C_k(g^-1) on packed k-forms (D is d on (k-1)-form
 C_k a compound), for unimodular brackets only; the flows' GRF kernel shares _codiff.
 
 The star is C_k(g^-1) (lie._on_slots, as in form_inner) followed by a signed
-permutation of packed slots (complement tuples with their shuffle signs),
-built once per (n, k) and cached read-only.
+permutation of packed slots, built once per (n, k) and cached read-only: the
+r-th k-tuple I goes to the slot of its complement Ic, which is the (n-k)-tuple
+of rank C(n, k) - 1 - r, with the sign lie._sort_sign gives the tuple I + Ic.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .config import METRIC_SYMMETRY_TOL
 from .errors import ValidationError
-from .lie import (KForm, bracket_coeffs, ce_differential, complement, index_tuples,
-                  shuffle_sign, _d_block, _frozen, _on_slots, _tuple_rank)
+from .lie import (KForm, bracket_coeffs, ce_differential, _d_block, _frozen, _index_array,
+                  _on_slots, _sort_sign)
 
 
 @dataclass(frozen=True)
@@ -141,15 +142,12 @@ def _check_orientation(orientation):
 
 @lru_cache(maxsize=None)
 def _star_tables(n, k):
-    """For each increasing k-tuple I: the rank of its complement Ic among the
-    (n-k)-tuples, and the shuffle sign of (I, Ic)."""
-    ranks_c = _tuple_rank(n, n - k)
-    dest, sign = [], []
-    for I in index_tuples(n, k):
-        Ic = complement(I, n)
-        dest.append(ranks_c[Ic])
-        sign.append(shuffle_sign(I, Ic))
-    return _frozen(np.array(dest, dtype=np.intp), np.array(sign, dtype=float))
+    """For each increasing k-tuple I: the rank of its complement Ic among the (n-k)-tuples
+    (see the module docstring), and the shuffle sign of (I, Ic)."""
+    I = _index_array(n, k)
+    dest = np.arange(len(I) - 1, -1, -1, dtype=np.intp)
+    _, sign = _sort_sign(np.concatenate([I, _index_array(n, n - k)[dest]], axis=1), n)
+    return _frozen(dest, sign.astype(float))
 
 
 def hodge_star(omega, g, orientation=1):

@@ -14,8 +14,10 @@ d/ds A(s).mu = pi(phi) mu at s = 0.
 The index bookkeeping of the form calculus does not depend on the bracket,
 the metric or the coefficients, only on (n, k), so it lives in integer
 tables built once per (n, k) and cached (read-only, shared by every caller).
-_index_array serves compound_matrix; _unpack_tables and _pack_index are the
-packed layout, scattered by _unpack (KForm.unpack) and gathered by _pack
+One vectorized rule builds them, and wedge, from _index_array's tuples:
+_sort_sign, the packed slot and sign of every index tuple in an array.
+_index_array also serves compound_matrix; _unpack_tables and _pack_index are
+the packed layout, scattered by _unpack (KForm.unpack) and gathered by _pack
 (KForm.from_dense); _ce_tables is d, gathered by _ce (ce_differential) and
 summed into a matrix by _d_matrix, whose blocks for d* _d_block decides.  The
 flows reach the layout, d and compounds (_on_slots) only through these.
@@ -58,15 +60,32 @@ def _frozen(*arrays):
 @lru_cache(maxsize=None)
 def _index_array(n, k):
     """index_tuples(n, k) as a read-only (C(n, k), k) integer array."""
-    (arr,) = _frozen(np.array(index_tuples(n, k), dtype=np.intp).reshape(-1, k))
+    (arr,) = _frozen(np.array(index_tuples(n, k), dtype=np.intp).reshape(math.comb(n, k), k))
     return arr
 
 
 @lru_cache(maxsize=None)
 def _pack_index(n, k):
     """Flat positions in the dense (n,) * k tensor of the increasing k-tuples, in packed order."""
-    (index,) = _frozen(np.ravel_multi_index(_index_array(n, k).T, (n,) * k))
+    (index,) = _frozen(_index_array(n, k) @ n ** np.arange(k - 1, -1, -1, dtype=np.intp))
     return index
+
+
+def _sort_sign(t, n):
+    """sort_sign and _tuple_rank at once, over an integer array t[..., k] of tuples in range(n).
+
+    Returns (rank, sign): the sign of the sorting permutation, 0 where an index repeats, and
+    the sorted c's rank in index_tuples(n, k) by the combinatorial number system,
+    C(n, k) - 1 - sum_i C(n - 1 - c_i, k - i), 0 where the sign is 0.  Inversions are
+    counted one slot pair at a time, so no temporary outgrows t."""
+    k = t.shape[-1]
+    odd, repeat = np.zeros((2,) + t.shape[:-1], dtype=bool)
+    for i, j in itertools.combinations(range(k), 2):
+        odd ^= t[..., i] > t[..., j]
+        repeat |= t[..., i] == t[..., j]
+    binom = np.array([math.comb(n - 1 - c, k - i) for c in range(n) for i in range(k)], np.intp)
+    rank = math.comb(n, k) - 1 - binom.reshape(n, k)[np.sort(t, axis=-1), np.arange(k)].sum(-1)
+    return np.where(repeat, 0, rank), np.where(repeat, 0, np.where(odd, -1, 1))
 
 
 def sort_sign(indices):
@@ -133,17 +152,11 @@ def _unpack_tables(n, k):
     """Scatter of KForm.unpack: for every permutation of every increasing
     k-tuple, its flat index in the dense (n,) * k tensor, the tuple's rank and
     the permutation sign."""
-    flat, src, sign = [], [], []
-    for r, base in enumerate(index_tuples(n, k)):
-        for perm in itertools.permutations(base):
-            pos = 0
-            for i in perm:
-                pos = pos * n + i
-            flat.append(pos)
-            src.append(r)
-            sign.append(sort_sign(perm)[1])
-    return _frozen(np.array(flat, dtype=np.intp), np.array(src, dtype=np.intp),
-                   np.array(sign, dtype=float))
+    perms = np.array(list(itertools.permutations(range(k))), np.intp).reshape(math.factorial(k), k)
+    tuples = _index_array(n, k)[:, perms]  # by rank, then permutations in itertools order
+    flat = (tuples @ n ** np.arange(k - 1, -1, -1, dtype=np.intp)).ravel()
+    src = np.repeat(np.arange(len(tuples), dtype=np.intp), len(perms))
+    return _frozen(flat, src, np.tile(_sort_sign(perms, k)[1].astype(float), len(tuples)))
 
 
 def _unpack(x, n, k):
@@ -458,23 +471,15 @@ def _ce_tables(n, k):
     sign[r, j, l] * coeffs[src[r, j, l]], with sign 0 where l repeats an index;
     odd[j] is the parity of p + q.
     """
-    outs = index_tuples(n, k + 1)
-    pairs = tuple(itertools.combinations(range(k + 1), 2))
-    ranks = _tuple_rank(n, k)
-    I = np.zeros((len(outs), len(pairs)), dtype=np.intp)
-    J = np.zeros_like(I)
-    src = np.zeros((len(outs), len(pairs), n), dtype=np.intp)
-    sign = np.zeros(src.shape)
-    for r, T in enumerate(outs):
-        for j, (p, q) in enumerate(pairs):
-            I[r, j], J[r, j] = T[p], T[q]
-            rest = T[:p] + T[p + 1:q] + T[q + 1:]
-            for l in range(n):
-                key, s = sort_sign((l,) + rest)
-                if s:
-                    src[r, j, l], sign[r, j, l] = ranks[key], s
-    odd = np.array([(p + q) % 2 == 1 for p, q in pairs], dtype=bool)
-    return _frozen(I, J, src, sign, odd)
+    outs = _index_array(n, k + 1)
+    pairs = _index_array(k + 1, 2)
+    I, J = outs[:, pairs[:, 0]], outs[:, pairs[:, 1]]
+    tuples = np.empty(I.shape + (n, k), dtype=np.intp)  # (l,) + T without p, q
+    tuples[..., :1] = np.arange(n)[:, None]
+    if k:  # pair j leaves the j-th (k-1)-subset from the end: complements reverse lex order
+        tuples[..., 1:] = outs[:, _index_array(k + 1, k - 1)[::-1]][:, :, None]
+    src, sign = _sort_sign(tuples, n)
+    return _frozen(I, J, src, sign.astype(float), pairs.sum(axis=1) % 2 == 1)
 
 
 def _d_matrix(m, k):
@@ -537,19 +542,15 @@ def wedge(alpha, beta):
         raise ValidationError("wedge requires forms on the same space")
     n = alpha.dim
     k, l = alpha.degree, beta.degree
-    ranks = _tuple_rank(n, k + l)
+    A, B = _index_array(n, k), _index_array(n, l)
+    tuples = np.empty((len(A), len(B), k + l), dtype=np.intp)  # A + B
+    tuples[..., :k] = A[:, None, :]
+    tuples[..., k:] = B
+    rank, sign = _sort_sign(tuples, n)
+    hit = sign != 0
     out = np.zeros(math.comb(n, k + l))
-    for ra, A in enumerate(index_tuples(n, k)):
-        va = alpha.coeffs[ra]
-        if va == 0.0:
-            continue
-        for rb, B in enumerate(index_tuples(n, l)):
-            vb = beta.coeffs[rb]
-            if vb == 0.0:
-                continue
-            merged, sign = sort_sign(A + B)
-            if sign != 0:
-                out[ranks[merged]] += sign * va * vb
+    # summed in the order of a loop over A, then over B
+    np.add.at(out, rank[hit], (sign * alpha.coeffs[:, None] * beta.coeffs)[hit])
     return KForm(n, k + l, out)
 
 

@@ -6,6 +6,10 @@ plain loops, the star operator goes through the Levi-Civita symbol, and the
 Ricci oracle walks Koszul -> Christoffels -> curvature tensor -> trace.
 They are slow and only meant for small dimensions.
 
+The index-table oracles apply the library's scalar rules (sort_sign,
+_tuple_rank, complement, shuffle_sign) one tuple at a time, the way the
+library built its tables before one vectorized rule, lie._sort_sign, did.
+
 The data generators at the bottom may use the library (conjugating a known
 nilpotent bracket by a random basis change is generation, not verification).
 """
@@ -15,7 +19,8 @@ import math
 
 import numpy as np
 
-from nilflow import LieBracket, gl_action
+from nilflow import LieBracket, complement, gl_action, index_tuples, shuffle_sign, sort_sign
+from nilflow.lie import _tuple_rank
 
 
 def perm_sign(perm):
@@ -110,6 +115,75 @@ def dense_form(coeffs, n, k):
     for c, T in zip(coeffs, itertools.combinations(range(n), k)):
         for perm in itertools.permutations(range(k)):
             out[tuple(T[p] for p in perm)] = perm_sign(perm) * c
+    return out
+
+
+def unpack_tables(n, k):
+    """lie._unpack_tables: for every permutation of every increasing k-tuple, its flat index
+    in the dense (n,) * k tensor, the tuple's rank and sort_sign's sign."""
+    flat, src, sign = [], [], []
+    for r, base in enumerate(index_tuples(n, k)):
+        for perm in itertools.permutations(base):
+            pos = 0
+            for i in perm:
+                pos = pos * n + i
+            flat.append(pos)
+            src.append(r)
+            sign.append(sort_sign(perm)[1])
+    return (np.array(flat, dtype=np.intp), np.array(src, dtype=np.intp),
+            np.array(sign, dtype=float))
+
+
+def ce_tables(n, k):
+    """lie._ce_tables, one sort_sign and _tuple_rank lookup per output tuple, slot pair and l."""
+    outs = index_tuples(n, k + 1)
+    pairs = tuple(itertools.combinations(range(k + 1), 2))
+    ranks = _tuple_rank(n, k)
+    I = np.zeros((len(outs), len(pairs)), dtype=np.intp)
+    J = np.zeros_like(I)
+    src = np.zeros((len(outs), len(pairs), n), dtype=np.intp)
+    sign = np.zeros(src.shape)
+    for r, T in enumerate(outs):
+        for j, (p, q) in enumerate(pairs):
+            I[r, j], J[r, j] = T[p], T[q]
+            rest = T[:p] + T[p + 1:q] + T[q + 1:]
+            for l in range(n):
+                key, s = sort_sign((l,) + rest)
+                if s:
+                    src[r, j, l], sign[r, j, l] = ranks[key], s
+    odd = np.array([(p + q) % 2 == 1 for p, q in pairs], dtype=bool)
+    return I, J, src, sign, odd
+
+
+def star_tables(n, k):
+    """hodge._star_tables: the rank of each increasing k-tuple's complement and their
+    shuffle sign."""
+    ranks_c = _tuple_rank(n, n - k)
+    dest, sign = [], []
+    for I in index_tuples(n, k):
+        Ic = complement(I, n)
+        dest.append(ranks_c[Ic])
+        sign.append(shuffle_sign(I, Ic))
+    return np.array(dest, dtype=np.intp), np.array(sign, dtype=float)
+
+
+def wedge_coeffs(alpha, beta):
+    """Packed coefficients of alpha wedge beta, one sort_sign per pair of nonzero slots, summed
+    in the order of the loop."""
+    n, k, l = alpha.dim, alpha.degree, beta.degree
+    ranks = _tuple_rank(n, k + l)
+    out = np.zeros(math.comb(n, k + l))
+    for ra, A in enumerate(index_tuples(n, k)):
+        va = alpha.coeffs[ra]
+        if va == 0.0:
+            continue
+        for rb, B in enumerate(index_tuples(n, l)):
+            vb = beta.coeffs[rb]
+            if vb == 0.0:
+                continue
+            merged, sign = sort_sign(A + B)
+            if sign != 0:
+                out[ranks[merged]] += sign * va * vb
     return out
 
 

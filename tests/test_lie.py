@@ -62,6 +62,50 @@ def test_complement_and_shuffle_sign(rng):
                 assert shuffle_sign(I, Ic) == sort_sign(I + Ic)[1]
 
 
+def test_index_array_and_pack_index_at_degree_zero():
+    for n in range(1, 5):
+        assert lie._index_array(n, 0).shape == (1, 0)
+        index = lie._pack_index(n, 0)
+        assert index.shape == (1,) and index.tolist() == [0]
+    assert lie._index_array(2, 3).shape == (0, 3)
+
+
+def test_array_sort_sign_matches_sort_sign_and_tuple_rank():
+    # every k-tuple over range(n), repeated indices included
+    for n in range(1, 6):
+        for k in range(5):
+            tuples = list(itertools.product(range(n), repeat=k))
+            rank, sign = lie._sort_sign(np.array(tuples, dtype=np.intp).reshape(len(tuples), k), n)
+            for t, r, s in zip(tuples, rank, sign):
+                key, want = sort_sign(t)
+                assert s == want
+                assert r == (lie._tuple_rank(n, k)[key] if want else 0)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_index_tables_equal_the_scalar_rules(n):
+    for k in range(n + 1):
+        for got, want in ((lie._unpack_tables(n, k), oc.unpack_tables(n, k)),
+                          (lie._ce_tables(n, k), oc.ce_tables(n, k)),
+                          (hodge._star_tables(n, k), oc.star_tables(n, k))):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
+
+
+def test_wedge_is_bitwise_the_loop_over_index_tuples(rng):
+    # zero coefficients, of both signs, are skipped by the loop and summed by wedge
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for l in range(n + 1):
+                a, b = oc.random_form_coeffs(rng, n, k), oc.random_form_coeffs(rng, n, l)
+                a[rng.random(a.size) < 0.3] = 0.0
+                b[rng.random(b.size) < 0.3] = -0.0
+                alpha, beta = KForm(n, k, a), KForm(n, l, b)
+                assert wedge(alpha, beta).coeffs.tobytes() == oc.wedge_coeffs(alpha, beta).tobytes()
+
+
 def test_compound_matrix(rng):
     A = rng.standard_normal((4, 4))
     B = rng.standard_normal((4, 4))

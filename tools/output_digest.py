@@ -26,6 +26,11 @@ last line produced bitwise-equal outputs on these runs:
   - ``codifferential`` and ``hodge_laplacian`` of a seeded form of every
     degree 0..n on a random nilpotent bracket with a random metric, n = 3..7,
     so that a change to d* shows up under its own name;
+  - "forms": ``KForm.unpack``, ``ce_differential`` and ``hodge_star`` in both
+    orientations of a seeded form of every degree 0..n, about a quarter of its
+    coefficients zero, on a random nilpotent bracket with a random metric,
+    n = 3..7, and ``wedge`` of every pair of those forms, so that a change to
+    the form calculus' index tables shows up under its own name;
   - ``nilflow.cli.main`` on each command line of README.md's CLI block and
     on CLI_EXIT_2, run in a fresh directory with relative output names: the
     exit code, the stdout and the bytes of each file the command wrote
@@ -186,6 +191,26 @@ def _hodge(nf, workloads, outdir):
     return out
 
 
+def _forms(nf, workloads, outdir):
+    import oracles
+
+    rng = np.random.default_rng(20260819)
+    out = []
+    for n in range(3, 8):
+        mu = oracles.random_nilpotent(rng, n)
+        g = oracles.random_spd(rng, n)
+        forms = []
+        for k in range(n + 1):
+            coeffs = oracles.random_form_coeffs(rng, n, k)
+            coeffs[rng.random(coeffs.size) < 0.25] = 0.0
+            forms.append(nf.KForm(n, k, coeffs))
+        for w in forms:
+            out.append((w.unpack(), nf.ce_differential(w, mu), nf.hodge_star(w, g),
+                        nf.hodge_star(w, g, orientation=-1)))
+        out.append([nf.wedge(a, b) for a in forms for b in forms])
+    return out
+
+
 # command lines that exit 2, each on a flag the CLI or the library rejects
 CLI_EXIT_2 = [
     ["fly", "--input", "heisenberg3"],
@@ -257,7 +282,7 @@ def _cli(nf, workloads, outdir):
 SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
             ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
             ("random brackets", _random), *SURVEY_SECTIONS, ("hodge", _hodge),
-            ("cli", _cli))
+            ("forms", _forms), ("cli", _cli))
 
 
 def main(argv):
