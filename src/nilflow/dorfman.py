@@ -102,19 +102,16 @@ def neutral_pairing(z1, z2):
 
 
 def dorfman_eval(mu, H, z1, z2):
-    """The bracket muH(z1, z2) of two generalized vectors."""
-    m = bracket_coeffs(mu)
-    n = m.shape[0]
-    Hd = form_dense(H, n, 3)
+    """The bracket muH(z1, z2) of two generalized vectors, read off the structure table T
+    (dorfman_structure_constants): c = T contracted with z1 and z2 stacked as (vec, covec)
+    on its first two indices; the vector part is c[n:] and the covector part c[:n]."""
+    T = dorfman_structure_constants(mu, H)
+    n = T.shape[0] // 2
     if z1.dim != n or z2.dim != n:
         raise ValidationError("generalized vectors do not match the bracket dimension")
-    X, xi = z1.vec, z1.covec
-    Y, eta = z2.vec, z2.covec
-    vec = np.einsum('ijk,i,j->k', m, X, Y)
-    cov = (-np.einsum('ikl,i,l->k', m, X, eta)
-           + np.einsum('jkl,j,l->k', m, Y, xi)
-           + np.einsum('ijk,i,j->k', Hd, X, Y))
-    return GeneralizedVector(vec, cov)
+    c = np.einsum('abc,a,b->c', T, np.concatenate((z1.vec, z1.covec)),
+                  np.concatenate((z2.vec, z2.covec)))
+    return GeneralizedVector(c[n:], c[:n])
 
 
 def dorfman_structure_constants(mu, H):
@@ -124,8 +121,8 @@ def dorfman_structure_constants(mu, H):
     second (indices n..2n-1).  Blocks: T[vec,vec,vec] = H, T[vec,vec,cov] = mu,
     and every entry with two or more covector indices vanishes.  For any input,
     raw non-skew brackets and non-alternating dense H included, the expansion
-    muH(E_a, E_b) = sum_k T[a,b,n+k] e_k + T[a,b,k] e^k reproduces dorfman_eval
-    on basis pairs, so the residuals below read their data off T.  T is totally
+    muH(E_a, E_b) = sum_k T[a,b,n+k] e_k + T[a,b,k] e^k is the bracket, so
+    dorfman_eval and the residuals below read their data off T.  T is totally
     skew only when mu is skew and H alternating.
     """
     m = bracket_coeffs(mu)

@@ -18,9 +18,10 @@ One vectorized rule builds them, and wedge, from _index_array's tuples:
 _sort_sign, the packed slot and sign of every index tuple in an array.
 _index_array also serves compound_matrix; _unpack_tables and _pack_index are
 the packed layout, scattered by _unpack (KForm.unpack) and gathered by _pack
-(KForm.from_dense); _ce_tables is d, gathered by _ce (ce_differential) and
-summed into a matrix by _d_matrix, whose blocks for d* _d_block decides.  The
-flows reach the layout, d and compounds (_on_slots) only through these.
+(KForm.from_dense, which checks alternation against _unpack of what it
+gathered); _ce_tables is d, gathered by _ce (ce_differential) and summed into
+a matrix by _d_matrix, whose blocks for d* _d_block decides.  The flows reach
+the layout, d and compounds (_on_slots) only through these.
 """
 
 from __future__ import annotations
@@ -135,18 +136,6 @@ def compound_matrix(mat, k):
     return np.linalg.det(mat[rows[:, None, :, None], rows[None, :, None, :]])
 
 
-def _alternation(arr):
-    """Full antisymmetrization of a dense tensor (average over signed permutations)."""
-    k = arr.ndim
-    if k <= 1:
-        return np.array(arr, dtype=float)
-    out = np.zeros_like(arr, dtype=float)
-    for perm in itertools.permutations(range(k)):
-        _, sign = sort_sign(perm)
-        out += sign * np.transpose(arr, perm)
-    return out / math.factorial(k)
-
-
 @lru_cache(maxsize=None)
 def _unpack_tables(n, k):
     """Scatter of KForm.unpack: for every permutation of every increasing
@@ -248,7 +237,12 @@ class KForm:
 
     @classmethod
     def from_dense(cls, arr):
-        """Pack a dense alternating tensor, checking alternation up to SKEW_TOL (relative)."""
+        """Pack a dense alternating tensor: its entries on the increasing index tuples.
+
+        Rejects a tensor farther than SKEW_TOL (1 + max|arr|) from the unpacking of those
+        entries.  So an exactly alternating tensor packs to its own entries, and an accepted
+        one to within that bound of the average over its signed permutations.
+        """
         arr = np.asarray(arr, dtype=float)
         k = arr.ndim
         if k == 0:
@@ -256,11 +250,11 @@ class KForm:
         n = arr.shape[0]
         if arr.shape != (n,) * k:
             raise ValidationError(f"dense form tensor must be cubical, got shape {arr.shape}")
-        alt = _alternation(arr)
+        packed = _pack(arr, k)
         scale = 1.0 + float(np.max(np.abs(arr))) if arr.size else 1.0
-        if arr.size and float(np.max(np.abs(arr - alt))) > SKEW_TOL * scale:
+        if arr.size and float(np.max(np.abs(arr - _unpack(packed, n, k)))) > SKEW_TOL * scale:
             raise ValidationError("dense tensor is not alternating")
-        return cls(n, k, _pack(alt, k))
+        return cls(n, k, packed)
 
     def unpack(self):
         """Dense fully alternating tensor of shape (dim,) * degree."""
@@ -578,12 +572,13 @@ def _two_slots(B):
 def _frame_change(K, A, m):
     """A.m as a plain array, for a skew (n, n, n) array m and K = _two_slots(A^-T).
 
-    K on both input slots and A on the output by two matmuls, then the exact
-    skew part.  gl_action, rc_metric and the generalized Ricci flow's kernel share it.
+    K on both input slots and A on the output by two matmuls, skew in its first two
+    indices up to round-off.  gl_action, rc_metric and the generalized Ricci flow's
+    kernel share it, and none needs it exactly skew: gl_action's LieBracket stores the
+    exact skew part, and ric_orthonormal is exactly symmetric for any array.
     """
     n = m.shape[0]
-    b = ((K @ m.reshape(n * n, n)) @ A.T).reshape(n, n, n)
-    return (b - b.swapaxes(0, 1)) / 2.0
+    return ((K @ m.reshape(n * n, n)) @ A.T).reshape(n, n, n)
 
 
 def gl_action(A, mu):

@@ -285,6 +285,40 @@ def ricci_riemann(m, G):
     return np.einsum('ijki->jk', R)
 
 
+def codifferential_adjoint(w_dense, m, G):
+    """d*w of a dense k-form, k >= 2, as the g-adjoint of dense_ce: the (k-1)-form with
+    <alpha, d*w>_g = <d alpha, w>_g (dense_inner) for every alpha, solved on the basis of
+    (k-1)-forms that dense_form unpacks from unit coefficient vectors."""
+    w = np.asarray(w_dense, dtype=float)
+    n, k = w.shape[0], w.ndim
+    basis = [dense_form(e, n, k - 1) for e in np.eye(math.comb(n, k - 1))]
+    gram = np.array([[dense_inner(a, b, G) for b in basis] for a in basis])
+    rhs = np.array([dense_inner(dense_ce(a, m), w, G) for a in basis])
+    return np.tensordot(np.linalg.solve(gram, rhs), np.array(basis), axes=1)
+
+
+def _full_norm_sq(T, G):
+    """|T|^2_g of a dense k-tensor as the full index sum: k! times dense_inner(T, T, G)."""
+    return math.factorial(T.ndim) * dense_inner(T, T, G)
+
+
+def generalized_scalar_curvature(m, G, Hd):
+    """S = R_g - |H|^2_g / 12, with R_g = tr(g^-1 Rc_g) for ricci_riemann's Rc_g and |H|^2_g
+    the full index sum."""
+    Ginv = np.linalg.inv(np.asarray(G, dtype=float))
+    return float(np.sum(Ginv * ricci_riemann(m, G).T)) - _full_norm_sq(Hd, G) / 12.0
+
+
+def generalized_scalar_curvature_rate(m, G, Hd):
+    """The two terms of dS/dt along the generalized Ricci flow on a nilpotent algebra,
+    2 |Rc_g - 1/4 H o H|^2_g and 1/2 |d*H|^2_g, every norm the full index sum; H o H by
+    einsum and d*H by codifferential_adjoint."""
+    Ginv = np.linalg.inv(np.asarray(G, dtype=float))
+    hh = np.einsum('rl,st,irs,jlt->ij', Ginv, Ginv, Hd, Hd)
+    return (2.0 * _full_norm_sq(ricci_riemann(m, G) - 0.25 * hh, G),
+            0.5 * _full_norm_sq(codifferential_adjoint(Hd, m, G), G))
+
+
 def _heisenberg_time_integral(a):
     """K = |1 - a^2| and F, the antiderivative of s^2/(s^2-a^2)^3 (see below)."""
     K = abs(1.0 - a * a)
@@ -342,6 +376,18 @@ def heisenberg_tmin_exact(a):
         raise ValueError("need a > 0 and a != 1")
     K, F = _heisenberg_time_integral(a)
     return -K * K * abs(F(1.0))
+
+
+def dorfman_bracket(m, Hd, z1, z2):
+    """muH(X + xi, Y + eta) = mu(X, Y) - eta . ad(X) + xi . ad(Y) + iota_Y iota_X H as
+    (vector, covector), one einsum per term, for generalized vectors z = (vec, covec).  Raw
+    (non-skew) m and non-alternating Hd are evaluated as given."""
+    (X, xi), (Y, eta) = z1, z2
+    vec = np.einsum('ijk,i,j->k', m, X, Y)
+    cov = (-np.einsum('ikl,i,l->k', m, X, eta)
+           + np.einsum('jkl,j,l->k', m, Y, xi)
+           + np.einsum('ijk,i,j->k', Hd, X, Y))
+    return vec, cov
 
 
 def dorfman_residuals(m, Hd):

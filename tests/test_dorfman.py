@@ -140,6 +140,27 @@ def test_dorfman_eval_dimension_mismatch():
                      GeneralizedVector.basis(3, 0), GeneralizedVector.basis(3, 1))
 
 
+def test_dorfman_eval_matches_the_termwise_oracle(rng):
+    """dorfman_eval and DorfmanBracket.eval against the bracket's four terms, one einsum each
+    (oc.dorfman_bracket): on raw non-skew brackets with non-alternating dense fluxes, which
+    the structure table expands too, and on validated pairs."""
+    def check(got, mu, Hd, z1, z2):
+        vec, cov = oc.dorfman_bracket(mu, Hd, (z1.vec, z1.covec), (z2.vec, z2.covec))
+        bound = 1e-13 * (1.0 + max(np.max(np.abs(vec)), np.max(np.abs(cov))))
+        assert np.max(np.abs(got.vec - vec)) <= bound
+        assert np.max(np.abs(got.covec - cov)) <= bound
+
+    for n in range(1, 7):
+        mu = oc.random_nilpotent(rng, n)
+        H = KForm(n, 3, oc.random_closed_3form(rng, mu.coeffs)) if n >= 3 else KForm.zero(n, 3)
+        pair = DorfmanBracket(mu, H)
+        for _ in range(5):
+            raw_mu, raw_H = rng.standard_normal((2, n, n, n))
+            z1, z2 = (GeneralizedVector(*rng.standard_normal((2, n))) for _ in range(2))
+            check(dorfman_eval(raw_mu, raw_H, z1, z2), raw_mu, raw_H, z1, z2)
+            check(pair.eval(z1, z2), mu.coeffs, H.unpack(), z1, z2)
+
+
 def test_dorfman_eval_gl_equivariance(rng):
     # block transport A on vectors, inverse transpose on covectors
     A = oc.random_basis_change(rng, 3)

@@ -195,6 +195,31 @@ def test_grf_rhs_matches_oracle_where_the_laplacian_is_not_zero(rng):
             assert np.max(np.abs(dH.coeffs - want_dh)) <= 1e-12 * np.max(np.abs(want_dh))
 
 
+def test_grf_rhs_raises_the_generalized_scalar_curvature_by_the_law(rng):
+    """On a nilpotent algebra S = R_g - |H|^2_g / 12 is constant in space, and along the flow
+    dS/dt = 2 |Rc_g - 1/4 H o H|^2_g + 1/2 |d*H|^2_g, every norm the full index sum
+    (Garcia-Fernandez & Streets, Generalized Ricci Flow, 2021).  S and the law are the oracles';
+    only the direction (dg, dH) is grf_rhs's.  dS/dt is a central difference of S along it,
+    Richardson-extrapolated, so it checks the Ricci term and the d d* term at once."""
+    for n in (3, 4, 5, 6):
+        m = oc.random_nilpotent(rng, n).coeffs
+        G = oc.random_spd(rng, n)
+        h = oc.random_closed_3form(rng, m)
+        dg, dH = grf_rhs(m, GrfState(Metric(G), KForm(n, 3, h)))
+        Hd, dHd = oc.dense_form(h, n, 3), oc.dense_form(dH.coeffs, n, 3)
+
+        def central(eps):
+            ahead = oc.generalized_scalar_curvature(m, G + eps * dg, Hd + eps * dHd)
+            behind = oc.generalized_scalar_curvature(m, G - eps * dg, Hd - eps * dHd)
+            return (ahead - behind) / (2.0 * eps)
+
+        eps = 2e-3 / (1.0 + np.max(np.abs(dg)))
+        rate = (4.0 * central(eps / 2.0) - central(eps)) / 3.0
+        ricci_term, flux_term = oc.generalized_scalar_curvature_rate(m, G, Hd)
+        assert n == 3 or flux_term > 1e-4 * ricci_term  # d*H = 0 on heis3 only
+        assert abs(rate - (ricci_term + flux_term)) <= 1e-8 * (ricci_term + flux_term)
+
+
 def test_grf_rhs_on_heis3_in_a_random_basis_matches_oracle(rng):
     """n = 3 against the oracles, which share neither the frame change nor H o H with the kernel.
 
@@ -581,6 +606,17 @@ def test_integrate_grf_keeps_the_flux_in_its_cohomology_class(rng):
         assert np.max(np.abs(moved)) > 1e-2  # H moves, so the check is not vacuous
         off_image = moved - (moved @ image) @ image.T
         assert np.max(np.abs(off_image)) <= 1e-13 * max(1.0, np.max(np.abs(h0)))
+
+
+def test_integrate_grf_takes_a_dense_flux_as_its_packed_coefficients(rng):
+    # the dense tensor packs to the very coefficients it unpacks from, so the runs agree bitwise
+    for n in (4, 5, 6):
+        mu = oc.random_nilpotent(rng, n)
+        g = oc.random_spd(rng, n)
+        h = oc.random_closed_3form(rng, mu.coeffs)
+        packed = integrate_grf(mu, g, h, (0.0, 0.2))
+        dense = integrate_grf(mu, g, oc.dense_form(h, n, 3), (0.0, 0.2))
+        assert np.array_equal(dense.rows, packed.rows)
 
 
 def test_integrate_grf_matches_scipy():

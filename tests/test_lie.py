@@ -172,6 +172,18 @@ def test_kform_dense_round_trip(rng):
         assert back.allclose(w, tol=1e-13)
 
 
+def test_kform_from_dense_packs_an_alternating_tensor_to_its_own_entries(rng):
+    # exactly, not to round-off: the entries on the increasing tuples are taken as they are
+    for n in range(1, 7):
+        for k in range(1, min(n, 5) + 1):
+            for _ in range(20):
+                size = math.comb(n, k)
+                coeffs = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+                coeffs[rng.random(size) < 0.25] = 0.0
+                f = KForm(n, k, coeffs)
+                assert np.array_equal(KForm.from_dense(f.unpack()).coeffs, f.coeffs)
+
+
 def test_kform_from_dense_rejects_non_alternating():
     bad = np.zeros((3, 3))
     bad[0, 1] = 1.0  # missing the -1 partner

@@ -31,6 +31,12 @@ last line produced bitwise-equal outputs on these runs:
     coefficients zero, on a random nilpotent bracket with a random metric,
     n = 3..7, and ``wedge`` of every pair of those forms, so that a change to
     the form calculus' index tables shows up under its own name;
+  - "dorfman_eval": ``dorfman_eval`` on 8 seeded pairs of generalized vectors
+    per n = 3..7, for a random nilpotent bracket with a random 3-form and for
+    a raw non-skew bracket with a non-alternating dense flux;
+  - "from_dense": ``KForm.from_dense`` of a seeded dense form of every degree
+    1..n, n = 3..7, about a quarter of its coefficients zero, as given and with
+    a random leak of 1e-12 (accepted, as it is below SKEW_TOL);
   - ``nilflow.cli.main`` on each command line of README.md's CLI block and
     on CLI_EXIT_2, run in a fresh directory with relative output names: the
     exit code, the stdout and the bytes of each file the command wrote
@@ -191,6 +197,37 @@ def _hodge(nf, workloads, outdir):
     return out
 
 
+def _dorfman_eval(nf, workloads, outdir):
+    import oracles
+
+    rng = np.random.default_rng(20260820)
+    out = []
+    for n in range(3, 8):
+        mu = oracles.random_nilpotent(rng, n)
+        H = nf.KForm(n, 3, oracles.random_form_coeffs(rng, n, 3))
+        raw_mu, raw_H = rng.standard_normal((2, n, n, n))
+        for _ in range(8):
+            z1, z2 = (nf.GeneralizedVector(*rng.standard_normal((2, n))) for _ in range(2))
+            out.append((nf.dorfman_eval(mu, H, z1, z2), nf.dorfman_eval(raw_mu, raw_H, z1, z2)))
+    return out
+
+
+def _from_dense(nf, workloads, outdir):
+    import oracles
+
+    rng = np.random.default_rng(20260821)
+    out = []
+    for n in range(3, 8):
+        for k in range(1, n + 1):
+            coeffs = oracles.random_form_coeffs(rng, n, k)
+            coeffs[rng.random(coeffs.size) < 0.25] = 0.0
+            dense = oracles.dense_form(coeffs, n, k)
+            # and the same tensor plus a leak that is not alternating, well inside SKEW_TOL
+            leak = 1e-12 * rng.standard_normal(dense.shape)
+            out.append((nf.KForm.from_dense(dense), nf.KForm.from_dense(dense + leak)))
+    return out
+
+
 def _forms(nf, workloads, outdir):
     import oracles
 
@@ -282,7 +319,8 @@ def _cli(nf, workloads, outdir):
 SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
             ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
             ("random brackets", _random), *SURVEY_SECTIONS, ("hodge", _hodge),
-            ("forms", _forms), ("cli", _cli))
+            ("forms", _forms), ("dorfman_eval", _dorfman_eval), ("from_dense", _from_dense),
+            ("cli", _cli))
 
 
 def main(argv):
