@@ -4,11 +4,11 @@ Conventions, all in a fixed basis with bracket coefficients mu[i, j, k]:
 
   - ric_orthonormal is the Ricci form of a nilpotent bracket seen through the
     identity metric: Ric_ij = -1/2 mu_{ikl} mu_{jkl} + 1/4 mu_{kli} mu_{klj}.
-  - rc_metric moves mu to an orthonormal frame of g = L L^T by K = L^-1 (x) L^-1
-    on its inputs and pulls the result back, so it agrees with the Koszul/curvature
-    computation without Christoffels; h_circ_h is P P^T for P = H K^T, exactly
-    symmetric.  Both share the GRF kernel's arithmetic (flows._grf_kernel):
-    lie._two_slots, lie._frame_change, _pull_back and _h_circ_h.
+  - rc_metric moves mu to an orthonormal frame of g = L L^T by L^-1 on each of
+    its inputs and pulls the result back, so it agrees with the Koszul/curvature
+    computation without Christoffels; h_circ_h is X^T X for X = H raised by L^-1
+    on two slots, exactly symmetric.  Both share the GRF kernel's arithmetic
+    (flows._grf_kernel): lie._raise_pair and ric_orthonormal.
   - The Bismut connection is nabla^g + 1/2 g^{-1} H, with H a 3-form; its
     action on a 1-form theta is returned as the full (non-symmetric) matrix
     (nabla theta)_ij = (nabla_{e_i} theta)(e_j).
@@ -26,8 +26,7 @@ from .config import DEFAULT_TOL
 from .dorfman import closedness_residual
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
-from .lie import (KForm, bracket_coeffs, form_dense, _as_3form, _as_bracket, _frame_change,
-                  _two_slots)
+from .lie import KForm, bracket_coeffs, form_dense, _as_3form, _as_bracket, _raise_pair
 
 __all__ = [
     "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
@@ -73,29 +72,17 @@ def rc_metric(mu, g):
         raise ValidationError(
             f"metric dimension {gm.dim} does not match bracket dimension {m.shape[0]}")
     h = gm.chol_upper
-    K = _two_slots(gm.chol_lower_inv)
-    return symmetric_part(_pull_back(h, ric_orthonormal(_frame_change(K, h, m))))
-
-
-def _pull_back(u, form):
-    """The bilinear form form(u x, u y) as the matrix u^T form u."""
-    return u.T @ form @ u
+    frame = (_raise_pair(gm.chol_lower_inv, m) @ h.T).reshape(m.shape)  # h.mu
+    return symmetric_part(h.T @ ric_orthonormal(frame) @ h)  # pulled back by h
 
 
 def h_circ_h(H, g):
-    """Symmetric form (H.H)_ij = g^{rl} g^{st} H_{irs} H_{jlt}, as P P^T (_h_circ_h): exactly
-    symmetric and PSD.  H is a KForm, a packed coefficient vector or a dense alternating tensor.
-    """
+    """Symmetric form (H.H)_ij = g^{rl} g^{st} H_{irs} H_{jlt}, as X^T X for H raised by L^-1
+    on two slots (g = L L^T): PSD, and exactly symmetric by numpy's symmetric rank-k update.
+    H is a KForm, a packed coefficient vector or a dense alternating tensor."""
     gm = as_metric(g)
-    hh, _ = _h_circ_h(_as_3form(H, gm.dim).unpack(), _two_slots(gm.chol_lower_inv))
-    return hh
-
-
-def _h_circ_h(hd, K):
-    """(H o H, P) for a dense 3-form hd: P = hd K^T as (n, n^2) matrices, and H o H = P P^T.
-    K = lie._two_slots(L^-1) for g = L L^T puts P in an orthonormal frame on hd's last two slots."""
-    P = hd.reshape(len(hd), -1) @ K.T
-    return P @ P.T, P
+    X = _raise_pair(gm.chol_lower_inv, _as_3form(H, gm.dim).unpack())
+    return X.T @ X
 
 
 def h_squared_neutral(H):

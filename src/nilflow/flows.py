@@ -42,11 +42,11 @@ closed H, so its H equation -Lap H is -d d*_g H: the flow is defined on the
 closed 3-forms, and every increment lies in im d.  _grf_kernel reads g off
 the "grf" row through _grf_metric and is built from the bracket alone, which
 must be unimodular: the block of d on 2-forms, None where it vanishes.  Each
-evaluation takes one Cholesky factor g = L L^T and K = L^-1 (x) L^-1, which
-serves the orthonormal-frame bracket and its ric_orthonormal (one call),
-H o H = P P^T and d d*; dg's upper triangle is gathered into the row, and
-d d* H is formed only where the block is not None.  The frame change, the
-pullback of Rc and H o H are what gl_action, rc_metric and h_circ_h call too;
+evaluation takes one Cholesky factor g = L L^T and raises mu and H, stacked,
+by L^-1 on their input slots (lie._raise_pair), which serves the orthonormal
+bracket and its ric_orthonormal (one call), H o H and d* H; dg's upper
+triangle is gathered into the row, and d d* H is formed only where the block
+is not None.  rc_metric, h_circ_h and codifferential share this arithmetic;
 integrate_grf, blowup_time and grf_rhs check their data by the one gate of
 _grf_setup and run the kernel.
 """
@@ -79,11 +79,11 @@ from .config import (
 # rc_metric and hodge_laplacian are the library forms of two terms of the GRF
 # kernel below, which does not call them; they stay bound here because the
 # benchmark's tracer (bench/spans.py) and its tests look them up on this module.
-from .curvature import rc_metric, ric_orthonormal, _h_circ_h, _pull_back  # noqa: F401
+from .curvature import rc_metric, ric_orthonormal  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
-from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
+from .hodge import Metric, as_metric, hodge_laplacian, _codiff, _codiff_tables  # noqa: F401
 from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _ce_tables, _d_block,
-                  _frame_change, _frozen, _index_array, _pack, _two_slots, _unpack)
+                  _frozen, _index_array, _pack, _raise_pair, _unpack)
 
 __all__ = [
     "PhiSpec",
@@ -736,33 +736,35 @@ def _grf_kernel(m):
 
     y holds g = y[_grf_metric(n)], then the packed 3-form h; dy holds (dg, dh)
     alike, dg as one gather of its upper triangle.  Built once from m: that
-    gather and the block d2 of d on 2-forms (lie._d_block, which rejects a
-    bracket that is not unimodular), None where d vanishes for m.  Per call:
-    g = L L^T (LinAlgError off the domain) and K = L^-1 (x) L^-1
-    (lie._two_slots).  K takes mu to an orthonormal frame (lie._frame_change),
-    whose Ricci form pulled back by L^T is Rc_g; gives H o H = P P^T for P = H K^T
-    (curvature._h_circ_h); and, where d2 is not None, C_3(g^-1) h, which is g^-1
-    on the first slot of P K, for dh = -d d* h (hodge._codiff).  That is -Lap h
-    only for a closed h, as the callers' gate (_grf_setup) ensures; the d* d h
-    of any other h is left out.  Where d2 is None, dh = 0.
+    gather, the block d2 of d on 2-forms (lie._d_block, which rejects a
+    bracket that is not unimodular), None where d vanishes for m, and S, an
+    (n, n, 2n) array with S[a, b, :n] = mu_ab.  Per call: g = L L^T (LinAlgError
+    off the domain); S[a, b, n + r] = h_abr, by codifferential's gather
+    (hodge._codiff_tables); X, S raised by L^-1 on two slots (lie._raise_pair)
+    as an (n^2, 2n) matrix with halves X1, X2.  X1 L is mu in an orthonormal
+    frame, whose Ricci form pulled back by L^T is Rc_g; H o H = X2^T X2; and,
+    where d2 is not None, Q = X1^T X2 = mu^T h^## gives d* h (hodge._codiff)
+    and dh = -d d* h: -Lap h for the closed h the callers' gate (_grf_setup)
+    lets in, without the d* d h of any other h.  Where d2 is None, dh = 0.
     """
     n = m.shape[0]
     metric, split = _grf_metric(n), n * (n + 1) // 2
     upper = np.unique(metric, return_index=True)[1]  # flat (i, j), i <= j, in row order
     d2 = _d_block(m, 3)
     zero = np.zeros(math.comb(n, 3))
+    S = np.zeros((n, n, 2 * n))
+    S[..., :n] = m
+    rank, sign = _codiff_tables(n, 3)[:2]
 
     def rhs(y):
         g, h = y[metric], y[split:]
         L = np.linalg.cholesky(g)
-        L_inv = np.linalg.inv(L)
-        K = _two_slots(L_inv)
-        hh, P = _h_circ_h(_unpack(h, n, 3), K)
-        dg = 0.5 * hh - 2.0 * _pull_back(L.T, ric_orthonormal(_frame_change(K, L.T, m)))
-        if d2 is None:
-            return np.concatenate((dg.ravel()[upper], zero))
-        c3 = _pack(((L_inv.T @ L_inv) @ (P @ K)).reshape(n, n, n), 3)
-        return np.concatenate((dg.ravel()[upper], -(d2 @ _codiff(d2, g, c3, n, 3))))
+        np.multiply(sign, h[rank], out=S[..., n:])
+        X = _raise_pair(np.linalg.inv(L), S)
+        X1, X2 = X[:, :n], X[:, n:]
+        dg = 0.5 * (X2.T @ X2) - 2.0 * (L @ ric_orthonormal((X1 @ L).reshape(n, n, n)) @ L.T)
+        dh = zero if d2 is None else -(d2 @ _codiff(X1.T @ X2, g, n, 3))
+        return np.concatenate((dg.ravel()[upper], dh))
 
     return rhs
 
@@ -773,9 +775,9 @@ def grf_rhs(mu, state):
     The state passes the drivers' gate (_grf_setup): mu is a LieBracket or skew (n, n, n)
     array that satisfies Jacobi and is unimodular, and H is closed for it, so -d d* H is
     -Lap H (ValidationError otherwise).  Evaluates _grf_kernel on the state's "grf" row.
-    With g = L L^T and K = L^-1 (x) L^-1, Rc is the Ricci form of the
-    orthonormal-frame bracket (K on its inputs, L^T on its output) pulled back by L^T,
-    H o H = P P^T for P = H K^T, and d* is the g-adjoint of d; dg is exactly symmetric.
+    With g = L L^T, Rc is the Ricci form of the orthonormal-frame bracket (L^-1 on each
+    input, L^T on its output) pulled back by L^T, H o H = X^T X for H raised by L^-1 on
+    two slots, and d* is the g-adjoint of d; dg is exactly symmetric.
     """
     if not isinstance(state, GrfState):
         raise ValidationError("grf_rhs expects a GrfState")

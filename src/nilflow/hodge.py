@@ -4,8 +4,10 @@ All operations are algebraic: they act on left-invariant forms through the
 structure constants, so "d" below is the Chevalley-Eilenberg differential.
 The star is defined by alpha wedge star(beta) = <alpha, beta>_g vol_g with
 vol_g = orientation * sqrt(det g) e^{1...n}.  The codifferential d* is the
-g-adjoint of d, C_{k-1}(g) D^T C_k(g^-1) on packed k-forms (D is d on (k-1)-forms,
-C_k a compound), for unimodular brackets only; the flows' GRF kernel shares _codiff.
+g-adjoint of d, for unimodular brackets only, and one contraction on k-forms:
+d*w = -(k-1)/2 Alt(g mu^T w^##), w raised by g^-1 on two slots (lie._raise_pair)
+against mu's inputs, alternated by a gather (_codiff) that the flows' GRF kernel
+shares.  Where d on (k-1)-forms vanishes (lie._d_block), d* is an exact zero.
 
 The star is C_k(g^-1) (lie._on_slots, as in form_inner) followed by a signed
 permutation of packed slots, built once per (n, k) and cached read-only: the
@@ -24,7 +26,7 @@ import numpy as np
 from .config import METRIC_SYMMETRY_TOL
 from .errors import ValidationError
 from .lie import (KForm, bracket_coeffs, ce_differential, _d_block, _frozen, _index_array,
-                  _on_slots, _sort_sign)
+                  _on_slots, _raise_pair, _sort_sign)
 
 
 @dataclass(frozen=True)
@@ -166,9 +168,25 @@ def hodge_star(omega, g, orientation=1):
     return KForm(n, n - k, out)
 
 
-def _codiff(D, g, c, n, k):
-    """d* on k-forms, C_{k-1}(g) D^T c, for D = lie._d_block(m, k) and c = C_k(g^-1) x."""
-    return _on_slots(g, D.T @ c, n, k - 1)
+@lru_cache(maxsize=None)
+def _codiff_tables(n, k):
+    """Gathers of d* on k-forms: w(e_i, e_j, e_J) over increasing (k-2)-tuples J is
+    sign * w[rank] (_sort_sign of (i, j) + J); and for each increasing (k-1)-tuple I and
+    i < k - 1: I's i-th index, the rank of I without it, and (-1)^i."""
+    J, I = _index_array(n, k - 2), _index_array(n, k - 1)
+    tuples = np.empty((n, n, len(J), k), dtype=np.intp)  # (i, j) + J
+    tuples[..., 0], tuples[..., 1] = np.arange(n)[:, None, None], np.arange(n)[:, None]
+    tuples[..., 2:] = J
+    rank, sign = _sort_sign(tuples, n)
+    rest, _ = _sort_sign(I[:, _index_array(k - 1, k - 2)[::-1]], n)  # row i drops I[i]
+    return _frozen(rank, sign.astype(float), I, rest, (-1.0) ** np.arange(k - 1))
+
+
+def _codiff(Q, g, n, k):
+    """d* on k-forms from Q[l, J] = mu_ij^l w^ij_J (w raised on two slots, J increasing):
+    -1/2 sum_i (-1)^i T[I_i, I without I_i] over increasing (k-1)-tuples I, T = g Q."""
+    *_, rows, cols, sign = _codiff_tables(n, k)
+    return -0.5 * ((g @ Q)[rows, cols] @ sign)
 
 
 def codifferential(omega, mu, g):
@@ -180,11 +198,11 @@ def codifferential(omega, mu, g):
     n, k = omega.dim, omega.degree
     if gm.dim != n or m.shape[0] != n:
         raise ValidationError("form, bracket and metric dimensions differ")
-    D = _d_block(m, k)
-    if D is None:
+    if _d_block(m, k) is None:
         return KForm.zero(n, max(k - 1, 0))
-    c = _on_slots(gm.inverse, omega.coeffs, n, k)
-    return KForm(n, k - 1, _codiff(D, gm.entries, c, n, k))
+    rank, sign = _codiff_tables(n, k)[:2]
+    Q = m.reshape(n * n, n).T @ _raise_pair(gm.inverse, sign * omega.coeffs[rank])
+    return KForm(n, k - 1, _codiff(Q, gm.entries, n, k))
 
 
 def hodge_laplacian(omega, mu, g):

@@ -564,28 +564,20 @@ def _checked_inverse(A, n):
     return A, np.linalg.inv(A)
 
 
-def _two_slots(B):
-    """B (x) B as an (n^2, n^2) matrix: row (a, b), column (i, j) holds B[a, i] B[b, j]."""
-    return (B[:, None, :, None] * B[:, None, :]).reshape(B.size, B.size)
-
-
-def _frame_change(K, A, m):
-    """A.m as a plain array, for a skew (n, n, n) array m and K = _two_slots(A^-T).
-
-    K on both input slots and A on the output by two matmuls, skew in its first two
-    indices up to round-off.  gl_action, rc_metric and the generalized Ricci flow's
-    kernel share it, and none needs it exactly skew: gl_action's LieBracket stores the
-    exact skew part, and ric_orthonormal is exactly symmetric for any array.
-    """
-    n = m.shape[0]
-    return ((K @ m.reshape(n * n, n)) @ A.T).reshape(n, n, n)
+def _raise_pair(B, x):
+    """np.kron(B, B) @ x.reshape(n^2, c) for an (n, n, ...) array x: B on both of its first
+    two slots, one matmul each, with no (n^2, n^2) factor.  For a bracket m and B = A^-T,
+    _raise_pair(B, m) @ A.T is A.m (gl_action, rc_metric, the GRF kernel), skew in its
+    first two indices up to round-off."""
+    n = len(B)
+    return (B @ (B @ x.reshape(n, -1)).reshape(n, n, -1)).reshape(n * n, -1)
 
 
 def gl_action(A, mu):
     """Basis change on brackets: (A.mu)(X, Y) = A mu(A^-1 X, A^-1 Y)."""
     m = _as_bracket(mu).coeffs
     A, Ainv = _checked_inverse(A, m.shape[0])
-    return LieBracket(_frame_change(_two_slots(Ainv.T), A, m))
+    return LieBracket((_raise_pair(Ainv.T, m) @ A.T).reshape(m.shape))  # keeps the skew part
 
 
 def gl_action_form(A, omega):

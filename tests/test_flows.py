@@ -195,6 +195,25 @@ def test_grf_rhs_matches_oracle_where_the_laplacian_is_not_zero(rng):
             assert np.max(np.abs(dH.coeffs - want_dh)) <= 1e-12 * np.max(np.abs(want_dh))
 
 
+def test_grf_rhs_matches_oracles_at_dimensions_8_to_10(rng):
+    """The kernel at the dimensions only tools/kernel_timing.py reached, against oracles that
+    share none of its arithmetic: dg by the Riemann-tensor Ricci form and an einsum for H o H,
+    dH = -d d* H by d of the g-adjoint of dense_ce."""
+    for n in (8, 9, 10):
+        m = oc.random_nilpotent(rng, n).coeffs
+        G = oc.random_spd(rng, n)
+        h = oc.random_closed_3form(rng, m)
+        dg, dH = grf_rhs(m, GrfState(Metric(G), KForm(n, 3, h)))
+        Hd, Ginv = oc.dense_form(h, n, 3), np.linalg.inv(G)
+        hh = np.einsum('rl,st,irs,jlt->ij', Ginv, Ginv, Hd, Hd)
+        want_dg = -2.0 * oc.ricci_riemann(m, G) + 0.5 * hh
+        want_dh = -oc.dense_ce(oc.codifferential_adjoint(Hd, m, G), m)
+        want_dh = np.array([want_dh[T] for T in itertools.combinations(range(n), 3)])
+        assert np.max(np.abs(want_dh)) > 1e-2  # the Laplacian term is exercised
+        assert np.max(np.abs(dg - want_dg)) <= 1e-12 * np.max(np.abs(want_dg)), n
+        assert np.max(np.abs(dH.coeffs - want_dh)) <= 1e-12 * np.max(np.abs(want_dh)), n
+
+
 def test_grf_rhs_raises_the_generalized_scalar_curvature_by_the_law(rng):
     """On a nilpotent algebra S = R_g - |H|^2_g / 12 is constant in space, and along the flow
     dS/dt = 2 |Rc_g - 1/4 H o H|^2_g + 1/2 |d*H|^2_g, every norm the full index sum
@@ -218,6 +237,24 @@ def test_grf_rhs_raises_the_generalized_scalar_curvature_by_the_law(rng):
         ricci_term, flux_term = oc.generalized_scalar_curvature_rate(m, G, Hd)
         assert n == 3 or flux_term > 1e-4 * ricci_term  # d*H = 0 on heis3 only
         assert abs(rate - (ricci_term + flux_term)) <= 1e-8 * (ricci_term + flux_term)
+
+
+def test_integrate_grf_never_lowers_the_generalized_scalar_curvature(rng):
+    """S = R_g - |H|^2_g / 12 is nondecreasing along the flow on a nilpotent algebra, as
+    dS/dt is a sum of squares (Garcia-Fernandez & Streets, Generalized Ricci Flow, 2021).
+    Over the accepted states of forward runs, S, by the oracle, may fall by no more than the
+    run's relative tolerance allows; the d d* H term moves H along the whole trajectory."""
+    controls = IntegratorControls()
+    for n in (4, 5, 6):
+        m = oc.random_nilpotent(rng, n).coeffs
+        h = oc.random_closed_3form(rng, m)
+        traj = integrate_grf(m, Metric(oc.random_spd(rng, n)), KForm(n, 3, h), (0.0, 2.0),
+                             controls)
+        S = np.array([oc.generalized_scalar_curvature(m, st.g.entries, st.H.unpack())
+                      for st in traj.states])
+        assert traj.accepted >= 5 and np.max(np.abs(traj.states[-1].H.coeffs - h)) > 1e-3
+        assert np.all(np.diff(S) >= -controls.rtol * np.abs(S[:-1])), n
+        assert S[-1] > S[0], n
 
 
 def test_grf_rhs_on_heis3_in_a_random_basis_matches_oracle(rng):

@@ -1,5 +1,8 @@
 """Metric form algebra: inner products, star, codifferential, Laplacian."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from nilflow import (
     vol_form,
     wedge,
 )
+from nilflow import hodge
 
 import oracles as oc
 
@@ -211,7 +215,7 @@ def test_codifferential_degree_edges():
 
 def test_codifferential_orientation_free(rng):
     # sign * star d star with the opposite orientation shares no code path with the
-    # adjoint form C_{k-1}(g) D^T C_k(g^-1) that codifferential computes
+    # contraction -(k-1)/2 Alt(g mu^T w^##) that codifferential computes
     brackets = [oc.random_nilpotent(rng, n) for n in (4, 3, 5, 6, 7)]
     for mu in brackets + [oc.bracket_from(oc.SL2, 3)]:  # sl2: unimodular, not nilpotent
         n = mu.dim
@@ -254,6 +258,36 @@ def test_codifferential_and_laplacian_reject_mismatched_dimensions(rng):
                 codifferential(w, mu, g)
             with pytest.raises(ValidationError):
                 hodge_laplacian(w, mu, g)
+
+
+def test_codiff_gather_is_the_full_alternation(rng):
+    """_codiff against -(k-1)/2 Alt(g Q), the alternation summed over every permutation of
+    the (k-1) slots: Q[l, J] holds the entries over increasing (k-2)-tuples J, extended to
+    the other orders of J by their sign."""
+    for n in range(2, 7):
+        g = oc.random_spd(rng, n)
+        for k in range(2, n + 1):
+            Q = rng.standard_normal((n, math.comb(n, k - 2)))
+            T = g @ Q
+            col = {J: r for r, J in enumerate(itertools.combinations(range(n), k - 2))}
+
+            def t(idx):  # T at (l,) + J for J in any order, 0 where J repeats an index
+                J = idx[1:]
+                return 0.0 if len(set(J)) < len(J) else \
+                    oc.perm_sign(np.argsort(J)) * T[idx[0], col[tuple(sorted(J))]]
+
+            want = [-(k - 1) / 2 / math.factorial(k - 1) * sum(
+                oc.perm_sign(p) * t(tuple(I[i] for i in p))
+                for p in itertools.permutations(range(k - 1)))
+                for I in itertools.combinations(range(n), k - 1)]
+            got = hodge._codiff(Q, g, n, k)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, k)
+            # and the gather codifferential reads w with: the dense w(e_i, e_j, e_J)
+            w = oc.random_form_coeffs(rng, n, k)
+            rank, sign = hodge._codiff_tables(n, k)[:2]
+            dense = oc.dense_form(w, n, k)
+            assert np.array_equal(sign * w[rank], np.stack(
+                [dense[(...,) + J] for J in itertools.combinations(range(n), k - 2)], axis=-1))
 
 
 def test_adjointness_on_nilpotent_brackets(rng):

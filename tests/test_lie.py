@@ -481,6 +481,18 @@ def test_gl_action_preserves_jacobi_and_intertwines_d(rng):
     assert lhs.allclose(rhs, tol=1e-11)
 
 
+def test_raise_pair_is_the_kronecker_square_on_two_slots(rng):
+    # B on each of the first two slots, one matmul each, against the (n^2, n^2) factor
+    for n in range(1, 11):
+        B = rng.standard_normal((n, n))
+        for tail in ((), (n,), (2 * n,), (n, 3)):
+            x = rng.standard_normal((n, n) + tail)
+            want = np.kron(B, B) @ x.reshape(n * n, -1)
+            got = lie._raise_pair(B, x)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (n, tail)
+
+
 def test_gl_action_rejects_singular():
     with pytest.raises(ValidationError):
         gl_action(np.zeros((3, 3)), HEIS)

@@ -26,6 +26,9 @@ last line produced bitwise-equal outputs on these runs:
   - ``codifferential`` and ``hodge_laplacian`` of a seeded form of every
     degree 0..n on a random nilpotent bracket with a random metric, n = 3..7,
     so that a change to d* shows up under its own name;
+  - "codifferential": ``codifferential`` of a seeded form of every degree 1..n
+    on a random nilpotent bracket with a random metric, n = 3..10, the sizes
+    the GRF kernel's d* runs at up to MAX_PROBLEM_DIM;
   - "forms": ``KForm.unpack``, ``ce_differential`` and ``hodge_star`` in both
     orientations of a seeded form of every degree 0..n, about a quarter of its
     coefficients zero, on a random nilpotent bracket with a random metric,
@@ -197,6 +200,20 @@ def _hodge(nf, workloads, outdir):
     return out
 
 
+def _codifferential(nf, workloads, outdir):
+    import oracles
+
+    rng = np.random.default_rng(20260822)
+    out = []
+    for n in range(3, 11):
+        mu = oracles.random_nilpotent(rng, n)
+        g = oracles.random_spd(rng, n)
+        for k in range(1, n + 1):
+            out.append(nf.codifferential(nf.KForm(n, k, oracles.random_form_coeffs(rng, n, k)),
+                                         mu, g))
+    return out
+
+
 def _dorfman_eval(nf, workloads, outdir):
     import oracles
 
@@ -319,8 +336,8 @@ def _cli(nf, workloads, outdir):
 SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
             ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
             ("random brackets", _random), *SURVEY_SECTIONS, ("hodge", _hodge),
-            ("forms", _forms), ("dorfman_eval", _dorfman_eval), ("from_dense", _from_dense),
-            ("cli", _cli))
+            ("codifferential", _codifferential), ("forms", _forms),
+            ("dorfman_eval", _dorfman_eval), ("from_dense", _from_dense), ("cli", _cli))
 
 
 def main(argv):
