@@ -81,7 +81,7 @@ from .config import (
 # benchmark's tracer (bench/spans.py) and its tests look them up on this module.
 from .curvature import rc_metric, ric_orthonormal  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
-from .hodge import Metric, as_metric, hodge_laplacian, _codiff, _codiff_tables  # noqa: F401
+from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
 from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _ce_tables, _d_block,
                   _frozen, _index_array, _pack, _raise_pair, _unpack)
 
@@ -739,9 +739,8 @@ def _grf_kernel(m):
     gather, the block d2 of d on 2-forms (lie._d_block, which rejects a
     bracket that is not unimodular), None where d vanishes for m, and S, an
     (n, n, 2n) array with S[a, b, :n] = mu_ab.  Per call: g = L L^T (LinAlgError
-    off the domain); S[a, b, n + r] = h_abr, by codifferential's gather
-    (hodge._codiff_tables); X, S raised by L^-1 on two slots (lie._raise_pair)
-    as an (n^2, 2n) matrix with halves X1, X2.  X1 L is mu in an orthonormal
+    off the domain); S[a, b, n + r] = h_abr (lie._unpack); X, S raised by L^-1
+    on two slots (lie._raise_pair) as an (n^2, 2n) matrix with halves X1, X2.  X1 L is mu in an orthonormal
     frame, whose Ricci form pulled back by L^T is Rc_g; H o H = X2^T X2; and,
     where d2 is not None, Q = X1^T X2 = mu^T h^## gives d* h (hodge._codiff)
     and dh = -d d* h: -Lap h for the closed h the callers' gate (_grf_setup)
@@ -754,12 +753,11 @@ def _grf_kernel(m):
     zero = np.zeros(math.comb(n, 3))
     S = np.zeros((n, n, 2 * n))
     S[..., :n] = m
-    rank, sign = _codiff_tables(n, 3)[:2]
 
     def rhs(y):
         g, h = y[metric], y[split:]
         L = np.linalg.cholesky(g)
-        np.multiply(sign, h[rank], out=S[..., n:])
+        S[..., n:] = _unpack(h, n, 3)
         X = _raise_pair(np.linalg.inv(L), S)
         X1, X2 = X[:, :n], X[:, n:]
         dg = 0.5 * (X2.T @ X2) - 2.0 * (L @ ric_orthonormal((X1 @ L).reshape(n, n, n)) @ L.T)

@@ -214,6 +214,20 @@ def test_grf_rhs_matches_oracles_at_dimensions_8_to_10(rng):
         assert np.max(np.abs(dH.coeffs - want_dh)) <= 1e-12 * np.max(np.abs(want_dh)), n
 
 
+def test_grf_runs_below_dimension_3_where_no_3_form_has_a_coefficient(rng):
+    """abelian(1) and abelian(2) carry the empty 3-form: the flow stands still, with dg = 0
+    and an empty dH, in grf_rhs, integrate_grf and blowup_time alike."""
+    for n in (1, 2):
+        p = builtin_problem(f"abelian({n})")
+        g = Metric(oc.random_spd(rng, n))
+        dg, dH = grf_rhs(p.mu, GrfState(g, p.H))
+        assert dg.shape == (n, n) and not np.any(dg)
+        assert dH.degree == 3 and dH.coeffs.shape == (0,)
+        traj = integrate_grf(p.mu, g, p.H, (0.0, 0.5))
+        assert traj.times[-1] == 0.5 and np.array_equal(traj.states[-1].g.entries, g.entries)
+        assert blowup_time(p.mu, g, p.H, horizon=1.0).reason == "horizon"
+
+
 def test_grf_rhs_raises_the_generalized_scalar_curvature_by_the_law(rng):
     """On a nilpotent algebra S = R_g - |H|^2_g / 12 is constant in space, and along the flow
     dS/dt = 2 |Rc_g - 1/4 H o H|^2_g + 1/2 |d*H|^2_g, every norm the full index sum

@@ -24,11 +24,9 @@ last line produced bitwise-equal outputs on these runs:
     soliton fit) and "survey dorfman" (both Dorfman residuals), so that a
     change to one diagnostic shows up under its own name;
   - ``codifferential`` and ``hodge_laplacian`` of a seeded form of every
-    degree 0..n on a random nilpotent bracket with a random metric, n = 3..7,
-    so that a change to d* shows up under its own name;
-  - "codifferential": ``codifferential`` of a seeded form of every degree 1..n
-    on a random nilpotent bracket with a random metric, n = 3..10, the sizes
-    the GRF kernel's d* runs at up to MAX_PROBLEM_DIM;
+    degree 0..n on a random nilpotent bracket with a random metric, n = 3..10
+    (up to MAX_PROBLEM_DIM, the sizes the GRF kernel's d* runs at), so that a
+    change to d* shows up under its own name;
   - "forms": ``KForm.unpack``, ``ce_differential`` and ``hodge_star`` in both
     orientations of a seeded form of every degree 0..n, about a quarter of its
     coefficients zero, on a random nilpotent bracket with a random metric,
@@ -191,26 +189,12 @@ def _hodge(nf, workloads, outdir):
 
     rng = np.random.default_rng(20260818)
     out = []
-    for n in range(3, 8):
+    for n in range(3, 11):
         mu = oracles.random_nilpotent(rng, n)
         g = oracles.random_spd(rng, n)
         for k in range(n + 1):
             w = nf.KForm(n, k, oracles.random_form_coeffs(rng, n, k))
             out.append((nf.codifferential(w, mu, g), nf.hodge_laplacian(w, mu, g)))
-    return out
-
-
-def _codifferential(nf, workloads, outdir):
-    import oracles
-
-    rng = np.random.default_rng(20260822)
-    out = []
-    for n in range(3, 11):
-        mu = oracles.random_nilpotent(rng, n)
-        g = oracles.random_spd(rng, n)
-        for k in range(1, n + 1):
-            out.append(nf.codifferential(nf.KForm(n, k, oracles.random_form_coeffs(rng, n, k)),
-                                         mu, g))
     return out
 
 
@@ -336,8 +320,8 @@ def _cli(nf, workloads, outdir):
 SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
             ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
             ("random brackets", _random), *SURVEY_SECTIONS, ("hodge", _hodge),
-            ("codifferential", _codifferential), ("forms", _forms),
-            ("dorfman_eval", _dorfman_eval), ("from_dense", _from_dense), ("cli", _cli))
+            ("forms", _forms), ("dorfman_eval", _dorfman_eval), ("from_dense", _from_dense),
+            ("cli", _cli))
 
 
 def main(argv):
