@@ -9,7 +9,6 @@ flows and the gauge-fixed generalized Ricci flow, with a small CLI on top.
 from .config import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    DEFAULT_TOL,
     MAX_PROBLEM_DIM,
     SEED_ENV_VAR,
     STRUCTURE_TOL,
@@ -21,7 +20,6 @@ from .curvature import (
     h_circ_h,
     h_squared_neutral,
     rc_metric,
-    require_closed,
     ric_orthonormal,
     skew_part,
     symmetric_part,

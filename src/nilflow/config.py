@@ -9,7 +9,6 @@ are fixed.
 ========================  ==========  =================================================
 constant                  value       used for
 ========================  ==========  =================================================
-DEFAULT_TOL               1e-9        generic residual threshold (Jacobi, closedness)
 RANK_TOL_FACTOR           1e-9        SVD rank cutoff, relative to largest singular value
 METRIC_SYMMETRY_TOL       1e-12       max allowed asymmetry of a metric matrix
 SKEW_TOL                  1e-8        max allowed relative symmetry leak in bracket/form input
@@ -21,7 +20,8 @@ SAFETY                    0.9         step controller: safety factor on ratio^(-
 MIN_SHRINK                0.2         step controller: smallest step factor (and after a failed trial)
 MAX_GROW                  5.0         step controller: largest step factor
 MAX_STEPS                 1_000_000   hard cap on attempted steps (accepted plus rejected)
-STRUCTURE_TOL             1e-7        Jacobi, closedness (flow start, GBF steps), tr ad (d*)
+STRUCTURE_TOL             1e-7        Jacobi and closedness of (mu, H) at every entry point,
+                                      bracket-flow drift, tr ad (d*)
 DECAY_BOUND_SLACK         1e-9        slack over the decay bound in gbf_decay_bound_check
 DEFAULT_HORIZON           1000.0      clock-time budget of a blowup_time search
 SWEEP_T_LONG              50.0        forward horizon used by the T_min sweep asymptotics
@@ -30,7 +30,6 @@ MAX_PROBLEM_DIM           10          largest dimension accepted by the problem 
 ==========================================================================================
 """
 
-DEFAULT_TOL = 1e-9
 RANK_TOL_FACTOR = 1e-9
 METRIC_SYMMETRY_TOL = 1e-12
 SKEW_TOL = 1e-8

@@ -15,23 +15,23 @@ Conventions, all in a fixed basis with bracket coefficients mu[i, j, k]:
   - The generalized Ricci tensor is
     Rc_plus = Rc_g - 1/4 H.H - 1/2 d*H + 1/2 nabla^+ theta,
     with the 2-form d*H embedded as a skew matrix; generalized solitons
-    solve Rc_plus = lam g + g(D ., .) + 1/2 omega (soliton.py).
+    solve Rc_plus = lam g + g(D ., .) + 1/2 omega (soliton.py).  Both take
+    only mu Lie and H closed for it (lie._structure_failure).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL
-from .dorfman import closedness_residual
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
-from .lie import KForm, bracket_coeffs, form_dense, _as_3form, _as_bracket, _raise_pair
+from .lie import (KForm, bracket_coeffs, form_dense, _as_3form, _as_bracket, _pack, _raise_pair,
+                  _structure_failure)
 
 __all__ = [
     "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
     "christoffels", "bismut_nabla_theta", "generalized_ricci_plus",
-    "require_closed", "symmetric_part", "skew_part", "two_form_matrix",
+    "symmetric_part", "skew_part", "two_form_matrix",
 ]
 
 
@@ -123,18 +123,15 @@ def bismut_nabla_theta(mu, g, H, theta):
     return -np.einsum('ijk,k->ij', gam_plus, th)
 
 
-def require_closed(mu, H):
-    """Raise unless |d_mu H| <= DEFAULT_TOL; the generalized tensors assume closed flux."""
-    res = closedness_residual(mu, H)
-    if res > DEFAULT_TOL:
-        raise ValidationError(f"H is not closed: |d_mu H| = {res:g} exceeds {DEFAULT_TOL:g}")
-
-
 def _generalized_terms(mu, g, H, theta):
-    """Validated (Metric, closed 3-form, theta) and Rc_plus's terms Rc_g, H.H, d*H, nabla^+ theta."""
+    """Validated (Metric, closed 3-form, theta) and Rc_plus's terms Rc_g, H.H, d*H, nabla^+ theta;
+    ValidationError unless mu satisfies Jacobi and H is closed for it."""
     gm = as_metric(g)
-    H = _as_3form(H, gm.dim)
-    require_closed(mu, H)
+    m = _as_bracket(mu).coeffs
+    H = _as_3form(H, len(m))
+    reason = _structure_failure(np.concatenate([_pack(m, 2).ravel(), H.coeffs]), len(m))
+    if reason is not None:
+        raise ValidationError(reason)
     th = _theta_vector(theta, gm.dim)
     return (gm, H, th), (rc_metric(mu, gm), h_circ_h(H, gm), codifferential(H, mu, gm),
                          bismut_nabla_theta(mu, gm, H, th))

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .errors import ValidationError
-from .lie import (KForm, LieBracket, bracket_coeffs, ce_differential, form_dense, jacobi_residual,
-                  _as_3form, _as_bracket)
+from .lie import (KForm, LieBracket, bracket_coeffs, ce_differential, form_dense, _as_3form,
+                  _as_bracket, _pack, _structure_failure)
 
 
 @dataclass(frozen=True)
@@ -186,10 +185,11 @@ def closedness_residual(mu, H):
 
 @dataclass(frozen=True)
 class DorfmanBracket:
-    """A validated pair (mu, H): mu Lie and H closed, within DEFAULT_TOL.
+    """A validated pair (mu, H): mu Lie and H closed for it, so muH satisfies Jacobi.
 
     mu is a LieBracket or a skew (n, n, n) array; H a KForm, a packed
-    coefficient vector or a dense alternating tensor.  Use the module
+    coefficient vector or a dense alternating tensor.  The check is the one
+    every entry point makes (lie._structure_failure).  Use the module
     functions directly to probe unvalidated or corrupted data.
     """
 
@@ -199,12 +199,10 @@ class DorfmanBracket:
     def __post_init__(self):
         object.__setattr__(self, "mu", _as_bracket(self.mu))
         object.__setattr__(self, "H", _as_3form(self.H, self.mu.dim))
-        jac = jacobi_residual(self.mu)
-        if jac > DEFAULT_TOL:
-            raise ValidationError(f"bracket violates the Jacobi identity (residual {jac:.3e})")
-        closed = closedness_residual(self.mu, self.H)
-        if closed > DEFAULT_TOL:
-            raise ValidationError(f"flux form is not closed (residual {closed:.3e})")
+        reason = _structure_failure(
+            np.concatenate([_pack(self.mu.coeffs, 2).ravel(), self.H.coeffs]), self.mu.dim)
+        if reason is not None:
+            raise ValidationError(reason)
 
     @property
     def dim(self):

@@ -8,47 +8,28 @@ Adaptive runs take Dormand-Prince 5(4) steps and propagate the 5th-order
 solution (local extrapolation); the embedded 4th-order solution gives the
 O(h^5) error estimate.  The last stage k7 = f(y1) is the next step's first
 (FSAL), and a rejected trial keeps its k1 for the retry, so a run costs
-1 right-hand-side evaluation plus 6 per attempted step.  _dp_step keeps the
-seven stages as the rows of one array, so each stage input, the new state
-and the error estimate are one product with a row of the tableau.  Since k7
-is taken at the new state, a trial that leaves the flow's domain fails there
-and is rejected.  It fails in one of two ways.  The kernel may raise (the
-GRF kernel's Cholesky factor of g fails).  Or a stage may be NaN or inf:
-no evaluation tests for that, but it reaches the trial's error ratio through
-the stage products, and a trial whose ratio is not finite is rejected.
-Fixed-step runs take classical RK4 steps, 4 evaluations each, and test each
-new state for finiteness.
-The flows are autonomous, so every kernel is f(y); a backward-in-time run
-negates the kernel instead of stepping with negative h.  One adaptive loop
-serves every driver; near a singular time its trial step falls below
-STEP_FLOOR, which is where blowup_time stops.
+1 right-hand-side evaluation plus 6 per attempted step.  Since k7 is taken
+at the new state, a trial that leaves the flow's domain fails there and is
+rejected (_integrate).  Fixed-step runs take classical RK4 steps, 4
+evaluations each.  The flows are autonomous, so every kernel is f(y); a
+backward-in-time run negates the kernel instead of stepping with negative h.
+One adaptive loop serves every driver; near a singular time its trial step
+falls below STEP_FLOOR, which is where blowup_time stops.
 
 Every integrator state is its trajectory CSV row (trajectory_column_labels),
-and a Trajectory keeps each accepted one as it is; _row_state builds typed
-states from rows, for Trajectory.states on first read and for
-BlowupReport.state.  Each flow has one right-hand-side kernel on its row
-that works on plain arrays and builds no Metric, KForm or LieBracket per
-evaluation.  The form calculus is lie's, the packed layout (lie._unpack,
-lie._pack) and d (lie._d_block), and d* is hodge._codiff; this module keeps
-no copy.  The bracket flow is a cubic in its "gbf" row (mu[i, j, :] for
-i < j, then the packed 3-form), kept by _gbf_tables as two monomial tables
-per (spec, n); each evaluation of _gbf_kernel, by integrate_gbf and gbf_rhs,
-is one gather-multiply-bincount pass over each.  Its Jacobi and closedness
-residuals are d_mu (lie._ce_tables) of the row's own forms, the 2-forms
-mu^l = mu[., ., l] (minus the Jacobiator) and H: one more table (_gate_table)
-and pass, which checks the initial data of both flows (_check_structure) and
-every accepted row of the bracket flow.  The generalized Ricci flow carries a
-closed H, so its H equation -Lap H is -d d*_g H: the flow is defined on the
-closed 3-forms, and every increment lies in im d.  _grf_kernel reads g off
-the "grf" row through _grf_metric and is built from the bracket alone, which
-must be unimodular: the block of d on 2-forms, None where it vanishes.  Each
-evaluation takes one Cholesky factor g = L L^T and raises mu and H, stacked,
-by L^-1 on their input slots (lie._raise_pair), which serves the orthonormal
-bracket and its ric_orthonormal (one call), H o H and d* H; dg's upper
-triangle is gathered into the row, and d d* H is formed only where the block
-is not None.  rc_metric, h_circ_h and codifferential share this arithmetic;
-integrate_grf, blowup_time and grf_rhs check their data by the one gate of
-_grf_setup and run the kernel.
+and a Trajectory keeps each accepted one as it is.  Each flow has one
+right-hand-side kernel on its row that works on plain arrays and builds no
+Metric, KForm or LieBracket per evaluation; the form calculus is lie's and
+d* is hodge._codiff, and this module keeps no copy.  Both flows start only
+from an exact Courant algebroid, mu Lie and H closed for it
+(lie._structure_failure).  The bracket flow's "gbf" row is that gate's
+structure row, so the gate re-checks every accepted row for drift; the flow
+is a cubic in the row, kept by _gbf_tables as two monomial tables per
+(spec, n).  The generalized Ricci flow carries a closed H, so its
+H equation -Lap H is -d d*_g H: the flow is defined on the closed 3-forms,
+and every increment lies in im d.  _grf_kernel needs a unimodular bracket
+and takes one Cholesky factor g = L L^T per evaluation; rc_metric, h_circ_h
+and codifferential share its arithmetic.
 """
 
 from __future__ import annotations
@@ -72,7 +53,6 @@ from .config import (
     MIN_SHRINK,
     SAFETY,
     STEP_FLOOR,
-    STRUCTURE_TOL,
     SWEEP_HORIZON_BACK,
     SWEEP_T_LONG,
 )
@@ -82,8 +62,8 @@ from .config import (
 from .curvature import rc_metric, ric_orthonormal  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
-from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _ce_tables, _d_block,
-                  _frozen, _index_array, _pack, _raise_pair, _unpack)
+from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _d_block, _frozen,
+                  _index_array, _monomials, _pack, _raise_pair, _structure_failure, _unpack)
 
 __all__ = [
     "PhiSpec",
@@ -527,20 +507,6 @@ def _dense_bracket(mp, n):
     return _unpack(mp.reshape(-1, n), n, 2)
 
 
-def _monomials(families):
-    """A read-only table of the rows (key, ..., coefficient) of the families (broadcast arrays),
-    sorted by key: zero coefficients dropped, rows with equal keys summed, zero sums dropped."""
-    families = [np.broadcast_arrays(*family) for family in families]
-    keys = np.concatenate([np.stack(f[:-1]).reshape(len(f) - 1, -1) for f in families], axis=1)
-    coeffs = np.concatenate([f[-1].ravel() for f in families])
-    keys, coeffs = keys[:, coeffs != 0.0], coeffs[coeffs != 0.0]
-    # one integer per row, ordered as the rows sort: np.unique on it beats np.unique(axis=1)
-    code = np.ravel_multi_index(keys, keys.max(axis=1, initial=0) + 1)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    keys, coeffs = keys[:, first], np.bincount(inverse, coeffs, minlength=first.size)
-    return _frozen(*keys[:, coeffs != 0.0], coeffs[coeffs != 0.0])
-
-
 def _row_slots(n):
     """(slot, sign), each (2, n, n, n): the dense entry [s][i, j, k] of mu (s = 0) and of H
     (s = 1) is sign * y[slot] on the "gbf" row y, sign 0 where an index repeats.  Read off
@@ -597,49 +563,6 @@ def _gbf_kernel(spec, n):
     return rhs
 
 
-@lru_cache(maxsize=None)
-def _gate_table(n):
-    """The Jacobi and closedness residuals of the "gbf" row y on R^n as one monomial table.
-
-    (K, A, B, C): row r adds C[r] * y[A[r]] * y[B[r]] to out[K[r]].  Both residuals are d_mu
-    (lie._ce_tables) of forms the row holds.  out[t * n + l] is d_mu of the 2-form
-    mu^l = mu[., ., l] on the t-th increasing triple, minus the e_l part of the Jacobiator;
-    out[C(n, 3) n + q] is d_mu H on the q-th increasing 4-tuple.
-    """
-    slot = _row_slots(n)[0][0]  # y[slot[i, j, s]] = mu[i, j, s] for i < j
-    split, cut = math.comb(n, 2) * n, math.comb(n, 3) * n
-    families = []
-    # d_mu of `width` k-forms: the 2-forms mu^l at y[src * n + l], the 3-form H at y[split + src]
-    for k, base, offset, width in ((2, 0, 0, n), (3, split, cut, 1)):
-        I, J, src, sign, odd = _ce_tables(n, k)
-        l = np.arange(width)
-        a = slot[I[..., None], J[..., None], np.arange(n)][..., None]
-        b = base + src[..., None] * width + l
-        key = offset + np.arange(len(I))[:, None, None, None] * width + l
-        c = (sign * np.where(odd, -1.0, 1.0)[:, None])[..., None]
-        families.append((key, np.minimum(a, b), np.maximum(a, b), c))
-    return _monomials(families)
-
-
-def _structure_residuals(y, n):
-    """(Jacobi residual, closedness residual) of the "gbf" row y on R^n: the max |.| over the
-    d_mu mu^l (minus the Jacobiator) and over d_mu H, by one pass over _gate_table(n)."""
-    K, A, B, C = _gate_table(n)
-    cut = math.comb(n, 3) * n
-    res = np.abs(np.bincount(K, C * y[A] * y[B], minlength=cut + math.comb(n, 4)))
-    return float(res[:cut].max(initial=0.0)), float(res[cut:].max(initial=0.0))
-
-
-def _check_structure(y, n):
-    """Reject a state, as the "gbf" row y on R^n, whose bracket violates Jacobi or whose
-    3-form is not closed for it."""
-    jacobi, closed = _structure_residuals(y, n)
-    if jacobi > STRUCTURE_TOL:
-        raise ValidationError(f"bracket violates Jacobi (residual {jacobi:.3e})")
-    if closed > STRUCTURE_TOL:
-        raise ValidationError(f"3-form is not closed for the bracket (residual {closed:.3e})")
-
-
 def _flux(H, n):
     """A flow's initial 3-form: None is the zero form, anything else goes to _as_3form."""
     return KForm.zero(n, 3) if H is None else _as_3form(H, n)
@@ -666,10 +589,10 @@ def gbf_rhs(spec, mu, H):
 def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     """Integrate the bracket flow from (mu0, H0) over t_span.
 
-    The initial bracket must satisfy Jacobi and H0 must be closed for it;
-    both residuals are re-checked at every accepted step (NumericalError if
-    integration drift ever pushes them past STRUCTURE_TOL), by one pass over
-    the gate table (_gate_table) on the packed state.  The run evaluates
+    The initial bracket must satisfy Jacobi and H0 must be closed for it
+    (lie._structure_failure, ValidationError otherwise); the same gate is
+    re-run on every accepted state, and NumericalError reports the first one
+    that integration drift pushed past STRUCTURE_TOL.  The run evaluates
     _gbf_kernel, built once, on the packed state: 1 right-hand-side evaluation
     plus 6 per attempted step (see the module docstring).  Each accepted
     packed state is kept as it is, as the trajectory row.
@@ -679,18 +602,16 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     m0 = _as_bracket(mu0).coeffs
     n = m0.shape[0]
     y0 = np.concatenate([_packed_bracket(m0), _flux(H0, n).coeffs])
-    _check_structure(y0, n)
+    reason = _structure_failure(y0, n)
+    if reason is not None:
+        raise ValidationError(reason)
     t0, t1 = (float(t_span[0]), float(t_span[1]))
     times, rows = [], []
 
     def on_accept(t, y):
-        jacobi, closed = _structure_residuals(y, n)
-        if jacobi > STRUCTURE_TOL:
-            raise NumericalError(
-                f"Jacobi residual {jacobi:.3e} exceeded {STRUCTURE_TOL:.1e} at t={t:.9g}")
-        if closed > STRUCTURE_TOL:
-            raise NumericalError(
-                f"closedness residual {closed:.3e} exceeded {STRUCTURE_TOL:.1e} at t={t:.9g}")
+        reason = _structure_failure(y, n)
+        if reason is not None:
+            raise NumericalError(f"{reason} at t={t:.9g}")
         times.append(t)
         rows.append(y)
 
@@ -787,7 +708,7 @@ def grf_rhs(mu, state):
 def _grf_setup(mu, g0, H0, direction):
     """Check the initial data; return (n, y0, f, in_domain) on the "grf" row y.
 
-    mu must satisfy Jacobi and H0 be closed for it (_check_structure), as
+    mu must satisfy Jacobi and H0 be closed for it (lie._structure_failure), as
     for the bracket flow; the kernel rejects a bracket that is not unimodular.
 
     f(y) is the flow's right-hand side, negated when direction is -1; it
@@ -803,7 +724,9 @@ def _grf_setup(mu, g0, H0, direction):
         raise ValidationError(
             f"metric dimension {met0.dim} does not match bracket dimension {n}")
     h0 = _flux(H0, n).coeffs
-    _check_structure(np.concatenate([_packed_bracket(m), h0]), n)
+    reason = _structure_failure(np.concatenate([_packed_bracket(m), h0]), n)
+    if reason is not None:
+        raise ValidationError(reason)
     rhs = _grf_kernel(m)
 
     def in_domain(y):

@@ -20,8 +20,13 @@ _index_array also serves compound_matrix; _unpack_tables and _pack_index are
 the packed layout, scattered by _unpack (KForm.unpack) and gathered by _pack
 (KForm.from_dense, which checks alternation against _unpack of what it
 gathered); _ce_tables is d, gathered by _ce (ce_differential) and summed into
-a matrix by _d_matrix, whose blocks for d* _d_block decides.  The flows reach
-the layout, d and compounds (_on_slots) only through these.
+a matrix by _d_matrix (one bincount over _d_keys), whose blocks for d*
+_d_block decides.  The flows reach the layout, d and compounds (_on_slots)
+only through these.
+
+(mu, H) is an exact Courant algebroid when mu is Lie and d_mu H = 0.  Every
+entry point that needs one asks _structure_failure, whose residuals are d_mu of
+the forms of the structure row (_gate_table, a _monomials table).
 """
 
 from __future__ import annotations
@@ -476,14 +481,22 @@ def _ce_tables(n, k):
     return _frozen(I, J, src, sign.astype(float), pairs.sum(axis=1) % 2 == 1)
 
 
+@lru_cache(maxsize=None)
+def _d_keys(n, k):
+    """Flat positions row * C(n, k) + src in d's matrix of _ce_tables(n, k)'s entries."""
+    I, _, src, _, _ = _ce_tables(n, k)
+    (keys,) = _frozen((np.arange(len(I))[:, None, None] * math.comb(n, k) + src).ravel())
+    return keys
+
+
 def _d_matrix(m, k):
-    """Matrix of d_mu from packed k-forms to packed (k+1)-forms, summed from _ce_tables."""
+    """Matrix of d_mu from packed k-forms to packed (k+1)-forms, summed from _ce_tables by one
+    bincount, which adds each entry's terms in table order from 0.0."""
     n = m.shape[0]
     I, J, src, sign, odd = _ce_tables(n, k)
     vals = m[I, J] * sign * np.where(odd, -1.0, 1.0)[:, None]
-    D = np.zeros((len(I), math.comb(n, k)))
-    np.add.at(D, (np.arange(len(I))[:, None, None], src), vals)
-    return D
+    cols = math.comb(n, k)
+    return np.bincount(_d_keys(n, k), vals.ravel(), minlength=len(I) * cols).reshape(len(I), cols)
 
 
 def _d_block(m, k):
@@ -515,6 +528,67 @@ def _ce(m, x, k):
         else:
             out += inner[:, j]
     return out
+
+
+def _monomials(families):
+    """A read-only table of the rows (key, ..., coefficient) of the families (broadcast arrays),
+    sorted by key: zero coefficients dropped, rows with equal keys summed, zero sums dropped."""
+    families = [np.broadcast_arrays(*family) for family in families]
+    keys = np.concatenate([np.stack(f[:-1]).reshape(len(f) - 1, -1) for f in families], axis=1)
+    coeffs = np.concatenate([f[-1].ravel() for f in families])
+    keys, coeffs = keys[:, coeffs != 0.0], coeffs[coeffs != 0.0]
+    # one integer per row, ordered as the rows sort: np.unique on it beats np.unique(axis=1)
+    code = np.ravel_multi_index(keys, keys.max(axis=1, initial=0) + 1)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    keys, coeffs = keys[:, first], np.bincount(inverse, coeffs, minlength=first.size)
+    return _frozen(*keys[:, coeffs != 0.0], coeffs[coeffs != 0.0])
+
+
+@lru_cache(maxsize=None)
+def _gate_table(n):
+    """The Jacobi and closedness residuals of a structure row y on R^n as one monomial table.
+
+    y is _pack(mu, 2).ravel() (mu[i, j, :] for i < j), then the packed 3-form H.  (K, A, B, C):
+    row r adds C[r] * y[A[r]] * y[B[r]] to out[K[r]].  Both residuals are d_mu (_ce_tables) of
+    forms the row holds.  out[t * n + l] is d_mu of the 2-form mu^l = mu[., ., l] on the t-th
+    increasing triple, minus the e_l part of the Jacobiator; out[C(n, 3) n + q] is d_mu H on
+    the q-th increasing 4-tuple.
+    """
+    split, cut = math.comb(n, 2) * n, math.comb(n, 3) * n
+    # y[slot[i, j, s]] = mu[i, j, s] for i < j: the unpacked row y = 1, 2, ... holds slot + 1
+    slot = _unpack(np.arange(1.0, split + 1).reshape(-1, n), n, 2).astype(np.intp) - 1
+    families = []
+    # d_mu of `width` k-forms: the 2-forms mu^l at y[src * n + l], the 3-form H at y[split + src]
+    for k, base, offset, width in ((2, 0, 0, n), (3, split, cut, 1)):
+        I, J, src, sign, odd = _ce_tables(n, k)
+        l = np.arange(width)
+        a = slot[I[..., None], J[..., None], np.arange(n)][..., None]
+        b = base + src[..., None] * width + l
+        key = offset + np.arange(len(I))[:, None, None, None] * width + l
+        c = (sign * np.where(odd, -1.0, 1.0)[:, None])[..., None]
+        families.append((key, np.minimum(a, b), np.maximum(a, b), c))
+    return _monomials(families)
+
+
+def _structure_residuals(y, n):
+    """(Jacobi residual, closedness residual) of the structure row y on R^n: the max |.| over
+    the d_mu mu^l (minus the Jacobiator) and over d_mu H, by one pass over _gate_table(n)."""
+    K, A, B, C = _gate_table(n)
+    cut = math.comb(n, 3) * n
+    res = np.abs(np.bincount(K, C * y[A] * y[B], minlength=cut + math.comb(n, 4)))
+    return float(res[:cut].max(initial=0.0)), float(res[cut:].max(initial=0.0))
+
+
+def _structure_failure(y, n):
+    """Why (mu, H), as the structure row y on R^n (_gate_table), is not an exact Courant
+    algebroid at STRUCTURE_TOL: mu violates Jacobi or H is not closed for it; else None."""
+    jacobi, closed = _structure_residuals(y, n)
+    if jacobi > STRUCTURE_TOL:
+        return f"bracket violates Jacobi (Jacobi residual {jacobi:.3e} exceeds {STRUCTURE_TOL:.1e})"
+    if closed > STRUCTURE_TOL:
+        return (f"3-form is not closed for the bracket "
+                f"(closedness residual {closed:.3e} exceeds {STRUCTURE_TOL:.1e})")
+    return None
 
 
 def ce_differential(omega, mu):

@@ -493,12 +493,15 @@ def random_basis_change(rng, n, spread=0.3):
             return A
 
 
+def nilpotent_seed(dim):
+    """The sparse bracket random_nilpotent moves: HEIS3, FILIFORM4 or HEIS5 on R^dim."""
+    seed = _NILPOTENT_SEEDS[min(max(dim, 3), 5)]
+    return bracket_from(tuple(row for row in seed if max(row[:3]) < dim), dim)
+
+
 def random_nilpotent(rng, dim):
     """A Jacobi-exact nilpotent bracket in a random (well-conditioned) basis."""
-    seed = _NILPOTENT_SEEDS[min(max(dim, 3), 5)]
-    entries = [row for row in seed if max(row[:3]) < dim]
-    base = bracket_from(tuple(entries), dim)
-    return gl_action(random_basis_change(rng, dim), base)
+    return gl_action(random_basis_change(rng, dim), nilpotent_seed(dim))
 
 
 def random_spd(rng, n, spread=0.8):

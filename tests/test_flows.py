@@ -42,7 +42,7 @@ from nilflow import (
     trajectory_column_labels,
     trajectory_from_columns,
 )
-from nilflow import flows
+from nilflow import flows, lie
 
 import oracles as oc
 
@@ -541,7 +541,7 @@ def test_structure_gate_table_matches_the_library_residuals(rng):
     for n in range(1, 8):
         m = oc.random_skew_bracket(rng, n)
         h = oc.random_form_coeffs(rng, n, 3)
-        jacobi, closed = flows._structure_residuals(np.concatenate([flows._packed_bracket(m), h]), n)
+        jacobi, closed = lie._structure_residuals(np.concatenate([flows._packed_bracket(m), h]), n)
         want_jacobi = jacobi_residual(m)
         want_closed = float(np.abs(oc.packed_ce(h, m, 3)).max(initial=0.0))
         assert (want_jacobi > 0.0) == (n >= 3) and (want_closed > 0.0) == (n >= 4)

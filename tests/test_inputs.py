@@ -1,6 +1,8 @@
 """Input coercion: every public entry that takes a 3-form H, a bracket or a metric
 accepts the same input kinds and rejects the same bad inputs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,11 @@ from nilflow import (
     integrate_gbf,
     integrate_grf,
     rc_metric,
+    soliton_fit,
+    soliton_residual,
     symmetric_derivations,
 )
+from nilflow.cli import main
 
 import oracles as oc
 
@@ -86,3 +91,54 @@ def test_dimension_zero_rejected(make):
     """Dimension 0 is a bad shape, as it is for KForm, not a numpy reduction error."""
     with pytest.raises(ValidationError, match="n >= 1|nonempty"):
         make()
+
+
+# HEIS5, where d_mu e^125 = -e^1234: eps e^125 has closedness residual eps, on either side
+# of STRUCTURE_TOL = 1e-7.
+HEIS5 = oc.bracket_from(oc.HEIS5, 5)
+CLOSED_BELOW_TOL, CLOSED_ABOVE_TOL = 5e-8, 5e-7
+ZERO5 = np.zeros(5)
+
+STRUCTURE_ENTRIES = {
+    "DorfmanBracket": lambda H: DorfmanBracket(HEIS5, H),
+    "generalized_ricci_plus": lambda H: generalized_ricci_plus(HEIS5, np.eye(5), H, ZERO5),
+    "soliton_fit": lambda H: soliton_fit(HEIS5, np.eye(5), H, ZERO5),
+    "soliton_residual": lambda H: soliton_residual(HEIS5, np.eye(5), H, ZERO5, 0.0,
+                                                   np.zeros((5, 5)), KForm.zero(5, 2)),
+    "integrate_gbf": lambda H: integrate_gbf("ric", HEIS5, H, (0.0, 0.1)),
+    "integrate_grf": lambda H: integrate_grf(HEIS5, np.eye(5), H, (0.0, 0.1)),
+}
+
+
+def _heis5_flux(eps):
+    return KForm.from_entries(5, 3, [((1, 2, 5), eps)])
+
+
+@pytest.mark.parametrize("entry", sorted(STRUCTURE_ENTRIES))
+def test_entries_share_one_structure_gate(entry):
+    """Every entry that needs (mu, H) to be an exact Courant algebroid draws the line at the
+    same closedness residual and refuses with the same reason."""
+    run = STRUCTURE_ENTRIES[entry]
+    run(_heis5_flux(CLOSED_BELOW_TOL))
+    with pytest.raises(ValidationError,
+                       match=r"^3-form is not closed for the bracket \(closedness residual "
+                             r"5\.000e-07 exceeds 1\.0e-07\)$"):
+        run(_heis5_flux(CLOSED_ABOVE_TOL))
+
+
+def test_cli_shares_the_structure_gate(tmp_path, capsys):
+    """nilflow check reports ok below the gate's line, and soliton-fit runs there; above it,
+    check flags closedness and soliton-fit exits 2 with the gate's reason."""
+    for eps, ok in ((CLOSED_BELOW_TOL, True), (CLOSED_ABOVE_TOL, False)):
+        path = tmp_path / f"heis5-{eps:g}.json"
+        path.write_text(json.dumps({"dim": 5, "mu": [[1, 2, 5, 1.0], [3, 4, 5, 1.0]],
+                                    "H": [[1, 2, 5, eps]]}))
+        assert main(["check", "--input", str(path)]) == 0
+        status = capsys.readouterr().out.splitlines()[-1]
+        assert status == ("status: ok" if ok else "status: residual above 1e-07 (closedness)")
+        code = main(["soliton-fit", "--input", str(path)])
+        out, err = capsys.readouterr()
+        if ok:
+            assert code == 0 and "lambda" in json.loads(out)
+        else:
+            assert code == 2 and err.startswith("error: 3-form is not closed for the bracket")

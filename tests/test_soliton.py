@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from nilflow import (
+    IntegratorControls,
     KForm,
     LieBracket,
     Metric,
@@ -15,6 +16,7 @@ from nilflow import (
     gl_action,
     gl_action_form,
     h_circ_h,
+    integrate_gbf,
     pi_mu,
     rc_metric,
     soliton_fit,
@@ -317,3 +319,12 @@ def test_soliton_fit_rejects_non_closed():
         soliton_fit(mu4, Metric.identity(4),
                     KForm.from_entries(4, 3, [((2, 3, 4), 1.0)]),
                     KForm.zero(4, 1))
+
+
+def test_soliton_fit_takes_the_final_state_of_a_bracket_flow(rng):
+    """The bracket flow's end state is fit input as it stands: the flow re-checks its own
+    drift by the gate soliton_fit uses, so a state the flow accepts the fit accepts too."""
+    mu = oc.random_nilpotent(rng, 6)
+    H = KForm(6, 3, oc.random_closed_3form(rng, mu.coeffs))
+    final = integrate_gbf("ric", mu, H, (0.0, 50.0), IntegratorControls(rtol=1e-7, atol=1e-8)).final
+    soliton_fit(final.mu, np.eye(6), final.H, np.zeros(6))

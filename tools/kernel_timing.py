@@ -6,8 +6,9 @@ Imports nilflow from this checkout's ``src`` and times one call of each of:
 
   - ``grf``: the generalized Ricci flow's right-hand side (``flows._grf_kernel``);
   - ``gbf``: the ``ric-h2`` bracket flow's right-hand side (``flows._gbf_kernel``);
-  - ``gates``: the bracket flow's Jacobi and closedness residuals on one
-    state (``flows._structure_residuals``, one pass over ``flows._gate_table``);
+  - ``gates``: the Jacobi and closedness residuals of one bracket-flow state,
+    the structure gate every entry point shares (``lie._structure_residuals``,
+    one pass over ``lie._gate_table``);
 
 and, in a second table, one call of each Dorfman residual of the bracket and
 the same H, on the doubled space of dimension 2n: ``dorfman_jacobi_residual``
@@ -64,7 +65,7 @@ def main(argv=None):
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import numpy as np
     from nilflow import (KForm, LieBracket, dorfman_jacobi_residual,
-                         dorfman_total_skew_residual, flows)
+                         dorfman_total_skew_residual, flows, lie)
 
     print(f"{'bracket':<10} {'n':>2} {'grf us':>9} {'gbf us':>9} {'gates us':>9}")
     for name, mu in brackets(LieBracket):
@@ -74,7 +75,7 @@ def main(argv=None):
         gbf = flows._gbf_kernel(flows.PhiSpec.RIC_MINUS_QUARTER_HSQ, n)
         y_gbf = np.concatenate([flows._packed_bracket(m), h])
         times = [per_call_us(fn, args.repeat, args.number) for fn in (
-            lambda: grf(y_grf), lambda: gbf(y_gbf), lambda: flows._structure_residuals(y_gbf, n))]
+            lambda: grf(y_grf), lambda: gbf(y_gbf), lambda: lie._structure_residuals(y_gbf, n))]
         print(f"{name:<10} {n:>2} " + " ".join(f"{t:9.1f}" for t in times))
     print(f"\n{'bracket':<10} {'n':>2} {'dorfman jacobi us':>18} {'dorfman skew us':>16}")
     for name, mu in brackets(LieBracket):
