@@ -11,7 +11,9 @@ O(h^5) error estimate.  The last stage k7 = f(y1) is the next step's first
 1 right-hand-side evaluation plus 6 per attempted step.  Since k7 is taken
 at the new state, a trial that leaves the flow's domain fails there and is
 rejected (_integrate).  Fixed-step runs take classical RK4 steps, 4
-evaluations each.  The flows are autonomous, so every kernel is f(y); a
+evaluations each; a step's first stage, taken right after the step before,
+is also that state's domain test, so only the final state needs in_domain.
+The flows are autonomous, so every kernel is f(y); a
 backward-in-time run negates the kernel instead of stepping with negative h.
 One adaptive loop serves every driver; near a singular time its trial step
 falls below STEP_FLOOR, which is where blowup_time stops.
@@ -29,7 +31,9 @@ is a cubic in the row, kept by _gbf_tables as two monomial tables per
 H equation -Lap H is -d d*_g H: the flow is defined on the closed 3-forms,
 and every increment lies in im d.  _grf_kernel needs a unimodular bracket
 and takes one Cholesky factor g = L L^T per evaluation; rc_metric, h_circ_h
-and codifferential share its arithmetic.
+and codifferential share its arithmetic.  What is fixed for a run (where h
+goes in the kernel's stacked array, the sign of -d d*, the metric's upper
+triangle) is built with the kernel, and d*'s -1/2 with hodge's tables.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ from .curvature import rc_metric, ric_orthonormal  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
 from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _d_block, _frozen,
-                  _index_array, _monomials, _pack, _raise_pair, _structure_failure, _unpack)
+                  _index_array, _monomials, _pack, _raise_pair, _structure_failure, _unpack,
+                  _unpack_tables)
 
 __all__ = [
     "PhiSpec",
@@ -429,8 +434,13 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
     toward the domain's edge instead of crossing it; a trial step below
     STEP_FLOOR, as at a singular time, raises _Stalled.  Fixed-step runs take
     max(1, ceil(span / h - 1e-12)) classical RK4 steps over a positive span,
-    the last landing on t_end, and raise NumericalError when f raises or the
-    state after a step is not finite or fails in_domain(y).
+    the last landing on t_end, 4 evaluations each.  They raise NumericalError
+    when f raises inside a step ("integration failed near t"), or when the
+    state after a step is not finite or off the domain ("left the flow's
+    domain after the last valid time t").  The domain test of a state that
+    is not the last is the next step's first stage k1 = f(y), taken right
+    after the step, which raises one of _RHS_FAILURES off the domain; the
+    last state, which takes no further step, is tested by in_domain(y).
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state must be finite")
@@ -450,14 +460,24 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
                 f"step budget {controls.max_steps} exhausted at t={t:.9g} "
                 f"(fixed step {h:.9g} over a span of {span:.9g})")
         steps = max(math.ceil(count), 1) if span > 0 else 0
+        k1 = None  # f(y), taken after the previous step as its domain test
         for i in range(steps):
-            t_next = t_end if i == steps - 1 else t0 + (i + 1) * h
+            last = i == steps - 1
+            t_next = t_end if last else t0 + (i + 1) * h
             try:
-                y = _rk4_step(f, y, t_next - t, f(y))
+                y = _rk4_step(f, y, t_next - t, f(y) if k1 is None else k1)
             except _RHS_FAILURES:
                 raise NumericalError(
                     f"fixed-step integration failed near t={t:.9g} (metric)") from None
-            if not (np.isfinite(y).all() and (in_domain is None or in_domain(y))):
+            inside = bool(np.isfinite(y).all())
+            if inside and not last:
+                try:
+                    k1 = f(y)  # the next step's first stage tests this state's domain
+                except _RHS_FAILURES:
+                    inside = False
+            elif inside and in_domain is not None:
+                inside = in_domain(y)
+            if not inside:
                 raise NumericalError(
                     f"state left the flow's domain after the last valid time t={t:.9g}")
             t = t_next
@@ -656,34 +676,44 @@ def _grf_kernel(m):
     """The flow's right-hand side for the bracket m, as rhs(y) -> dy on the "grf" row.
 
     y holds g = y[_grf_metric(n)], then the packed 3-form h; dy holds (dg, dh)
-    alike, dg as one gather of its upper triangle.  Built once from m: that
-    gather, the block d2 of d on 2-forms (lie._d_block, which rejects a
-    bracket that is not unimodular), None where d vanishes for m, and S, an
-    (n, n, 2n) array with S[a, b, :n] = mu_ab.  Per call: g = L L^T (LinAlgError
-    off the domain); S[a, b, n + r] = h_abr (lie._unpack); X, S raised by L^-1
-    on two slots (lie._raise_pair) as an (n^2, 2n) matrix with halves X1, X2.  X1 L is mu in an orthonormal
-    frame, whose Ricci form pulled back by L^T is Rc_g; H o H = X2^T X2; and,
-    where d2 is not None, Q = X1^T X2 = mu^T h^## gives d* h (hodge._codiff)
-    and dh = -d d* h: -Lap h for the closed h the callers' gate (_grf_setup)
-    lets in, without the d* d h of any other h.  Where d2 is None, dh = 0.
+    alike.  Everything fixed for the run is built once from m: the positions
+    of dg's upper triangle, taken in row order; -d2, minus the block of d on
+    2-forms (lie._d_block, which rejects a bracket that is not unimodular), or
+    None where d vanishes for m; and S, an (n, n, 2n) array with
+    S[a, b, :n] = mu_ab, with the flat positions in S of h's dense entries
+    S[a, b, n + r] = h_abr (lie._unpack_tables; the entries with a repeated
+    index stay zero).  Per call: h is written into S through those positions;
+    g = L L^T (LinAlgError off the domain); X, S raised by L^-1 on two slots
+    (lie._raise_pair) as an (n^2, 2n) matrix with halves X1, X2.  X1 L is mu in
+    an orthonormal frame, whose Ricci form pulled back by L^T is Rc_g;
+    H o H = X2^T X2; and, where d2 is not None, Q = X1^T X2 = mu^T h^## gives
+    d* h (hodge._codiff) and dh = -d d* h: -Lap h for the closed h the callers'
+    gate (_grf_setup) lets in, without the d* d h of any other h.  Where d2 is
+    None, dh = 0.  The constants are exact (signs and a factor -1/2 in d*), so
+    folding them in moves no nonzero bit.
     """
     n = m.shape[0]
     metric, split = _grf_metric(n), n * (n + 1) // 2
     upper = np.unique(metric, return_index=True)[1]  # flat (i, j), i <= j, in row order
     d2 = _d_block(m, 3)
+    minus_d2 = None if d2 is None else -d2
     zero = np.zeros(math.comb(n, 3))
     S = np.zeros((n, n, 2 * n))
     S[..., :n] = m
+    flat, src, sign = _unpack_tables(n, 3)
+    h_slots = flat // n * (2 * n) + n + flat % n  # flat (a, b, r) of h's tensor -> (a, b, n + r)
+    h_src = split + src
+    S_flat = S.reshape(-1)  # a view: writing it fills S
 
     def rhs(y):
-        g, h = y[metric], y[split:]
+        S_flat[h_slots] = sign * y[h_src]
+        g = y[metric]
         L = np.linalg.cholesky(g)
-        S[..., n:] = _unpack(h, n, 3)
         X = _raise_pair(np.linalg.inv(L), S)
         X1, X2 = X[:, :n], X[:, n:]
         dg = 0.5 * (X2.T @ X2) - 2.0 * (L @ ric_orthonormal((X1 @ L).reshape(n, n, n)) @ L.T)
-        dh = zero if d2 is None else -(d2 @ _codiff(X1.T @ X2, g, n, 3))
-        return np.concatenate((dg.ravel()[upper], dh))
+        dh = zero if minus_d2 is None else minus_d2 @ _codiff(X1.T @ X2, g, n, 3)
+        return np.concatenate((dg.take(upper), dh))
 
     return rhs
 
@@ -713,7 +743,8 @@ def _grf_setup(mu, g0, H0, direction):
 
     f(y) is the flow's right-hand side, negated when direction is -1; it
     raises LinAlgError where g is not positive definite.  in_domain(y) says
-    whether g is positive definite; fixed-step runs check it after each step.
+    whether g is positive definite; fixed-step runs ask it about their final
+    state only, since f tests every other (_integrate).
     """
     if direction not in (1, -1):
         raise ValidationError(f"direction must be +1 or -1, got {direction!r}")

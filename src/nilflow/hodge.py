@@ -35,11 +35,14 @@ class Metric:
 
     Construction symmetrizes exactly after checking the asymmetry is below
     METRIC_SYMMETRY_TOL (relative), and fails if the matrix is not positive
-    definite.  The inverse, the upper-triangular Cholesky factor
-    (entries = h^T h) and the inverse of its transpose L = h^T are precomputed.
+    definite; its one Cholesky factorization gives the upper-triangular factor
+    (entries = h^T h) and sqrt_det.  The inverse and the inverse of L = h^T are
+    computed on first read and kept, read-only, so a Metric built only to check
+    its entries pays no inversion.
     """
 
     entries: np.ndarray
+    _inv = _chol_lower_inv = None  # not fields: set on first read of inverse, chol_lower_inv
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float, copy=True)
@@ -55,15 +58,9 @@ class Metric:
             lower = np.linalg.cholesky(arr)
         except np.linalg.LinAlgError:
             raise ValidationError("metric matrix is not positive definite") from None
-        inv = np.linalg.inv(arr)
-        inv = (inv + inv.T) / 2.0
-        lower_inv = np.linalg.inv(lower)  # positive diagonal: invertible, whatever its condition
-        for a in (arr, inv, lower, lower_inv):
-            a.setflags(write=False)
+        _frozen(arr, lower)
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "_inv", inv)
         object.__setattr__(self, "_chol_lower", lower)
-        object.__setattr__(self, "_chol_lower_inv", lower_inv)
         object.__setattr__(self, "_sqrt_det", float(np.prod(np.diag(lower))))
 
     @property
@@ -72,6 +69,9 @@ class Metric:
 
     @property
     def inverse(self):
+        if self._inv is None:
+            inv = np.linalg.inv(self.entries)
+            object.__setattr__(self, "_inv", _frozen((inv + inv.T) / 2.0)[0])
         return self._inv
 
     @property
@@ -82,6 +82,8 @@ class Metric:
     @property
     def chol_lower_inv(self):
         """L^-1 for the lower-triangular L = chol_upper.T, entries = L L^T."""
+        if self._chol_lower_inv is None:  # positive diagonal: invertible, whatever its condition
+            object.__setattr__(self, "_chol_lower_inv", _frozen(np.linalg.inv(self._chol_lower))[0])
         return self._chol_lower_inv
 
     @property
@@ -172,21 +174,24 @@ def hodge_star(omega, g, orientation=1):
 def _codiff_tables(n, k):
     """Gathers of d* on k-forms: w(e_i, e_j, e_J) over increasing (k-2)-tuples J is
     sign * w[rank] (_sort_sign of (i, j) + J); and for each increasing (k-1)-tuple I and
-    i < k - 1: I's i-th index, the rank of I without it, and (-1)^i."""
+    i < k - 1: I's i-th index, the rank of I without it, and -(-1)^i / 2, the alternation
+    sign with d*'s factor -1/2 folded in (a power of two, so the product is exact)."""
     J, I = _index_array(n, k - 2), _index_array(n, k - 1)
     tuples = np.empty((n, n, len(J), k), dtype=np.intp)  # (i, j) + J
     tuples[..., 0], tuples[..., 1] = np.arange(n)[:, None, None], np.arange(n)[:, None]
     tuples[..., 2:] = J
     rank, sign = _sort_sign(tuples, n)
     rest, _ = _sort_sign(I[:, _index_array(k - 1, k - 2)[::-1]], n)  # row i drops I[i]
-    return _frozen(rank, sign.astype(float), I, rest, (-1.0) ** np.arange(k - 1))
+    return _frozen(rank, sign.astype(float), I, rest, -0.5 * (-1.0) ** np.arange(k - 1))
 
 
 def _codiff(Q, g, n, k):
     """d* on k-forms from Q[l, J] = mu_ij^l w^ij_J (w raised on two slots, J increasing):
-    -1/2 sum_i (-1)^i T[I_i, I without I_i] over increasing (k-1)-tuples I, T = g Q."""
+    -1/2 sum_i (-1)^i T[I_i, I without I_i] over increasing (k-1)-tuples I, T = g Q, as one
+    gather and one product with _codiff_tables' sign column, which holds the -1/2.  The one
+    d* of the library: codifferential and the flows' GRF kernel both call it."""
     *_, rows, cols, sign = _codiff_tables(n, k)
-    return -0.5 * ((g @ Q)[rows, cols] @ sign)
+    return (g @ Q)[rows, cols] @ sign
 
 
 def codifferential(omega, mu, g):

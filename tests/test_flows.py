@@ -513,6 +513,59 @@ def test_fixed_step_nan_stage_raises():
                          IntegratorControls(fixed_step=0.1), lambda t, y: None)
 
 
+def _failing_at(evaluation):
+    """dy/dt = 1 that raises LinAlgError, as the GRF kernel does off its domain, at the given
+    1-based evaluation; returns (f, calls), calls the list of evaluations made so far."""
+    calls = []
+
+    def f(y):
+        calls.append(len(calls) + 1)
+        if len(calls) == evaluation:
+            raise np.linalg.LinAlgError("off the domain")
+        return np.ones_like(y)
+
+    return f, calls
+
+
+def _fixed_run(f, in_domain=None):
+    """Ten fixed RK4 steps of 0.1 over [0, 1]; returns the accepted times."""
+    times = []
+    flows._integrate(f, 0.0, np.zeros(1), 1.0, IntegratorControls(fixed_step=0.1),
+                     lambda t, y: times.append(t), in_domain)
+    return times
+
+
+def test_fixed_step_takes_the_next_first_stage_as_the_domain_test():
+    """Step i makes evaluations 4i - 3 .. 4i; the first of them, taken right after step i - 1,
+    is the domain test of the state that step left.  A run makes 4 evaluations per step and
+    asks in_domain only about its final state."""
+    f, calls = _failing_at(None)
+    tested = []
+    assert _fixed_run(f, lambda y: tested.append(y[0]) or True)[-1] == 1.0
+    assert len(calls) == 40
+    assert tested == [pytest.approx(1.0)]
+    # evaluation 9 is step 3's first stage, at the state step 2 left at t = 0.2
+    f, calls = _failing_at(9)
+    with pytest.raises(NumericalError, match="left the flow's domain after the last valid time t=0.1$"):
+        _fixed_run(f)
+    assert len(calls) == 9
+
+
+def test_fixed_step_final_state_is_tested_by_in_domain():
+    f, calls = _failing_at(None)
+    with pytest.raises(NumericalError, match="left the flow's domain after the last valid time t=0.9$"):
+        _fixed_run(f, lambda y: y[0] < 0.95)  # only the state at t = 1 is outside
+    assert len(calls) == 40
+
+
+def test_fixed_step_failure_inside_a_step_names_its_start():
+    for evaluation, t in ((1, "0"), (6, "0.1"), (8, "0.1"), (40, "0.9")):
+        f, _ = _failing_at(evaluation)
+        with pytest.raises(NumericalError,
+                           match=rf"fixed-step integration failed near t={t} \(metric\)$"):
+            _fixed_run(f)
+
+
 def test_integrate_gbf_checks_closedness_on_accepted_states(monkeypatch):
     """A kernel that pushes H off closedness at n = 4 stops the run at the first accepted state."""
     mu = LieBracket.from_entries(4, [(1, 2, 2, 1.0)])  # Jacobi holds; d_mu e^234 != 0

@@ -48,6 +48,19 @@ def test_metric_construction_and_accessors(rng):
     assert g.det == pytest.approx(np.linalg.det(g.entries), rel=1e-12)
 
 
+def test_metric_inverts_on_first_read_and_keeps_the_inverses_read_only(rng, monkeypatch):
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+    g = Metric(oc.random_spd(rng, 4))
+    assert inverted == []  # construction checks g with its one Cholesky factorization
+    for name in ("inverse", "chol_lower_inv"):
+        first = getattr(g, name)
+        assert getattr(g, name) is first and not first.flags.writeable
+    assert inverted == [(4, 4), (4, 4)]
+    assert np.allclose(g.chol_lower_inv @ g.chol_upper.T, np.eye(4), atol=1e-12)
+
+
 def test_metric_validation():
     with pytest.raises(ValidationError):
         Metric(np.diag([1.0, -1.0, 1.0]))  # not positive definite
