@@ -28,7 +28,8 @@ from .dorfman import (closedness_residual, dorfman_jacobi_residual,
 from .errors import NumericalError, ValidationError
 from .flows import IntegratorControls, PhiSpec, integrate_gbf, integrate_grf, tmin_sweep
 from .io import emit_phase_svg, emit_trajectory_csv, load_problem
-from .lie import index_tuples, jacobi_residual, nilpotency_step
+from .lie import (index_tuples, jacobi_residual, nilpotency_step, _structure_residuals,
+                  _structure_row)
 from .soliton import soliton_fit
 
 __all__ = ["main"]
@@ -83,13 +84,11 @@ def _cmd_check(args):
     print(f"closedness |d_mu H|: {_fmt_num(cr)}")
     print(f"dorfman jacobi residual: {_fmt_num(dj)}")
     print(f"metric determinant: {_fmt_num(p.g.det)}")
-    flags = []
-    if jr > args.tol:
-        flags.append("jacobi")
-    if cr > args.tol:
-        flags.append("closedness")
+    # the flags are the structure gate's own verdict, so "ok" means every entry point accepts
+    gate = _structure_residuals(_structure_row(p.mu.coeffs, p.H.coeffs), p.dim)
+    flags = [name for name, r in zip(("jacobi", "closedness"), gate) if r > STRUCTURE_TOL]
     print("status: ok" if not flags
-          else f"status: residual above {args.tol:g} ({', '.join(flags)})")
+          else f"status: residual above {STRUCTURE_TOL:g} ({', '.join(flags)})")
     return 0
 
 
@@ -196,17 +195,6 @@ def _cmd_tmin_sweep(args):
     return 0
 
 
-def _positive(text):
-    """argparse type of --tol: a finite positive number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
-    return value
-
-
 def _numbers(text):
     """argparse type of --a-values: comma-separated numbers."""
     try:
@@ -256,8 +244,6 @@ def _build_parser():
 
     s = _command(subs, "check", _cmd_check, "validate a problem and report residuals")
     _add_input(s)
-    s.add_argument("--tol", type=_positive, default=STRUCTURE_TOL,
-                   help="reporting threshold for residual warnings (default %(default)g)")
     s.add_argument("--dorfman", action="store_true",
                    help="print Jacobi/closedness/skewness residuals as JSON")
 

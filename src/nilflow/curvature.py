@@ -16,7 +16,8 @@ Conventions, all in a fixed basis with bracket coefficients mu[i, j, k]:
     Rc_plus = Rc_g - 1/4 H.H - 1/2 d*H + 1/2 nabla^+ theta,
     with the 2-form d*H embedded as a skew matrix; generalized solitons
     solve Rc_plus = lam g + g(D ., .) + 1/2 omega (soliton.py).  Both take
-    only mu Lie and H closed for it (lie._structure_failure).
+    only mu Lie and H closed for it, checked by lie's structure gate
+    (lie._checked_structure_row).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
-from .lie import (KForm, bracket_coeffs, form_dense, _as_3form, _as_bracket, _pack, _raise_pair,
-                  _structure_failure)
+from .lie import (KForm, bracket_coeffs, form_dense, _as_3form, _as_bracket,
+                  _checked_structure_row, _raise_pair)
 
 __all__ = [
     "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
@@ -129,9 +130,7 @@ def _generalized_terms(mu, g, H, theta):
     gm = as_metric(g)
     m = _as_bracket(mu).coeffs
     H = _as_3form(H, len(m))
-    reason = _structure_failure(np.concatenate([_pack(m, 2).ravel(), H.coeffs]), len(m))
-    if reason is not None:
-        raise ValidationError(reason)
+    _checked_structure_row(m, H.coeffs)
     th = _theta_vector(theta, gm.dim)
     return (gm, H, th), (rc_metric(mu, gm), h_circ_h(H, gm), codifferential(H, mu, gm),
                          bismut_nabla_theta(mu, gm, H, th))

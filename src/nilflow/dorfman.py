@@ -5,7 +5,8 @@ A pair (mu, H) with mu a bracket and H a 3-form induces the bracket
   muH(X + xi, Y + eta) = mu(X, Y) - eta . ad(X) + xi . ad(Y) + iota_Y iota_X H
 
 on generalized vectors, where (eta . ad(X))(Z) = eta(mu(X, Z)).  It satisfies
-the Leibniz/Jacobi identity exactly when mu is Lie and d_mu H = 0, and the
+the Leibniz/Jacobi identity exactly when mu is Lie and d_mu H = 0 (the gate
+DorfmanBracket asks, lie._checked_structure_row), and the
 trilinear form <muH(a, b), c> under the neutral pairing is totally skew for
 any skew inputs.  Residual functions accept raw arrays so they can quantify
 how badly corrupted data fails these identities.
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lie import (KForm, LieBracket, bracket_coeffs, ce_differential, form_dense, _as_3form,
-                  _as_bracket, _pack, _structure_failure)
+                  _as_bracket, _checked_structure_row)
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ class DorfmanBracket:
 
     mu is a LieBracket or a skew (n, n, n) array; H a KForm, a packed
     coefficient vector or a dense alternating tensor.  The check is the one
-    every entry point makes (lie._structure_failure).  Use the module
+    every entry point makes (lie._checked_structure_row).  Use the module
     functions directly to probe unvalidated or corrupted data.
     """
 
@@ -199,10 +200,7 @@ class DorfmanBracket:
     def __post_init__(self):
         object.__setattr__(self, "mu", _as_bracket(self.mu))
         object.__setattr__(self, "H", _as_3form(self.H, self.mu.dim))
-        reason = _structure_failure(
-            np.concatenate([_pack(self.mu.coeffs, 2).ravel(), self.H.coeffs]), self.mu.dim)
-        if reason is not None:
-            raise ValidationError(reason)
+        _checked_structure_row(self.mu.coeffs, self.H.coeffs)
 
     @property
     def dim(self):

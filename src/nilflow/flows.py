@@ -24,7 +24,7 @@ right-hand-side kernel on its row that works on plain arrays and builds no
 Metric, KForm or LieBracket per evaluation; the form calculus is lie's and
 d* is hodge._codiff, and this module keeps no copy.  Both flows start only
 from an exact Courant algebroid, mu Lie and H closed for it
-(lie._structure_failure).  The bracket flow's "gbf" row is that gate's
+(lie._checked_structure_row).  The bracket flow's "gbf" row is lie's
 structure row, so the gate re-checks every accepted row for drift; the flow
 is a cubic in the row, kept by _gbf_tables as two monomial tables per
 (spec, n).  The generalized Ricci flow carries a closed H, so its
@@ -66,9 +66,9 @@ from .config import (
 from .curvature import rc_metric, ric_orthonormal  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
-from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _d_block, _frozen,
-                  _index_array, _monomials, _pack, _raise_pair, _structure_failure, _unpack,
-                  _unpack_tables)
+from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _checked_structure_row,
+                  _d_block, _frozen, _index_array, _monomials, _raise_pair, _row_bracket,
+                  _row_slots, _structure_failure, _structure_row, _unpack_tables)
 
 __all__ = [
     "PhiSpec",
@@ -309,7 +309,7 @@ def _row_state(row, kind, n):
     split = row.size - math.comb(n, 3)
     H = KForm(n, 3, row[split:])
     if kind == "gbf":
-        return BracketState(mu=_dense_bracket(row[:split], n), H=H)
+        return BracketState(mu=_row_bracket(row, n), H=H)
     return GrfState(g=Metric(row[_grf_metric(n)]), H=H)
 
 
@@ -360,27 +360,21 @@ def _rk4_step(f, y, h, k1):
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# Table II.5.2).  Row i of _DP_A holds a_ij for j < i.  Its last row is also
-# the 5th-order weights b (with b_7 = 0), so the 7th stage f(y1) is the next
-# step's first.  _DP_E is b minus the embedded 4th-order weights.  No stage of
-# an autonomous flow reads the stage times c_i = sum_j a_ij (_DP_C).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-# The same tableau as the arrays _dp_step multiplies the stacked stages by:
-# _DP_MATRIX[i, j] = a_ij (zero for j >= i), _DP_ROWS[i] = _DP_MATRIX[i, :i],
-# and _DP_ERROR = e.  Row 6 is b over k1..k6.
-_DP_MATRIX, _DP_ERROR = _frozen(np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A]),
-                                 np.array(_DP_E))
+# Table II.5.2) as the arrays _dp_step multiplies the stacked stages by.
+# _DP_MATRIX[i, j] = a_ij, zero for j >= i; its last row is also the
+# 5th-order weights b (with b_7 = 0), so the 7th stage f(y1) is the next
+# step's first.  _DP_ERROR = e is b minus the embedded 4th-order weights, and
+# _DP_ROWS[i] = _DP_MATRIX[i, :i].  No stage of an autonomous flow reads the
+# stage times c_i = sum_j a_ij.
+_DP_MATRIX, _DP_ERROR = _frozen(np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+]), np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]))
 _DP_ROWS = tuple(_DP_MATRIX[i, :i] for i in range(7))  # views of a read-only array: read-only
 
 
@@ -518,28 +512,10 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
 # ---------------------------------------------------------------------------
 # bracket flow
 
-def _packed_bracket(m):
-    """The "gbf" row's bracket columns: mu[i, j, :] for i < j, row by row."""
-    return _pack(m, 2).ravel()
-
-
-def _dense_bracket(mp, n):
-    return _unpack(mp.reshape(-1, n), n, 2)
-
-
-def _row_slots(n):
-    """(slot, sign), each (2, n, n, n): the dense entry [s][i, j, k] of mu (s = 0) and of H
-    (s = 1) is sign * y[slot] on the "gbf" row y, sign 0 where an index repeats.  Read off
-    the dense tensors of the row y = 1, 2, 3, ..., which hold sign * (slot + 1)."""
-    split = math.comb(n, 2) * n
-    code = np.arange(1.0, split + math.comb(n, 3) + 1)
-    code = np.array([_dense_bracket(code[:split], n), _unpack(code[split:], n, 3)])
-    return np.abs(code).astype(np.intp) - 1, np.sign(code)
-
-
 @lru_cache(maxsize=None)
 def _gbf_tables(spec, n):
-    """The bracket flow's right-hand side on R^n as two monomial tables on the "gbf" row y.
+    """The bracket flow's right-hand side on R^n as two monomial tables on the "gbf" row y,
+    whose mu and H entries lie._row_slots places.
 
     (E, A, B, C): row r adds C[r] * y[A[r]] * y[B[r]] to phi.flat[E[r]], for
     phi = Ric_mu (- 1/4 H^2 for RIC_MINUS_QUARTER_HSQ) on and above its
@@ -568,7 +544,7 @@ def _gbf_tables(spec, n):
 def _gbf_kernel(spec, n):
     """The bracket flow's right-hand side on R^n, as rhs(y) -> dy on the packed state.
 
-    y is the packed bracket (_packed_bracket) followed by the packed 3-form.
+    y is the structure row (lie._structure_row): the packed bracket, then the packed 3-form.
     Every dense entry of (mu, H) is plus or minus one of these or zero, so
     the step controller's error ratio is the same maximum as on the dense
     tensors.  dy is a cubic in y, and each call is one gather-multiply-bincount
@@ -601,16 +577,15 @@ def gbf_rhs(spec, mu, H):
     m = _as_bracket(mu).coeffs
     n = m.shape[0]
     h = _flux(H, n).coeffs
-    dy = _gbf_kernel(spec, n)(np.concatenate([_packed_bracket(m), h]))
-    split = math.comb(n, 2) * n
-    return _dense_bracket(dy[:split], n), KForm(n, 3, dy[split:])
+    dy = _gbf_kernel(spec, n)(_structure_row(m, h))
+    return _row_bracket(dy, n), KForm(n, 3, dy[math.comb(n, 2) * n:])
 
 
 def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     """Integrate the bracket flow from (mu0, H0) over t_span.
 
     The initial bracket must satisfy Jacobi and H0 must be closed for it
-    (lie._structure_failure, ValidationError otherwise); the same gate is
+    (lie._checked_structure_row, ValidationError otherwise); the same gate is
     re-run on every accepted state, and NumericalError reports the first one
     that integration drift pushed past STRUCTURE_TOL.  The run evaluates
     _gbf_kernel, built once, on the packed state: 1 right-hand-side evaluation
@@ -621,10 +596,7 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     controls = controls if controls is not None else IntegratorControls()
     m0 = _as_bracket(mu0).coeffs
     n = m0.shape[0]
-    y0 = np.concatenate([_packed_bracket(m0), _flux(H0, n).coeffs])
-    reason = _structure_failure(y0, n)
-    if reason is not None:
-        raise ValidationError(reason)
+    y0 = _checked_structure_row(m0, _flux(H0, n).coeffs)
     t0, t1 = (float(t_span[0]), float(t_span[1]))
     times, rows = [], []
 
@@ -738,7 +710,7 @@ def grf_rhs(mu, state):
 def _grf_setup(mu, g0, H0, direction):
     """Check the initial data; return (n, y0, f, in_domain) on the "grf" row y.
 
-    mu must satisfy Jacobi and H0 be closed for it (lie._structure_failure), as
+    mu must satisfy Jacobi and H0 be closed for it (lie._checked_structure_row), as
     for the bracket flow; the kernel rejects a bracket that is not unimodular.
 
     f(y) is the flow's right-hand side, negated when direction is -1; it
@@ -755,9 +727,7 @@ def _grf_setup(mu, g0, H0, direction):
         raise ValidationError(
             f"metric dimension {met0.dim} does not match bracket dimension {n}")
     h0 = _flux(H0, n).coeffs
-    reason = _structure_failure(np.concatenate([_packed_bracket(m), h0]), n)
-    if reason is not None:
-        raise ValidationError(reason)
+    _checked_structure_row(m, h0)
     rhs = _grf_kernel(m)
 
     def in_domain(y):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class Metric:
     """
 
     entries: np.ndarray
-    _inv = _chol_lower_inv = None  # not fields: set on first read of inverse, chol_lower_inv
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float, copy=True)
@@ -67,24 +66,21 @@ class Metric:
     def dim(self):
         return self.entries.shape[0]
 
-    @property
+    @cached_property
     def inverse(self):
-        if self._inv is None:
-            inv = np.linalg.inv(self.entries)
-            object.__setattr__(self, "_inv", _frozen((inv + inv.T) / 2.0)[0])
-        return self._inv
+        inv = np.linalg.inv(self.entries)
+        return _frozen((inv + inv.T) / 2.0)[0]
 
     @property
     def chol_upper(self):
         """Upper-triangular h with entries = h.T @ h."""
         return self._chol_lower.T
 
-    @property
+    @cached_property
     def chol_lower_inv(self):
         """L^-1 for the lower-triangular L = chol_upper.T, entries = L L^T."""
-        if self._chol_lower_inv is None:  # positive diagonal: invertible, whatever its condition
-            object.__setattr__(self, "_chol_lower_inv", _frozen(np.linalg.inv(self._chol_lower))[0])
-        return self._chol_lower_inv
+        # positive diagonal: invertible, whatever its condition
+        return _frozen(np.linalg.inv(self._chol_lower))[0]
 
     @property
     def sqrt_det(self):

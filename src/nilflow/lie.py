@@ -24,9 +24,10 @@ a matrix by _d_matrix (one bincount over _d_keys), whose blocks for d*
 _d_block decides.  The flows reach the layout, d and compounds (_on_slots)
 only through these.
 
-(mu, H) is an exact Courant algebroid when mu is Lie and d_mu H = 0.  Every
-entry point that needs one asks _structure_failure, whose residuals are d_mu of
-the forms of the structure row (_gate_table, a _monomials table).
+(mu, H) is an exact Courant algebroid when mu is Lie and d_mu H = 0.  Only this
+module builds (_structure_row), reads (_row_bracket, _row_slots) and checks
+(_checked_structure_row, the gate of every entry point) the pair's structure
+row; the residuals are d_mu of the forms it holds (_gate_table, _monomials).
 """
 
 from __future__ import annotations
@@ -168,6 +169,18 @@ def _pack(t, k):
     return t.reshape((n ** k,) + t.shape[k:])[_pack_index(n, k)]
 
 
+def _entry_indices(raw, kind, entry):
+    """The indices raw of a from_entries entry as ints; ValidationError naming the entry
+    unless each is integral (int(x) == x), so a fractional index is refused, not truncated."""
+    try:
+        idx = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        idx = None
+    if idx is None or idx != tuple(raw):
+        raise ValidationError(f"{kind} entry {entry!r} has an index that is not an integer")
+    return idx
+
+
 def _on_slots(A, x, n, k):
     """C_k(A) x = compound_matrix(A, k) @ x for a packed k-form x: one matmul per slot of the
     dense form, unless k = 0 or its n^k entries outnumber the compound's C(n, k)^2 a hundredfold."""
@@ -223,7 +236,7 @@ class KForm:
         coeffs = np.zeros(math.comb(dim, degree))
         seen = {}
         for raw_idx, value in entries:
-            idx = tuple(int(i) - shift for i in raw_idx)
+            idx = tuple(i - shift for i in _entry_indices(raw_idx, "form", raw_idx))
             if len(idx) != degree:
                 raise ValidationError(f"form entry {raw_idx} has {len(idx)} indices, expected {degree}")
             for i in idx:
@@ -356,7 +369,8 @@ class LieBracket:
         for row in entries:
             if len(row) != 4:
                 raise ValidationError(f"bracket entry {row!r} must be (i, j, k, value)")
-            i, j, k = (int(x) - shift for x in row[:3])
+            i, j, k = _entry_indices(row[:3], "bracket", row)
+            i, j, k = i - shift, j - shift, k - shift
             v = float(row[3])
             for x in (i, j, k):
                 if not 0 <= x < dim:
@@ -544,19 +558,41 @@ def _monomials(families):
     return _frozen(*keys[:, coeffs != 0.0], coeffs[coeffs != 0.0])
 
 
+def _structure_row(m, h):
+    """The structure row of (mu, H) on R^n: _pack(m, 2).ravel() (mu[i, j, :] for i < j, row
+    by row), then the packed 3-form h.  It is the bracket flow's "gbf" row."""
+    return np.concatenate([_pack(m, 2).ravel(), h])
+
+
+def _row_bracket(y, n):
+    """The dense (n, n, n) bracket of the structure row y on R^n (_structure_row)."""
+    return _unpack(y[:math.comb(n, 2) * n].reshape(-1, n), n, 2)
+
+
+@lru_cache(maxsize=None)
+def _row_slots(n):
+    """(slot, sign), each (2, n, n, n): the dense entry [s][i, j, k] of mu (s = 0) and of H
+    (s = 1) is sign * y[slot] on the structure row y on R^n, sign 0 (and slot -1) where an
+    index repeats.  Read off the dense tensors of the row y = 1, 2, 3, ..., which hold
+    sign * (slot + 1).  Cached read-only."""
+    split = math.comb(n, 2) * n
+    code = np.arange(1.0, split + math.comb(n, 3) + 1)
+    code = np.array([_row_bracket(code, n), _unpack(code[split:], n, 3)])
+    return _frozen(np.abs(code).astype(np.intp) - 1, np.sign(code))
+
+
 @lru_cache(maxsize=None)
 def _gate_table(n):
     """The Jacobi and closedness residuals of a structure row y on R^n as one monomial table.
 
-    y is _pack(mu, 2).ravel() (mu[i, j, :] for i < j), then the packed 3-form H.  (K, A, B, C):
-    row r adds C[r] * y[A[r]] * y[B[r]] to out[K[r]].  Both residuals are d_mu (_ce_tables) of
-    forms the row holds.  out[t * n + l] is d_mu of the 2-form mu^l = mu[., ., l] on the t-th
+    y is _structure_row(mu, H).  (K, A, B, C): row r adds C[r] * y[A[r]] * y[B[r]] to
+    out[K[r]].  Both residuals are d_mu (_ce_tables) of forms the row holds, whose entries
+    _row_slots locates.  out[t * n + l] is d_mu of the 2-form mu^l = mu[., ., l] on the t-th
     increasing triple, minus the e_l part of the Jacobiator; out[C(n, 3) n + q] is d_mu H on
     the q-th increasing 4-tuple.
     """
     split, cut = math.comb(n, 2) * n, math.comb(n, 3) * n
-    # y[slot[i, j, s]] = mu[i, j, s] for i < j: the unpacked row y = 1, 2, ... holds slot + 1
-    slot = _unpack(np.arange(1.0, split + 1).reshape(-1, n), n, 2).astype(np.intp) - 1
+    slot = _row_slots(n)[0][0]  # y[slot[i, j, s]] = mu[i, j, s] for i < j
     families = []
     # d_mu of `width` k-forms: the 2-forms mu^l at y[src * n + l], the 3-form H at y[split + src]
     for k, base, offset, width in ((2, 0, 0, n), (3, split, cut, 1)):
@@ -589,6 +625,15 @@ def _structure_failure(y, n):
         return (f"3-form is not closed for the bracket "
                 f"(closedness residual {closed:.3e} exceeds {STRUCTURE_TOL:.1e})")
     return None
+
+
+def _checked_structure_row(m, h):
+    """_structure_row(m, h); ValidationError with _structure_failure's reason if it fails."""
+    y = _structure_row(m, h)
+    reason = _structure_failure(y, len(m))
+    if reason is not None:
+        raise ValidationError(reason)
+    return y
 
 
 def ce_differential(omega, mu):

@@ -461,7 +461,7 @@ def test_dormand_prince_tableau_order_conditions():
     assert not np.any(np.triu(A))  # explicit: stage i reads stages before it only
     for i, row in enumerate(flows._DP_ROWS):
         assert np.array_equal(row, A[i, :i])
-    c = np.array(flows._DP_C)
+    c = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # the published stage times
     assert np.max(np.abs(A.sum(axis=1) - c)) <= 1e-15
     b = A[6]  # the last stage is taken at the 5th-order state (FSAL), b_7 = 0
     b_hat = b - flows._DP_ERROR
@@ -581,8 +581,8 @@ def test_integrate_gbf_checks_jacobi_on_accepted_states(monkeypatch):
     """A kernel that pushes mu off Jacobi at n = 4 stops the run at the first accepted state."""
     mu = LieBracket.from_entries(4, [(1, 2, 3, 1.0)])
     # [e2, e3] grows along e2, so the Jacobiator on (e1, e2, e3) is -t e3; H stays 0
-    push = np.concatenate([flows._packed_bracket(LieBracket.from_entries(4, [(2, 3, 2, 1.0)]).coeffs),
-                           np.zeros(math.comb(4, 3))])
+    push = lie._structure_row(LieBracket.from_entries(4, [(2, 3, 2, 1.0)]).coeffs,
+                              np.zeros(math.comb(4, 3)))
     monkeypatch.setattr(flows, "_gbf_kernel", lambda spec, n: lambda y: push)
     with pytest.raises(NumericalError, match="Jacobi residual .* at t="):
         integrate_gbf("ric", mu, None, (0.0, 1.0))
@@ -594,7 +594,7 @@ def test_structure_gate_table_matches_the_library_residuals(rng):
     for n in range(1, 8):
         m = oc.random_skew_bracket(rng, n)
         h = oc.random_form_coeffs(rng, n, 3)
-        jacobi, closed = lie._structure_residuals(np.concatenate([flows._packed_bracket(m), h]), n)
+        jacobi, closed = lie._structure_residuals(lie._structure_row(m, h), n)
         want_jacobi = jacobi_residual(m)
         want_closed = float(np.abs(oc.packed_ce(h, m, 3)).max(initial=0.0))
         assert (want_jacobi > 0.0) == (n >= 3) and (want_closed > 0.0) == (n >= 4)

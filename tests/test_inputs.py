@@ -15,6 +15,7 @@ from nilflow import (
     ValidationError,
     as_metric,
     bismut_nabla_theta,
+    blowup_time,
     closedness_residual,
     derivation_space,
     generalized_ricci_plus,
@@ -107,6 +108,8 @@ STRUCTURE_ENTRIES = {
                                                    np.zeros((5, 5)), KForm.zero(5, 2)),
     "integrate_gbf": lambda H: integrate_gbf("ric", HEIS5, H, (0.0, 0.1)),
     "integrate_grf": lambda H: integrate_grf(HEIS5, np.eye(5), H, (0.0, 0.1)),
+    "grf_rhs": lambda H: grf_rhs(HEIS5, GrfState(Metric.identity(5), H)),
+    "blowup_time": lambda H: blowup_time(HEIS5, np.eye(5), H, horizon=0.1),
 }
 
 
@@ -126,19 +129,30 @@ def test_entries_share_one_structure_gate(entry):
         run(_heis5_flux(CLOSED_ABOVE_TOL))
 
 
+# [e1, e2] = e3 and [e3, e4] = eps e1 on R^4, with H = 0: the Jacobiator on (e1, e2, e4) is
+# eps e1, so the Jacobi residual is eps, on either side of STRUCTURE_TOL as above.
+CLI_GATE_SIDES = (
+    ("closedness", "3-form is not closed for the bracket",
+     lambda eps: {"dim": 5, "mu": [[1, 2, 5, 1.0], [3, 4, 5, 1.0]], "H": [[1, 2, 5, eps]]}),
+    ("jacobi", "bracket violates Jacobi",
+     lambda eps: {"dim": 4, "mu": [[1, 2, 3, 1.0], [3, 4, 1, eps]]}),
+)
+
+
 def test_cli_shares_the_structure_gate(tmp_path, capsys):
-    """nilflow check reports ok below the gate's line, and soliton-fit runs there; above it,
-    check flags closedness and soliton-fit exits 2 with the gate's reason."""
-    for eps, ok in ((CLOSED_BELOW_TOL, True), (CLOSED_ABOVE_TOL, False)):
-        path = tmp_path / f"heis5-{eps:g}.json"
-        path.write_text(json.dumps({"dim": 5, "mu": [[1, 2, 5, 1.0], [3, 4, 5, 1.0]],
-                                    "H": [[1, 2, 5, eps]]}))
-        assert main(["check", "--input", str(path)]) == 0
-        status = capsys.readouterr().out.splitlines()[-1]
-        assert status == ("status: ok" if ok else "status: residual above 1e-07 (closedness)")
-        code = main(["soliton-fit", "--input", str(path)])
-        out, err = capsys.readouterr()
-        if ok:
-            assert code == 0 and "lambda" in json.loads(out)
-        else:
-            assert code == 2 and err.startswith("error: 3-form is not closed for the bracket")
+    """On either side of the gate (closedness, Jacobi): nilflow check reports ok below the
+    gate's line, and soliton-fit runs there; above it, check flags that side and soliton-fit
+    exits 2 with the gate's reason."""
+    for flag, reason, problem in CLI_GATE_SIDES:
+        for eps, ok in ((CLOSED_BELOW_TOL, True), (CLOSED_ABOVE_TOL, False)):
+            path = tmp_path / f"{flag}-{eps:g}.json"
+            path.write_text(json.dumps(problem(eps)))
+            assert main(["check", "--input", str(path)]) == 0
+            status = capsys.readouterr().out.splitlines()[-1]
+            assert status == ("status: ok" if ok else f"status: residual above 1e-07 ({flag})")
+            code = main(["soliton-fit", "--input", str(path)])
+            out, err = capsys.readouterr()
+            if ok:
+                assert code == 0 and "lambda" in json.loads(out)
+            else:
+                assert code == 2 and err.startswith(f"error: {reason}")

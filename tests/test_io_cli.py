@@ -431,7 +431,7 @@ _FLOW_FLAGS = ["--input", "--t-start", "--t-end", "--rtol", "--atol", "--out",
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("check", ["--input", "--tol", "--dorfman"]),
+    ("check", ["--input", "--dorfman"]),
     ("ricci", ["--input"]),
     ("soliton-fit", ["--input"]),
     ("bracket-flow", ["--phi"] + _FLOW_FLAGS),

@@ -384,6 +384,41 @@ def test_pack_inverts_unpack_bitwise(rng, n):
             assert back.shape == x.shape and back.tobytes() == x.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_structure_row_helpers_round_trip(rng, n):
+    """_row_bracket reads back the bracket _structure_row wrote, bit for bit, and _row_slots
+    places every dense entry of mu and of H on that row."""
+    m = oc.random_skew_bracket(rng, n)  # no zero entries off the diagonal: every bit is seen
+    h = oc.random_form_coeffs(rng, n, 3)
+    y = lie._structure_row(m, h)
+    assert y.shape == (math.comb(n, 2) * n + math.comb(n, 3),)
+    assert lie._row_bracket(y, n).tobytes() == m.tobytes()
+    slot, sign = lie._row_slots(n)
+    assert not slot.flags.writeable and not sign.flags.writeable
+    dense = sign * np.append(y, 0.0)[slot]  # slot -1, where an index repeats, reads the 0.0
+    assert dense.tobytes() == np.array([m, lie._unpack(h, n, 3)]).tobytes()
+
+
+def test_from_entries_refuses_a_non_integral_index():
+    """A fractional index is refused with its entry named, not truncated to an integer;
+    integral floats and numpy integers still index."""
+    with pytest.raises(ValidationError, match=r"^bracket entry \(1\.5, 2\.9, 3\.2, 1\.0\) has an "
+                                              r"index that is not an integer$"):
+        LieBracket.from_entries(3, [(1.5, 2.9, 3.2, 1.0)])
+    with pytest.raises(ValidationError, match=r"^form entry \(1\.7, 2, 3\) has an index that is "
+                                              r"not an integer$"):
+        KForm.from_entries(3, 3, [((1.7, 2, 3), 2.0)])
+    for bad in ("2", None, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="not an integer"):
+            LieBracket.from_entries(3, [(1, bad, 3, 1.0)])
+        with pytest.raises(ValidationError, match="not an integer"):
+            KForm.from_entries(3, 2, [((1, bad), 1.0)])
+    mu = LieBracket.from_entries(3, [(1.0, np.int64(2), np.float64(3.0), 1.0)])
+    assert np.array_equal(mu.coeffs, HEIS.coeffs)
+    w = KForm.from_entries(3, 3, [((np.int32(3), 2.0, 1), 2.0)])
+    assert np.array_equal(w.coeffs, [-2.0])
+
+
 def test_dd_equals_jacobiator(rng):
     # d(d xi)(x,y,z) = xi(Jacobiator(x,y,z)) exactly, so the sup over basis
     # 1-forms of |dd e^l| reproduces jacobi_residual; in particular dd = 0

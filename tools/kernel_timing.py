@@ -89,7 +89,7 @@ def main(argv=None):
             closed = ce_differential(KForm(n, 2, np.ones(math.comb(n, 2))), mu)
             _, y_run, f, in_domain = flows._grf_setup(mu, np.eye(n) + 0.1, closed, 1)
             gbf = flows._gbf_kernel(flows.PhiSpec.RIC_MINUS_QUARTER_HSQ, n)
-            y_gbf = np.concatenate([flows._packed_bracket(m), h])
+            y_gbf = lie._structure_row(m, h)
             times += [per_call_us(fn, args.repeat, args.number) for fn in (
                 lambda: flows._integrate(f, 0.0, y_run, NIL7_STEPS * STEP, step_runs,
                                          lambda t, y: None, in_domain),

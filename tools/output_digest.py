@@ -43,6 +43,11 @@ last line produced bitwise-equal outputs on these runs:
     basis by ``bench/problems.py``'s ``push_bracket`` rather than by the
     library's ``gl_action`` (``_nilpotent``), so that those sections do not
     move with ``gl_action``'s round-off;
+  - "sparse": ``codifferential``, ``hodge_laplacian`` and ``ce_differential`` of
+    a sparse closed 3-form H, ``grf_rhs`` and both ``gbf_rhs`` on it, at g = I
+    on the Heisenberg brackets (n = 3, 5, 7) and the filiform ones (n = 4..6).
+    These inputs give exact zeros, so a change to the sign of a zero (-0.0
+    against +0.0) shows up here, where the random sections above have none;
   - ``nilflow.cli.main`` on each command line of README.md's CLI block and
     on CLI_EXIT_2, run in a fresh directory with relative output names: the
     exit code, the stdout and the bytes of each file the command wrote
@@ -56,6 +61,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import math
 import os
 import shlex
 import sys
@@ -265,6 +271,32 @@ def _forms(nf, workloads, outdir):
     return out
 
 
+def _sparse_brackets():
+    """(n, 0-based entries) of the Heisenberg brackets [e_2i-1, e_2i] = e_n, n = 3, 5, 7, and
+    the filiform ones [e_1, e_i] = e_i+1, n = 4..6."""
+    heis = [(n, [(2 * i, 2 * i + 1, n - 1, 1.0) for i in range(n // 2)]) for n in (3, 5, 7)]
+    fili = [(n, [(0, i, i + 1, 1.0) for i in range(1, n - 1)]) for n in (4, 5, 6)]
+    return heis + fili
+
+
+def _sparse(nf, workloads, outdir):
+    import oracles
+
+    out = []
+    for n, entries in _sparse_brackets():
+        mu = nf.LieBracket.from_entries(n, entries, one_based=False)
+        # H = e^T - 1/2 e^T' for the first and last basis 3-forms the oracle's d sends to 0
+        closed = np.flatnonzero(~np.abs(oracles.packed_ce(np.eye(math.comb(n, 3)),
+                                                            mu.coeffs, 3)).any(axis=0))
+        coeffs = np.zeros(math.comb(n, 3))
+        coeffs[closed[0]], coeffs[closed[-1]] = 1.0, -0.5
+        H, g = nf.KForm(n, 3, coeffs), np.eye(n)
+        out.append((nf.codifferential(H, mu, g), nf.hodge_laplacian(H, mu, g),
+                    nf.ce_differential(H, mu), nf.grf_rhs(mu, nf.GrfState(nf.Metric(g), H)),
+                    [nf.gbf_rhs(spec, mu, H) for spec in ("ric", "ric-h2")]))
+    return out
+
+
 # command lines that exit 2, each on a flag the CLI or the library rejects
 CLI_EXIT_2 = [
     ["fly", "--input", "heisenberg3"],
@@ -337,7 +369,7 @@ SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
             ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
             ("random brackets", _random), *SURVEY_SECTIONS, ("hodge", _hodge),
             ("forms", _forms), ("dorfman_eval", _dorfman_eval), ("from_dense", _from_dense),
-            ("cli", _cli))
+            ("sparse", _sparse), ("cli", _cli))
 
 
 def main(argv):
