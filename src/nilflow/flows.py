@@ -8,12 +8,15 @@ Adaptive runs take Dormand-Prince 5(4) steps and propagate the 5th-order
 solution (local extrapolation); the embedded 4th-order solution gives the
 O(h^5) error estimate.  The last stage k7 = f(y1) is the next step's first
 (FSAL), and a rejected trial keeps its k1 for the retry, so a run costs
-1 right-hand-side evaluation plus 6 per attempted step.  Since k7 is taken
-at the new state, a trial that leaves the flow's domain fails there and is
-rejected (_integrate).  Fixed-step runs take classical RK4 steps, 4
-evaluations each; a step's first stage, taken right after the step before,
-is also that state's domain test, so only the final state needs in_domain.
-The flows are autonomous, so every kernel is f(y); a
+1 right-hand-side evaluation plus 6 per attempted step.  A trial keeps y and
+its seven stages as the rows of one array and scales one constant stage
+matrix (_DP_STAGES: the tableau, the error weights and y's column) by h,
+so each stage input, y1 and the error estimate is one vector-matrix
+product.  Since k7 is taken at the new state, a trial that leaves the flow's
+domain fails there and is rejected (_integrate).  Fixed-step runs take
+classical RK4 steps, 4 evaluations each; a step's first stage, taken right
+after the step before, is also that state's domain test, so only the final
+state needs in_domain.  The flows are autonomous, so every kernel is f(y); a
 backward-in-time run negates the kernel instead of stepping with negative h.
 One adaptive loop serves every driver; near a singular time its trial step
 falls below STEP_FLOOR, which is where blowup_time stops.
@@ -360,12 +363,10 @@ def _rk4_step(f, y, h, k1):
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# Table II.5.2) as the arrays _dp_step multiplies the stacked stages by.
-# _DP_MATRIX[i, j] = a_ij, zero for j >= i; its last row is also the
-# 5th-order weights b (with b_7 = 0), so the 7th stage f(y1) is the next
-# step's first.  _DP_ERROR = e is b minus the embedded 4th-order weights, and
-# _DP_ROWS[i] = _DP_MATRIX[i, :i].  No stage of an autonomous flow reads the
-# stage times c_i = sum_j a_ij.
+# Table II.5.2).  _DP_MATRIX[i, j] = a_ij, zero for j >= i; its last row is
+# also the 5th-order weights b (with b_7 = 0), so the 7th stage f(y1) is the
+# next step's first.  _DP_ERROR = e is b minus the embedded 4th-order weights.
+# No stage of an autonomous flow reads the stage times c_i = sum_j a_ij.
 _DP_MATRIX, _DP_ERROR = _frozen(np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -375,7 +376,12 @@ _DP_MATRIX, _DP_ERROR = _frozen(np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ]), np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]))
-_DP_ROWS = tuple(_DP_MATRIX[i, :i] for i in range(7))  # views of a read-only array: read-only
+# The stage matrix _dp_step scales by h once a trial, against the rows
+# (y, k1, ..., k7) of its (8, d) array K: row i < 7 forms the input of stage
+# i + 1 (row 6 is y1), row 7 the error estimate.  Column 0 is y's weight,
+# 1 on the seven stage rows and 0 on the error row; columns 1..7 are
+# _DP_MATRIX, then _DP_ERROR.
+_DP_STAGES = _frozen(np.block([[np.ones((7, 1)), _DP_MATRIX], [0.0, _DP_ERROR]]))[0]
 
 
 def _dp_step(f, y, h, k1, controls):
@@ -383,22 +389,33 @@ def _dp_step(f, y, h, k1, controls):
 
     Returns (y1, k7, ratio): the 5th-order state, its stage k7 = f(y1) and
     the error ratio, the embedded estimate h * sum(e_i k_i) over
-    atol + rtol * max(|y|, |y1|) in the max norm.  6 new evaluations.  The
-    stages are the rows of one (7, d) array K, so each stage input, y1 and
-    the estimate are one product with a tableau row each.  Nothing here tests
-    the stages for finiteness: a NaN or inf in any of them reaches y1, k7 or
-    the estimate through these products (0 * inf is NaN), and the ratio is
-    then NaN or inf, which _integrate rejects.
+    atol + rtol * max(|y|, |y1|) in the max norm.  6 new evaluations.  y
+    and the stages are the rows of one (8, d) array K, and the trial scales
+    the stage matrix _DP_STAGES by h once (y's column kept at 1), so each
+    stage input, y1 and the estimate are one product of a row of it with K.
+    Nothing here tests the stages for finiteness: a NaN or inf in any of
+    them reaches y1, k7 or the estimate through these products, where a
+    zero weight still makes it NaN (0 * inf), and the ratio is then NaN or
+    inf, which _integrate rejects.  So K starts as zeros: the rows not yet
+    taken are read with zero weights and must be finite.
     """
-    K = np.empty((7, y.size))
-    K[0] = k1
+    hT = h * _DP_STAGES
+    hT[:7, 0] = 1.0
+    K = np.zeros((8, y.size))
+    K[0] = y
+    K[1] = k1
     for i in range(1, 6):
-        K[i] = f(y + h * (_DP_ROWS[i] @ K[:i]))
-    y1 = y + h * (_DP_ROWS[6] @ K[:6])
-    K[6] = f(y1)
-    err = h * (_DP_ERROR @ K)
-    scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(y1))
-    return y1, K[6], float((np.abs(err) / scale).max(initial=0.0))  # 0 for an empty state
+        K[i + 1] = f(hT[i].dot(K))
+    y1 = hT[6].dot(K)
+    K[7] = f(y1)
+    err = hT[7].dot(K)
+    np.abs(err, out=err)
+    scale = np.abs(y)
+    np.maximum(scale, np.abs(y1), out=scale)
+    scale *= controls.rtol
+    scale += controls.atol
+    err /= scale
+    return y1, K[7], float(err.max(initial=0.0))  # 0 for an empty state
 
 
 def _next_step(h, ratio):

@@ -169,14 +169,18 @@ def _pack(t, k):
     return t.reshape((n ** k,) + t.shape[k:])[_pack_index(n, k)]
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))  # by exact type, cheaper per index than isinstance
+
+
 def _entry_indices(raw, kind, entry):
     """The indices raw of a from_entries entry as ints; ValidationError naming the entry
-    unless each is integral (int(x) == x), so a fractional index is refused, not truncated."""
+    unless each is integral (int(x) == x) and not a bool, so a fractional index is refused,
+    not truncated, and True is not read as 1 (as io._int_index refuses a JSON bool)."""
     try:
         idx = tuple(map(int, raw))
     except (TypeError, ValueError, OverflowError):
         idx = None
-    if idx is None or idx != tuple(raw):
+    if idx is None or idx != tuple(raw) or not _BOOL_TYPES.isdisjoint(map(type, raw)):
         raise ValidationError(f"{kind} entry {entry!r} has an index that is not an integer")
     return idx
 

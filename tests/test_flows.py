@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from nilflow import (
     BlowupReport,
@@ -457,14 +457,15 @@ def test_dormand_prince_tableau_order_conditions():
 
     A mistyped coefficient still integrates, only less accurately, so no flow test would notice it.
     """
-    A = flows._DP_MATRIX  # the arrays _dp_step multiplies its stacked stages by
+    T = flows._DP_STAGES  # the stage matrix _dp_step scales by h against its rows (y, k1, ..., k7)
+    assert np.array_equal(T[:, 0], [1.0] * 7 + [0.0])  # y weighs in every stage input, not the error
+    A, e = T[:7, 1:], T[7, 1:]
+    assert np.array_equal(A, flows._DP_MATRIX) and np.array_equal(e, flows._DP_ERROR)
     assert not np.any(np.triu(A))  # explicit: stage i reads stages before it only
-    for i, row in enumerate(flows._DP_ROWS):
-        assert np.array_equal(row, A[i, :i])
     c = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # the published stage times
     assert np.max(np.abs(A.sum(axis=1) - c)) <= 1e-15
     b = A[6]  # the last stage is taken at the 5th-order state (FSAL), b_7 = 0
-    b_hat = b - flows._DP_ERROR
+    b_hat = b - e
     Ac, Ac2, AAc = A @ c, A @ c ** 2, A @ (A @ c)
     order4 = [(np.ones(7), 1.0), (c, 1 / 2), (c ** 2, 1 / 3), (Ac, 1 / 6),
               (c ** 3, 1 / 4), (c * Ac, 1 / 8), (Ac2, 1 / 12), (AAc, 1 / 24)]
@@ -477,6 +478,51 @@ def test_dormand_prince_tableau_order_conditions():
         assert abs(b @ v - want) <= 1e-15
     for v, want in order4:
         assert abs(b_hat @ v - want) <= 1e-15
+
+
+def _scipy_dp_trial(f, y, h, controls):
+    """One Dormand-Prince trial from scipy's published tableau (RK45.A, .B, .E), written out
+    stage by stage as scipy's own step does.  Returns (y1, k7, ratio, noise): ratio is
+    |err| / scale in the max norm, noise the same norm of h * sum_i |e_i| |k_i| / scale,
+    the size of the terms the error estimate cancels down from."""
+    A, B, E = RK45.A, RK45.B, RK45.E
+    K = [f(y)]
+    for s in range(1, RK45.n_stages):
+        K.append(f(y + h * (np.array(K).T @ A[s, :s])))
+    y1 = y + h * (np.array(K).T @ B)
+    K.append(f(y1))
+    K = np.array(K)
+    err = h * (K.T @ E)  # scipy's E is minus this module's e
+    scale = controls.atol + controls.rtol * np.maximum(np.abs(y), np.abs(y1))
+    return y1, K[-1], np.max(np.abs(err) / scale), np.max(h * (np.abs(E) @ np.abs(K)) / scale)
+
+
+@pytest.mark.parametrize("d", [7, 10])
+def test_dormand_prince_trial_matches_scipy_tableau(rng, d):
+    """_dp_step on y' = M y agrees with a trial from scipy's tableau: y1 and k7 to 1e-14
+    relative, the error ratio to 1e-12 relative plus 64 ulps of the terms the estimate
+    cancels from (at h |M| << 1 the estimate is O(h^5) out of O(h) terms, and both sums
+    round there); an inf at any stage, even k2 whose error weight is zero, makes the ratio
+    non-finite."""
+    M = rng.standard_normal((d, d)) / math.sqrt(d)
+    y = rng.standard_normal(d)
+    controls = IntegratorControls()
+    f = lambda v: M @ v  # noqa: E731
+    for h in (0.05, 0.3, 1.0, 2.0):
+        y1, k7, ratio = flows._dp_step(f, y, h, f(y), controls)
+        want_y1, want_k7, want_ratio, noise = _scipy_dp_trial(f, y, h, controls)
+        assert np.max(np.abs(y1 - want_y1)) <= 1e-14 * np.max(np.abs(want_y1))
+        assert np.max(np.abs(k7 - want_k7)) <= 1e-14 * np.max(np.abs(want_k7))
+        assert abs(ratio - want_ratio) <= 1e-12 * want_ratio + 64 * np.finfo(float).eps * noise
+    for bad in range(6):  # the bad-th of the trial's 6 new evaluations returns inf
+        calls = []
+
+        def f_inf(v):
+            calls.append(None)
+            return np.full(d, np.inf) if len(calls) == bad + 1 else M @ v
+
+        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf in the stage products
+            assert not math.isfinite(flows._dp_step(f_inf, y, 0.3, f(y), controls)[2])
 
 
 def _undefined_past(edge):

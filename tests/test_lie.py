@@ -400,8 +400,8 @@ def test_structure_row_helpers_round_trip(rng, n):
 
 
 def test_from_entries_refuses_a_non_integral_index():
-    """A fractional index is refused with its entry named, not truncated to an integer;
-    integral floats and numpy integers still index."""
+    """A fractional or bool index is refused with its entry named, not truncated or read
+    as 1; integral floats and numpy integers still index."""
     with pytest.raises(ValidationError, match=r"^bracket entry \(1\.5, 2\.9, 3\.2, 1\.0\) has an "
                                               r"index that is not an integer$"):
         LieBracket.from_entries(3, [(1.5, 2.9, 3.2, 1.0)])
@@ -413,6 +413,13 @@ def test_from_entries_refuses_a_non_integral_index():
             LieBracket.from_entries(3, [(1, bad, 3, 1.0)])
         with pytest.raises(ValidationError, match="not an integer"):
             KForm.from_entries(3, 2, [((1, bad), 1.0)])
+    for flag in (True, np.True_):  # int(True) == True, but a bool is not an index
+        with pytest.raises(ValidationError, match=r"^bracket entry \(.+\) has an index that is "
+                                                  r"not an integer$"):
+            LieBracket.from_entries(3, [(flag, 2, 3, 1.0)])
+        with pytest.raises(ValidationError, match=r"^form entry \(.+\) has an index that is "
+                                                  r"not an integer$"):
+            KForm.from_entries(3, 3, [((flag, 2, 3), 2.0)])
     mu = LieBracket.from_entries(3, [(1.0, np.int64(2), np.float64(3.0), 1.0)])
     assert np.array_equal(mu.coeffs, HEIS.coeffs)
     w = KForm.from_entries(3, 3, [((np.int32(3), 2.0, 1), 2.0)])

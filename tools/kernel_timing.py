@@ -12,6 +12,9 @@ Imports nilflow from this checkout's ``src`` and times one call of each of:
   - ``gates``: the Jacobi and closedness residuals of one bracket-flow state,
     the structure gate every entry point shares (``lie._structure_residuals``,
     one pass over ``lie._gate_table``);
+  - ``dp trial``: one adaptive Dormand-Prince trial (``flows._dp_step``) with
+    the identity as right-hand side, on a state as wide as the bracket's GRF
+    row, so the step controller's own cost reads apart from the kernels';
 
 and, in a second table, one call of each Dorfman residual of the bracket and
 the same H, on the doubled space of dimension 2n: ``dorfman_jacobi_residual``
@@ -46,6 +49,11 @@ LARGEST = 12  # ROADMAP item 13 sizes the kernels up to here
 NIL7_STEPS, STEP = 12, 0.001  # steps per timed run, as bench/workloads.py's NIL7_STEPS
 
 
+def identity(y):
+    """The right-hand side dy/dt = y: a Dormand-Prince trial on it costs the controller alone."""
+    return y
+
+
 def brackets(LieBracket, largest):
     """(name, LieBracket) for heis3, filiform4, heis5, filiform5, ..., up to dimension largest."""
     out = []
@@ -78,8 +86,9 @@ def main(argv=None):
     from nilflow.config import MAX_PROBLEM_DIM
 
     step_runs = IntegratorControls(fixed_step=STEP)
+    adaptive = IntegratorControls()
     print(f"{'bracket':<10} {'n':>2} {'grf us':>9} {'grf step us':>12} {'gbf us':>9} "
-          f"{'gates us':>9}")
+          f"{'gates us':>9} {'dp trial us':>12}")
     for name, mu in brackets(LieBracket, LARGEST):
         m, n = mu.coeffs, mu.dim
         h = np.ones(math.comb(n, 3))
@@ -93,10 +102,11 @@ def main(argv=None):
             times += [per_call_us(fn, args.repeat, args.number) for fn in (
                 lambda: flows._integrate(f, 0.0, y_run, NIL7_STEPS * STEP, step_runs,
                                          lambda t, y: None, in_domain),
-                lambda: gbf(y_gbf), lambda: lie._structure_residuals(y_gbf, n))]
+                lambda: gbf(y_gbf), lambda: lie._structure_residuals(y_gbf, n),
+                lambda: flows._dp_step(identity, y_run, STEP, y_run, adaptive))]
             times[1] /= NIL7_STEPS
-        cells = [f"{t:9.1f}" for t in times] + ["-".rjust(9)] * (4 - len(times))
-        print(f"{name:<10} {n:>2} {cells[0]} {cells[1]:>12} {cells[2]} {cells[3]}")
+        cells = [f"{t:9.1f}" for t in times] + ["-".rjust(9)] * (5 - len(times))
+        print(f"{name:<10} {n:>2} {cells[0]} {cells[1]:>12} {cells[2]} {cells[3]} {cells[4]:>12}")
     print(f"\n{'bracket':<10} {'n':>2} {'dorfman jacobi us':>18} {'dorfman skew us':>16}")
     for name, mu in brackets(LieBracket, MAX_PROBLEM_DIM):
         h = KForm(mu.dim, 3, np.ones(math.comb(mu.dim, 3)))
