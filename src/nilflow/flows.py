@@ -18,8 +18,11 @@ classical RK4 steps, 4 evaluations each; a step's first stage, taken right
 after the step before, is also that state's domain test, so only the final
 state needs in_domain.  The flows are autonomous, so every kernel is f(y); a
 backward-in-time run negates the kernel instead of stepping with negative h.
-One adaptive loop serves every driver; near a singular time its trial step
-falls below STEP_FLOOR, which is where blowup_time stops.
+One loop (_integrate) serves every driver and returns the run it took: the
+accepted times and rows from the initial state on, and the accepted and
+rejected step counts.  Near a singular time an adaptive trial step falls
+below STEP_FLOOR, and the run stalls: it returns with times[-1] short of the
+span's end, which is where blowup_time stops and the other drivers raise.
 
 Every integrator state is its trajectory CSV row (trajectory_column_labels),
 and a Trajectory keeps each accepted one as it is.  Each flow has one
@@ -341,17 +344,9 @@ def trajectory_from_columns(times, labels, matrix):
 # ---------------------------------------------------------------------------
 # Runge-Kutta core
 
-class _Stalled(NumericalError):
-    """Internal: the trial step fell below STEP_FLOOR; (t, y) is the last accepted state."""
-
-    def __init__(self, t, y):
-        super().__init__(f"step size underflow at t={t:.9g}; last accepted state is valid")
-        self.t, self.y = t, y
-
-
-# What a kernel raises off the flow's domain (LinAlgError: g is not positive definite).
-# A non-finite stage raises nothing; it reaches the trial's error ratio instead.
-_RHS_FAILURES = (ValidationError, np.linalg.LinAlgError)
+# What a kernel raises off the flow's domain: g is not positive definite.  A non-finite
+# stage raises nothing; it reaches the trial's error ratio instead.
+_RHS_FAILURES = (np.linalg.LinAlgError,)
 
 
 def _rk4_step(f, y, h, k1):
@@ -432,26 +427,29 @@ def _next_step(h, ratio):
     return h * min(max(grow, MIN_SHRINK), MAX_GROW)
 
 
-def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
-    """Drive dy/dt = f(y) over [t0, t_end]; on_accept(t, y) sees every accepted state.
+@np.errstate(invalid="ignore", over="ignore")
+def _integrate(f, t0, y0, t_end, controls, in_domain=None):
+    """Drive dy/dt = f(y) over [t0, t_end]; return the run as (times, rows, accepted, rejected).
 
-    Returns (accepted, rejected) step counts.  on_accept is also called on
-    the initial state so trajectories always include it.  Adaptive runs take
-    Dormand-Prince 5(4) steps.  A trial fails when f raises one of
-    _RHS_FAILURES at any stage, the last of which is taken at the new state,
-    or when its error ratio is not finite; the ratio is the one finiteness
-    test per trial, and a non-finite stage shows there.  A failed trial is
+    times and rows are the accepted states from (t0, y0) on, and accepted and
+    rejected count the steps.  A run that lands ends on t_end exactly; one
+    that stalled ends where times[-1] < t_end, at its last accepted state.
+    Adaptive runs take Dormand-Prince 5(4) steps.  A trial fails when f
+    raises one of _RHS_FAILURES at any stage, the last of which is taken at
+    the new state, or when its error ratio is not finite; the ratio is the one
+    finiteness test per trial, and a NaN or inf stage shows there, with
+    numpy's invalid and overflow warnings off for the run.  A failed trial is
     rejected and the next one is MIN_SHRINK times as long, so steps shrink
     toward the domain's edge instead of crossing it; a trial step below
-    STEP_FLOOR, as at a singular time, raises _Stalled.  Fixed-step runs take
-    max(1, ceil(span / h - 1e-12)) classical RK4 steps over a positive span,
-    the last landing on t_end, 4 evaluations each.  They raise NumericalError
-    when f raises inside a step ("integration failed near t"), or when the
-    state after a step is not finite or off the domain ("left the flow's
-    domain after the last valid time t").  The domain test of a state that
-    is not the last is the next step's first stage k1 = f(y), taken right
-    after the step, which raises one of _RHS_FAILURES off the domain; the
-    last state, which takes no further step, is tested by in_domain(y).
+    STEP_FLOOR, as at a singular time, stalls the run.  Fixed-step runs never
+    stall: they take max(1, ceil(span / h - 1e-12)) classical RK4 steps over a
+    positive span, the last landing on t_end, 4 evaluations each.  They raise
+    NumericalError when f raises inside a step ("integration failed near t"),
+    or when the state after a step is not finite or off the domain ("left the
+    flow's domain after the last valid time t").  The domain test of a state
+    that is not the last is the next step's first stage k1 = f(y), taken right
+    after the step, which raises one of _RHS_FAILURES off the domain; the last
+    state, which takes no further step, is tested by in_domain(y).
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state must be finite")
@@ -460,9 +458,8 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
     span = t_end - t0
     if span < 0:
         raise ValidationError(f"t_end={t_end} precedes t_start={t0}")
-    on_accept(t0, y0)
-    accepted = rejected = 0
     t, y = t0, np.array(y0, dtype=float)
+    times, rows = [t], [y]
     if controls.fixed_step is not None:
         h = controls.fixed_step
         count = span / h - 1e-12  # compared as a float, so an overflowing count is caught too
@@ -492,22 +489,21 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
                 raise NumericalError(
                     f"state left the flow's domain after the last valid time t={t:.9g}")
             t = t_next
-            accepted += 1
-            on_accept(t, y)
-        return accepted, rejected
+            times.append(t)
+            rows.append(y)
+        return times, rows, steps, 0
+    accepted = rejected = 0
     h = min(INITIAL_STEP, span or INITIAL_STEP)
     k1 = None  # f(y): the accepted trial's k7, kept for the retry after a rejection
-    while True:
-        remaining = t_end - t
-        if remaining <= 0:
-            return accepted, rejected
+    while t < t_end:
         if accepted + rejected >= controls.max_steps:
             raise NumericalError(
                 f"step budget {controls.max_steps} exhausted at t={t:.9g}")
+        remaining = t_end - t
         landing = h >= remaining
         h_use = remaining if landing else h
         if h_use < STEP_FLOOR:
-            raise _Stalled(t, y)
+            break  # stalled
         try:
             if k1 is None:
                 k1 = f(y)
@@ -520,10 +516,12 @@ def _integrate(f, t0, y0, t_end, controls, on_accept, in_domain=None):
             t = t_end if landing else t + h_use
             y, k1 = y1, k7
             accepted += 1
-            on_accept(t, y)
+            times.append(t)
+            rows.append(y)
         else:
             rejected += 1
         h = _next_step(h_use, ratio)
+    return times, rows, accepted, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +600,13 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     """Integrate the bracket flow from (mu0, H0) over t_span.
 
     The initial bracket must satisfy Jacobi and H0 must be closed for it
-    (lie._checked_structure_row, ValidationError otherwise); the same gate is
-    re-run on every accepted state, and NumericalError reports the first one
-    that integration drift pushed past STRUCTURE_TOL.  The run evaluates
-    _gbf_kernel, built once, on the packed state: 1 right-hand-side evaluation
-    plus 6 per attempted step (see the module docstring).  Each accepted
-    packed state is kept as it is, as the trajectory row.
+    (lie._checked_structure_row, ValidationError otherwise); after the run the
+    same gate is re-run on every accepted state, and NumericalError reports
+    the first one that integration drift pushed past STRUCTURE_TOL.  A stalled
+    run raises NumericalError too.  The run evaluates _gbf_kernel, built once,
+    on the packed state: 1 right-hand-side evaluation plus 6 per attempted
+    step (see the module docstring).  Each accepted packed state is kept as it
+    is, as the trajectory row.
     """
     spec = _as_phi(spec)
     controls = controls if controls is not None else IntegratorControls()
@@ -615,16 +614,14 @@ def integrate_gbf(spec, mu0, H0, t_span, controls=None):
     n = m0.shape[0]
     y0 = _checked_structure_row(m0, _flux(H0, n).coeffs)
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-    times, rows = [], []
-
-    def on_accept(t, y):
+    times, rows, accepted, rejected = _integrate(_gbf_kernel(spec, n), t0, y0, t1, controls)
+    for t, y in zip(times[1:], rows[1:]):  # rows[0] is y0, which passed the gate above
         reason = _structure_failure(y, n)
         if reason is not None:
             raise NumericalError(f"{reason} at t={t:.9g}")
-        times.append(t)
-        rows.append(y)
-
-    accepted, rejected = _integrate(_gbf_kernel(spec, n), t0, y0, t1, controls, on_accept)
+    if times[-1] < t1:
+        raise NumericalError(
+            f"step size underflow at t={times[-1]:.9g}; last accepted state is valid")
     return Trajectory(times=times, rows=rows, kind="gbf",
                       accepted=accepted, rejected=rejected)
 
@@ -787,18 +784,11 @@ def integrate_grf(mu, g0, H0, t_span, controls=None, direction=1):
     controls = controls if controls is not None else IntegratorControls()
     n, y0, f, in_domain = _grf_setup(mu, g0, H0, direction)
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-    times, rows = [], []
-
-    def on_accept(t, y):
-        times.append(t)
-        rows.append(y)
-
-    try:
-        accepted, rejected = _integrate(f, t0, y0, t1, controls, on_accept, in_domain)
-    except _Stalled as stop:
+    times, rows, accepted, rejected = _integrate(f, t0, y0, t1, controls, in_domain)
+    if times[-1] < t1:
         raise NumericalError(
-            f"flow singular ({_stop_reason(stop.y, y0, n)}): step size underflow "
-            f"after the last valid time t={stop.t:.9g}") from None
+            f"flow singular ({_stop_reason(rows[-1], y0, n)}): step size underflow "
+            f"after the last valid time t={times[-1]:.9g}")
     return Trajectory(times=times, rows=rows, kind="grf",
                       accepted=accepted, rejected=rejected)
 
@@ -820,19 +810,12 @@ def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None
     if controls.fixed_step is not None:
         raise ValidationError("blowup_time needs the adaptive controller, not fixed_step")
     n, y0, f, _ = _grf_setup(mu, g0, H0, direction)
-    last = [y0]
-
-    def on_accept(t, y):
-        last[0] = y
-
-    try:
-        _integrate(f, 0.0, y0, horizon, controls, on_accept)
-    except _Stalled as stop:
-        return BlowupReport(time=direction * stop.t, reason=_stop_reason(stop.y, y0, n),
-                            t_last=direction * stop.t,
-                            state=_row_state(stop.y, "grf", n))
-    return BlowupReport(time=None, reason="horizon", t_last=direction * horizon,
-                        state=_row_state(last[0], "grf", n))
+    times, rows, _, _ = _integrate(f, 0.0, y0, horizon, controls)
+    t, y = times[-1], rows[-1]
+    stalled = t < horizon
+    return BlowupReport(time=direction * t if stalled else None,
+                        reason=_stop_reason(y, y0, n) if stalled else "horizon",
+                        t_last=direction * t, state=_row_state(y, "grf", n))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -541,10 +542,9 @@ def test_adaptive_trial_with_a_nan_stage_is_rejected_and_shrinks(monkeypatch):
         return y1, k7, ratio
 
     monkeypatch.setattr(flows, "_dp_step", recording)
-    times = []
-    with pytest.raises(NumericalError, match="step size underflow"):
-        flows._integrate(_undefined_past(0.47), 0.0, np.zeros(1), 1.0, IntegratorControls(),
-                         lambda t, y: times.append(t))
+    times = flows._integrate(_undefined_past(0.47), 0.0, np.zeros(1), 1.0,
+                             IntegratorControls())[0]
+    assert times[-1] < 1.0  # the run stalled
     failed = [i for i, (_, _, ratio) in enumerate(trials[:-1]) if math.isnan(ratio)]
     assert len(failed) >= 10
     for i in failed:
@@ -553,10 +553,47 @@ def test_adaptive_trial_with_a_nan_stage_is_rejected_and_shrinks(monkeypatch):
     assert 0.47 - 1e-9 < times[-1] < 0.47  # the steps shrank toward the edge, not across it
 
 
+def _gbf_kernel_along_h(monkeypatch, dh):
+    """Make integrate_gbf's kernel at n = 3 dy = (0, ..., 0, dh(y)): mu stays put and only the
+    one 3-form coefficient moves, so every state passes the structure gate."""
+    def rhs(y):
+        dy = np.zeros(y.size)
+        dy[-1] = dh(y)
+        return dy
+
+    monkeypatch.setattr(flows, "_gbf_kernel", lambda spec, n: rhs)
+
+
+def test_adaptive_trial_with_an_inf_stage_is_rejected_with_warnings_as_errors(monkeypatch):
+    """An inf stage, at evaluation 3 (the first trial's k3), meets zero weights in the stage
+    products (0 * inf) and the error ratio (inf / inf); numpy's warnings there stay inside the
+    run under an "error" filter, and the trial is rejected as a NaN one is."""
+    calls = []
+
+    def dh(y):
+        calls.append(None)
+        return math.inf if len(calls) == 3 else 0.0
+
+    _gbf_kernel_along_h(monkeypatch, dh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_gbf("ric", HEIS, None, (0.0, 1.0))
+    assert traj.times[-1] == 1.0 and traj.rejected >= 1
+
+
+def test_integrate_gbf_stall_raises(monkeypatch):
+    """H grows at rate 1 up to 0.47 and the kernel is NaN beyond, so the steps shrink toward
+    t = 0.47 until the run stalls there."""
+    _gbf_kernel_along_h(monkeypatch, lambda y: 1.0 if y[-1] < 0.47 else math.nan)
+    with pytest.raises(NumericalError, match=r"^step size underflow at t=0\.47\d*; "
+                                             r"last accepted state is valid$"):
+        integrate_gbf("ric", HEIS, None, (0.0, 1.0))
+
+
 def test_fixed_step_nan_stage_raises():
     with pytest.raises(NumericalError, match="left the flow's domain after the last valid time t=0.4$"):
         flows._integrate(_undefined_past(0.47), 0.0, np.zeros(1), 1.0,
-                         IntegratorControls(fixed_step=0.1), lambda t, y: None)
+                         IntegratorControls(fixed_step=0.1))
 
 
 def _failing_at(evaluation):
@@ -575,10 +612,8 @@ def _failing_at(evaluation):
 
 def _fixed_run(f, in_domain=None):
     """Ten fixed RK4 steps of 0.1 over [0, 1]; returns the accepted times."""
-    times = []
-    flows._integrate(f, 0.0, np.zeros(1), 1.0, IntegratorControls(fixed_step=0.1),
-                     lambda t, y: times.append(t), in_domain)
-    return times
+    return flows._integrate(f, 0.0, np.zeros(1), 1.0, IntegratorControls(fixed_step=0.1),
+                            in_domain)[0]
 
 
 def test_fixed_step_takes_the_next_first_stage_as_the_domain_test():
@@ -870,6 +905,15 @@ def test_integrate_grf_fixed_step_grid():
     assert traj.rejected == 0
     g1 = math.sqrt(5.0)
     assert abs(traj.final.g.entries[0, 0] - g1) <= 1e-3
+
+
+def test_integrate_grf_fixed_step_final_state_off_the_domain():
+    """One backward RK4 step of 0.4 from g = I, H = 0 on heis3: its stages are positive
+    definite, but the final g is finite with eigenvalues about -0.599, -0.599 and 18.68, so
+    in_domain turns it down."""
+    with pytest.raises(NumericalError, match="left the flow's domain after the last valid time t=0$"):
+        integrate_grf(HEIS, Metric.identity(3), None, (0.0, 0.4),
+                      controls=IntegratorControls(fixed_step=0.4), direction=-1)
 
 
 def test_fixed_step_respects_max_steps():

@@ -29,7 +29,9 @@ from nilflow import (
     soliton_residual,
     symmetric_derivations,
 )
-from nilflow.cli import main
+from nilflow import lie
+from nilflow.cli import _fmt_num, main
+from nilflow.io import problem_from_dict
 
 import oracles as oc
 
@@ -156,3 +158,24 @@ def test_cli_shares_the_structure_gate(tmp_path, capsys):
                 assert code == 0 and "lambda" in json.loads(out)
             else:
                 assert code == 2 and err.startswith(f"error: {reason}")
+
+
+def test_cli_check_prints_the_gate_residuals(tmp_path, capsys):
+    """On either side of the gate's line, nilflow check prints the structure gate's own
+    residuals: _fmt_num of each in the text report, and each as it is in the --dorfman JSON."""
+    labels = {"jacobi": "jacobi residual: ", "closedness": "closedness |d_mu H|: "}
+    for flag, _, problem in CLI_GATE_SIDES:
+        for eps in (CLOSED_BELOW_TOL, CLOSED_ABOVE_TOL):
+            path = tmp_path / f"{flag}-{eps:g}.json"
+            path.write_text(json.dumps(problem(eps)))
+            p = problem_from_dict(problem(eps))
+            gate = dict(zip(labels, lie._structure_residuals(
+                lie._structure_row(p.mu.coeffs, p.H.coeffs), p.dim)))
+            assert gate[flag] > 0.0
+            assert main(["check", "--input", str(path)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            for name, label in labels.items():
+                assert label + _fmt_num(gate[name]) in lines
+            assert main(["check", "--input", str(path), "--dorfman"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert {name: report[name] for name in labels} == gate

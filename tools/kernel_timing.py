@@ -100,8 +100,7 @@ def main(argv=None):
             gbf = flows._gbf_kernel(flows.PhiSpec.RIC_MINUS_QUARTER_HSQ, n)
             y_gbf = lie._structure_row(m, h)
             times += [per_call_us(fn, args.repeat, args.number) for fn in (
-                lambda: flows._integrate(f, 0.0, y_run, NIL7_STEPS * STEP, step_runs,
-                                         lambda t, y: None, in_domain),
+                lambda: flows._integrate(f, 0.0, y_run, NIL7_STEPS * STEP, step_runs, in_domain),
                 lambda: gbf(y_gbf), lambda: lie._structure_residuals(y_gbf, n),
                 lambda: flows._dp_step(identity, y_run, STEP, y_run, adaptive))]
             times[1] /= NIL7_STEPS

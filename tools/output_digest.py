@@ -13,6 +13,10 @@ last line produced bitwise-equal outputs on these runs:
   - heis3 ``blowup_time`` in both directions with horizon 1;
   - the fixed-step nil7 pairs of nil7-forward for seeds 1, 2, 3, 5 and 7;
   - the ``tmin_sweep`` rows over the benchmark's a values;
+  - "flow errors": the NumericalError text of ``integrate_grf`` on heis3 from
+    g = I, backward over (0, 1) for each benchmark a (each run stalls at its
+    singular time) and backward by one fixed step of 0.4 with H = 0 (whose
+    final metric is not positive definite);
   - ``gbf_rhs`` on 16 random nilpotent brackets, n = 3..6, with a random
     3-form, and on the same brackets with a closed H (the GRF rejects any
     other): ``grf_rhs``, adaptive ``integrate_grf`` forward and backward (or
@@ -155,6 +159,15 @@ def _or_error(nf, run):
         return run()
     except nf.NumericalError as exc:
         return f"NumericalError: {exc}"
+
+
+def _flow_errors(nf, workloads, outdir):
+    mu = workloads._heis3()
+    runs = [lambda a=a: nf.integrate_grf(mu, np.eye(3), np.array([a]), (0.0, 1.0), direction=-1)
+            for a in workloads.HEIS3_A]
+    runs.append(lambda: nf.integrate_grf(mu, np.eye(3), None, (0.0, 0.4), direction=-1,
+                                         controls=nf.IntegratorControls(fixed_step=0.4)))
+    return [_or_error(nf, run) for run in runs]
 
 
 def _random(nf, workloads, outdir):
@@ -366,7 +379,7 @@ def _cli(nf, workloads, outdir):
 
 
 SECTIONS = (("heis3 forward", _heis3), ("heis3 blowup_time", _heis3_blowup),
-            ("nil7 pairs", _nil7), ("tmin_sweep", _sweep),
+            ("nil7 pairs", _nil7), ("tmin_sweep", _sweep), ("flow errors", _flow_errors),
             ("random brackets", _random), *SURVEY_SECTIONS, ("hodge", _hodge),
             ("forms", _forms), ("dorfman_eval", _dorfman_eval), ("from_dense", _from_dense),
             ("sparse", _sparse), ("cli", _cli))
