@@ -10,7 +10,6 @@ from .config import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     MAX_PROBLEM_DIM,
-    SEED_ENV_VAR,
     STRUCTURE_TOL,
 )
 from .curvature import (
@@ -18,12 +17,9 @@ from .curvature import (
     christoffels,
     generalized_ricci_plus,
     h_circ_h,
-    h_squared_neutral,
     rc_metric,
     ric_orthonormal,
-    skew_part,
     symmetric_part,
-    two_form_matrix,
 )
 from .dorfman import (
     DorfmanBracket,
@@ -76,9 +72,7 @@ from .io import (
 from .lie import (
     KForm,
     LieBracket,
-    bracket_coeffs,
     ce_differential,
-    complement,
     compound_matrix,
     form_dense,
     gl_action,
@@ -88,7 +82,6 @@ from .lie import (
     nilpotency_step,
     pi_form,
     pi_mu,
-    shuffle_sign,
     sort_sign,
     wedge,
 )

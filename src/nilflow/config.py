@@ -2,9 +2,9 @@
 
 Every tolerance and horizon the library uses is defined here so that the
 values can be audited without hunting through the modules.  All are plain
-module constants.  DEFAULT_RTOL, DEFAULT_ATOL and MAX_STEPS are the
-defaults of IntegratorControls and can be overridden per call; the others
-are fixed.
+module constants.  DEFAULT_RTOL and DEFAULT_ATOL are the defaults of
+IntegratorControls and can be overridden per call; the others, MAX_STEPS
+among them, are fixed.
 
 ========================  ==========  =================================================
 constant                  value       used for
@@ -50,6 +50,3 @@ SWEEP_T_LONG = 50.0
 SWEEP_HORIZON_BACK = 10.0
 
 MAX_PROBLEM_DIM = 10
-
-# Environment variable consulted by the test suite for its RNG seed.
-SEED_ENV_VAR = "NILFLOW_SEED"

@@ -14,10 +14,10 @@ Conventions, all in a fixed basis with bracket coefficients mu[i, j, k]:
     (nabla theta)_ij = (nabla_{e_i} theta)(e_j).
   - The generalized Ricci tensor is
     Rc_plus = Rc_g - 1/4 H.H - 1/2 d*H + 1/2 nabla^+ theta,
-    with the 2-form d*H embedded as a skew matrix; generalized solitons
-    solve Rc_plus = lam g + g(D ., .) + 1/2 omega (soliton.py).  Both take
-    only mu Lie and H closed for it, checked by lie's structure gate
-    (lie._checked_structure_row).
+    with the 2-form d*H embedded as its skew matrix (KForm.unpack);
+    generalized solitons solve Rc_plus = lam g + g(D ., .) + 1/2 omega
+    (soliton.py).  Both take only mu Lie and H closed for it, checked by
+    lie's structure gate (lie._checked_structure_row).
 """
 
 from __future__ import annotations
@@ -26,31 +26,17 @@ import numpy as np
 
 from .errors import ValidationError
 from .hodge import as_metric, codifferential
-from .lie import (KForm, bracket_coeffs, form_dense, _as_3form, _as_bracket,
-                  _checked_structure_row, _raise_pair)
+from .lie import KForm, bracket_coeffs, _as_3form, _as_bracket, _checked_structure_row, _raise_pair
 
 __all__ = [
-    "ric_orthonormal", "rc_metric", "h_circ_h", "h_squared_neutral",
-    "christoffels", "bismut_nabla_theta", "generalized_ricci_plus",
-    "symmetric_part", "skew_part", "two_form_matrix",
+    "ric_orthonormal", "rc_metric", "h_circ_h", "christoffels", "bismut_nabla_theta",
+    "generalized_ricci_plus", "symmetric_part",
 ]
 
 
 def symmetric_part(mat):
     mat = np.asarray(mat, dtype=float)
     return (mat + mat.T) / 2.0
-
-
-def skew_part(mat):
-    mat = np.asarray(mat, dtype=float)
-    return (mat - mat.T) / 2.0
-
-
-def two_form_matrix(omega):
-    """Skew matrix M_ij = omega(e_i, e_j) of a 2-form."""
-    if omega.degree != 2:
-        raise ValidationError(f"expected a 2-form, got degree {omega.degree}")
-    return omega.unpack()
 
 
 def ric_orthonormal(mu):
@@ -84,14 +70,6 @@ def h_circ_h(H, g):
     gm = as_metric(g)
     X = _raise_pair(gm.chol_lower_inv, _as_3form(H, gm.dim).unpack())
     return X.T @ X
-
-
-def h_squared_neutral(H):
-    """Orthonormal-frame square (H^2)_ij = H_{ikl} H_{jkl} (no metric, no 1/4)."""
-    n = H.dim if isinstance(H, KForm) else len(np.atleast_1d(H))
-    Hd = form_dense(H, n, 3)
-    out = np.einsum('ikl,jkl->ij', Hd, Hd)
-    return symmetric_part(out)
 
 
 def christoffels(mu, g):
@@ -139,11 +117,12 @@ def _generalized_terms(mu, g, H, theta):
 def generalized_ricci_plus(mu, g, H, theta):
     """Generalized Ricci tensor Rc_g - 1/4 H.H - 1/2 d*H + 1/2 nabla^+ theta.
 
-    Returns the full matrix; symmetric_part / skew_part split it into the
-    metric-direction and 2-form-direction components.
+    Returns the full matrix M, with d*H as its 2-form's skew matrix (KForm.unpack).
+    symmetric_part(M) is the metric-direction component and (M - M^T) / 2 the
+    2-form-direction one.
     """
     _, (rc, hh, dstar, nab) = _generalized_terms(mu, g, H, theta)
-    return rc - 0.25 * hh - 0.5 * two_form_matrix(dstar) + 0.5 * nab
+    return rc - 0.25 * hh - 0.5 * dstar.unpack() + 0.5 * nab
 
 
 def _theta_vector(theta, n):

@@ -59,16 +59,6 @@ class GeneralizedVector:
             c[alpha - n] = 1.0
         return cls(v, c)
 
-    @classmethod
-    def from_vector(cls, v):
-        v = np.asarray(v, dtype=float)
-        return cls(v, np.zeros_like(v))
-
-    @classmethod
-    def from_covector(cls, c):
-        c = np.asarray(c, dtype=float)
-        return cls(np.zeros_like(c), c)
-
     @property
     def norm_inf(self):
         vals = [abs(float(x)) for x in (*self.vec, *self.covec)]

@@ -116,18 +116,17 @@ def _as_phi(spec):
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Tolerances and budgets for the integrators.
+    """Tolerances and the step mode of the integrators.
 
     fixed_step disables the error controller and takes uniform classical RK4
-    steps; used for order-of-convergence measurements.  max_steps caps
-    attempted steps, accepted plus rejected; a fixed-step run that needs more
-    raises NumericalError before its first step.  The controller's other
-    constants live in config.
+    steps; used for order-of-convergence measurements.  The controller's
+    other constants live in config, among them MAX_STEPS, the cap on
+    attempted steps (accepted plus rejected); a fixed-step run that needs
+    more raises NumericalError before its first step.
     """
 
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    max_steps: int = MAX_STEPS
     fixed_step: float | None = None
 
     def __post_init__(self):
@@ -136,8 +135,6 @@ class IntegratorControls:
                 raise ValidationError(f"integrator control {name} must be finite and positive")
         if self.fixed_step is not None and not 0 < self.fixed_step < math.inf:
             raise ValidationError("fixed_step must be finite and positive when given")
-        if self.max_steps < 1:
-            raise ValidationError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -463,9 +460,9 @@ def _integrate(f, t0, y0, t_end, controls, in_domain=None):
     if controls.fixed_step is not None:
         h = controls.fixed_step
         count = span / h - 1e-12  # compared as a float, so an overflowing count is caught too
-        if count > controls.max_steps:
+        if count > MAX_STEPS:
             raise NumericalError(
-                f"step budget {controls.max_steps} exhausted at t={t:.9g} "
+                f"step budget {MAX_STEPS} exhausted at t={t:.9g} "
                 f"(fixed step {h:.9g} over a span of {span:.9g})")
         steps = max(math.ceil(count), 1) if span > 0 else 0
         k1 = None  # f(y), taken after the previous step as its domain test
@@ -496,9 +493,9 @@ def _integrate(f, t0, y0, t_end, controls, in_domain=None):
     h = min(INITIAL_STEP, span or INITIAL_STEP)
     k1 = None  # f(y): the accepted trial's k7, kept for the retry after a rejection
     while t < t_end:
-        if accepted + rejected >= controls.max_steps:
+        if accepted + rejected >= MAX_STEPS:
             raise NumericalError(
-                f"step budget {controls.max_steps} exhausted at t={t:.9g}")
+                f"step budget {MAX_STEPS} exhausted at t={t:.9g}")
         remaining = t_end - t
         landing = h >= remaining
         h_use = remaining if landing else h
@@ -827,9 +824,9 @@ def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=SWEEP_HORIZON_BACK, c
     For each a: run blowup_time backward (horizon horizon_back) and a
     forward integration to t_long on the Heisenberg bracket with 3-form
     coefficient a and the identity initial metric.  Rows come back sorted
-    by a.  Invalid arguments, a non-finite a among them, raise
-    ValidationError before any run; a run that fails for one a lands in
-    that row's status instead of raising.
+    by a.  Invalid arguments, a non-finite a or fixed-step controls among
+    them, raise ValidationError before any run; a run that fails for one a
+    lands in that row's status instead of raising.
     """
     avals = sorted(float(a) for a in a_values)
     if not avals:
@@ -841,6 +838,9 @@ def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=SWEEP_HORIZON_BACK, c
         raise ValidationError("t_long must be finite and positive")
     if not 0 < horizon_back < math.inf:
         raise ValidationError("horizon_back must be finite and positive")
+    if controls is not None and controls.fixed_step is not None:
+        raise ValidationError("tmin_sweep's backward searches need the adaptive controller, "
+                              "not fixed_step")
 
     mu = LieBracket.from_entries(3, [(1, 2, 3, 1.0)])
 

@@ -3,8 +3,8 @@
 A bilinear bracket on R^n is stored as the dense array mu[i, j, k] with
 mu(e_i, e_j) = sum_k mu[i, j, k] e_k, exactly skew in (i, j).  Left-invariant
 k-forms are stored packed: one coefficient per strictly increasing index
-tuple, lexicographic order.  All in-memory indices are 0-based; file formats
-and printed labels are 1-based.
+tuple, lexicographic order.  All in-memory indices are 0-based; file formats,
+the from_entries constructors and printed labels are 1-based.
 
 The GL_n change-of-basis action is (A.mu)(X, Y) = A mu(A^-1 X, A^-1 Y) on
 brackets and (A.w)(X_1, ..., X_k) = w(A^-1 X_1, ..., A^-1 X_k) on forms; pi
@@ -114,18 +114,6 @@ def sort_sign(indices):
     return tuple(arr), sign
 
 
-def complement(indices, n):
-    """Increasing complement of an index tuple inside range(n)."""
-    hit = set(indices)
-    return tuple(i for i in range(n) if i not in hit)
-
-
-def shuffle_sign(first, second):
-    """Sign of the permutation (first + second) of range(n), both halves increasing."""
-    inversions = sum(1 for a in first for b in second if b < a)
-    return -1 if inversions % 2 else 1
-
-
 def compound_matrix(mat, k):
     """k-th compound of a square matrix: entry (R, C) = det(mat[R rows, C cols]).
 
@@ -229,18 +217,17 @@ class KForm:
         return cls(dim, degree, np.zeros(math.comb(dim, max(degree, 0))))
 
     @classmethod
-    def from_entries(cls, dim, degree, entries, one_based=True):
-        """Build from (index_tuple, value) pairs; indices in any order, sign handled.
+    def from_entries(cls, dim, degree, entries):
+        """Build from (index_tuple, value) pairs; 1-based indices in any order, sign handled.
 
         Listing the same slot twice with inconsistent values is an error;
         consistent repeats are allowed.
         """
-        shift = 1 if one_based else 0
         ranks = _tuple_rank(dim, degree)
         coeffs = np.zeros(math.comb(dim, degree))
         seen = {}
         for raw_idx, value in entries:
-            idx = tuple(i - shift for i in _entry_indices(raw_idx, "form", raw_idx))
+            idx = tuple(i - 1 for i in _entry_indices(raw_idx, "form", raw_idx))
             if len(idx) != degree:
                 raise ValidationError(f"form entry {raw_idx} has {len(idx)} indices, expected {degree}")
             for i in idx:
@@ -252,7 +239,7 @@ class KForm:
             normalized = sign * float(value)
             if key in seen and seen[key] != normalized:
                 raise ValidationError(
-                    f"inconsistent duplicate form entries for slot {tuple(k + shift for k in key)}")
+                    f"inconsistent duplicate form entries for slot {tuple(k + 1 for k in key)}")
             seen[key] = normalized
             coeffs[ranks[key]] = normalized
         return cls(dim, degree, coeffs)
@@ -361,20 +348,19 @@ class LieBracket:
         return cls(np.zeros((dim, dim, dim)))
 
     @classmethod
-    def from_entries(cls, dim, entries, one_based=True):
-        """Build from rows (i, j, k, value); only one of (i,j)/(j,i) need be given.
+    def from_entries(cls, dim, entries):
+        """Build from rows (i, j, k, value), 1-based; only one of (i,j)/(j,i) need be given.
 
         Skew completion is automatic.  Giving both orders with inconsistent
         values (or repeating a slot with a different value) is an error.
         """
-        shift = 1 if one_based else 0
         arr = np.zeros((dim, dim, dim))
         seen = {}
         for row in entries:
             if len(row) != 4:
                 raise ValidationError(f"bracket entry {row!r} must be (i, j, k, value)")
             i, j, k = _entry_indices(row[:3], "bracket", row)
-            i, j, k = i - shift, j - shift, k - shift
+            i, j, k = i - 1, j - 1, k - 1
             v = float(row[3])
             for x in (i, j, k):
                 if not 0 <= x < dim:
@@ -385,15 +371,11 @@ class LieBracket:
             if key in seen and seen[key] != val:
                 raise ValidationError(
                     f"inconsistent duplicate bracket entries for slot "
-                    f"{(key[0] + shift, key[1] + shift, key[2] + shift)}")
+                    f"{(key[0] + 1, key[1] + 1, key[2] + 1)}")
             seen[key] = val
             arr[key] = val
             arr[key[1], key[0], key[2]] = -val
         return cls(arr)
-
-    @property
-    def norm_inf(self):
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
 
 def bracket_coeffs(mu):
@@ -718,6 +700,9 @@ def pi_mu(phi, mu):
     """
     m = bracket_coeffs(mu)
     P = np.asarray(phi, dtype=float)
+    n = m.shape[0]
+    if P.shape != (n, n):
+        raise ValidationError(f"pi_mu on R^{n} needs an ({n}, {n}) matrix, got shape {P.shape}")
     return (np.einsum('kl,ijl->ijk', P, m)
             - np.einsum('li,ljk->ijk', P, m)
             - np.einsum('lj,ilk->ijk', P, m))

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from nilflow import SEED_ENV_VAR
-
+# Environment variable read for the RNG seed of the randomized tests.
+SEED_ENV_VAR = "NILFLOW_SEED"
 _DEFAULT_SEED = 20260818
 
 

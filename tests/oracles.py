@@ -7,8 +7,9 @@ Ricci oracle walks Koszul -> Christoffels -> curvature tensor -> trace.
 They are slow and only meant for small dimensions.
 
 The index-table oracles apply the library's scalar rules (sort_sign,
-_tuple_rank, complement, shuffle_sign) one tuple at a time, the way the
-library built its tables before one vectorized rule, lie._sort_sign, did.
+_tuple_rank) one tuple at a time, the way the library built its tables
+before one vectorized rule, lie._sort_sign, did; the star's complement and
+shuffle sign are a set difference and an inversion count, not sort_sign.
 
 The data generators at the bottom may use the library (conjugating a known
 nilpotent bracket by a random basis change is generation, not verification).
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from nilflow import LieBracket, complement, gl_action, index_tuples, shuffle_sign, sort_sign
+from nilflow import LieBracket, gl_action, index_tuples, sort_sign
 from nilflow.lie import _tuple_rank
 
 
@@ -161,9 +162,9 @@ def star_tables(n, k):
     ranks_c = _tuple_rank(n, n - k)
     dest, sign = [], []
     for I in index_tuples(n, k):
-        Ic = complement(I, n)
+        Ic = tuple(i for i in range(n) if i not in I)
         dest.append(ranks_c[Ic])
-        sign.append(shuffle_sign(I, Ic))
+        sign.append(-1 if sum(b < a for a in I for b in Ic) % 2 else 1)
     return np.array(dest, dtype=np.intp), np.array(sign, dtype=float)
 
 
@@ -480,7 +481,7 @@ AFFINE = ((0, 1, 1, 1.0),)
 
 
 def bracket_from(entries, dim):
-    return LieBracket.from_entries(dim, entries, one_based=False)
+    return LieBracket.from_entries(dim, [(i + 1, j + 1, k + 1, v) for i, j, k, v in entries])
 
 
 _NILPOTENT_SEEDS = {3: HEIS3, 4: FILIFORM4, 5: HEIS5}

@@ -12,12 +12,9 @@ from nilflow import (
     christoffels,
     generalized_ricci_plus,
     h_circ_h,
-    h_squared_neutral,
     rc_metric,
     ric_orthonormal,
-    skew_part,
     symmetric_part,
-    two_form_matrix,
 )
 
 import oracles as oc
@@ -165,26 +162,12 @@ def test_h_circ_h_psd_and_loop_oracle(rng):
         assert np.allclose(got, want, atol=1e-11)
 
 
-def test_h_squared_neutral_examples(rng):
-    for a in (0.5, 2.0):
-        got = h_squared_neutral(_h3_flux(a))
-        assert np.allclose(got, 2 * a * a * np.eye(3), atol=1e-14)
-    assert np.max(np.abs(h_squared_neutral(KForm.zero(4, 3)))) == 0.0
-    H = KForm(4, 3, oc.random_form_coeffs(rng, 4, 3))
-    assert np.allclose(h_squared_neutral(3.0 * H), 9.0 * h_squared_neutral(H),
-                       rtol=1e-13)
-    assert np.allclose(h_squared_neutral(H), h_circ_h(H, Metric.identity(4)),
-                       atol=1e-13)
-
-
 def test_flux_terms_reject_mismatched_forms():
     H4 = KForm(4, 3, np.ones(4))
     with pytest.raises(ValidationError):
         h_circ_h(H4, Metric.identity(3))
     with pytest.raises(ValidationError):
         bismut_nabla_theta(np.zeros((3, 3, 3)), Metric.identity(3), H4, np.zeros(3))
-    with pytest.raises(ValidationError):
-        h_squared_neutral(np.ones((3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +228,12 @@ def test_generalized_ricci_plus_assembles_its_parts(rng):
     theta = KForm(n, 1, rng.standard_normal(n))
     full = generalized_ricci_plus(mu, g, H, theta)
     nab = bismut_nabla_theta(mu, g, H, theta)
-    dstar = two_form_matrix(codifferential(H, mu, g))
+    dstar = codifferential(H, mu, g).unpack()
     want_sym = rc_metric(mu, g) - 0.25 * h_circ_h(H, g) + 0.5 * symmetric_part(nab)
-    want_skew = -0.5 * dstar + 0.5 * skew_part(nab)
+    want_skew = -0.5 * dstar + 0.5 * (nab - nab.T) / 2
     assert np.allclose(symmetric_part(full), want_sym, atol=1e-12)
-    assert np.allclose(skew_part(full), want_skew, atol=1e-12)
-    assert np.allclose(symmetric_part(full) + skew_part(full), full, atol=1e-15)
+    assert np.allclose((full - full.T) / 2, want_skew, atol=1e-12)
+    assert np.allclose(symmetric_part(full) + (full - full.T) / 2, full, atol=1e-15)
 
 
 def test_generalized_ricci_plus_rejects_non_closed():
@@ -266,10 +249,3 @@ def test_generalized_ricci_plus_rejects_a_bracket_that_is_not_unimodular(rng):
         generalized_ricci_plus(oc.bracket_from(oc.AFFINE, 3), Metric(oc.random_spd(rng, 3)),
                                _h3_flux(1.0), KForm.zero(3, 1))
 
-
-def test_two_form_matrix():
-    w = KForm.from_entries(3, 2, [((1, 2), 2.0)])
-    m = two_form_matrix(w)
-    assert m[0, 1] == 2.0 and m[1, 0] == -2.0
-    with pytest.raises(ValidationError):
-        two_form_matrix(KForm.zero(3, 1))

@@ -52,8 +52,6 @@ def test_generalized_vector_basics():
     assert np.array_equal(w.covec, [0.0, 0.0, 1.0])
     assert (2.0 * z + w - z).norm_inf == 1.0
     assert (-z).vec[0] == -1.0
-    assert GeneralizedVector.from_vector([1.0, 2.0, 3.0]).covec.sum() == 0.0
-    assert GeneralizedVector.from_covector([1.0, 0.0, 0.0]).vec.sum() == 0.0
 
 
 def test_generalized_vector_validation():
@@ -111,8 +109,8 @@ def test_dorfman_eval_vector_vector():
 
 
 def test_dorfman_eval_covector_covector_vanishes(rng):
-    z1 = GeneralizedVector.from_covector(rng.standard_normal(3))
-    z2 = GeneralizedVector.from_covector(rng.standard_normal(3))
+    z1 = GeneralizedVector(np.zeros(3), rng.standard_normal(3))
+    z2 = GeneralizedVector(np.zeros(3), rng.standard_normal(3))
     w = dorfman_eval(HEIS, _h3_flux(1.0), z1, z2)
     assert w.norm_inf == 0.0
 

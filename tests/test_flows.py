@@ -9,7 +9,6 @@ import pytest
 from scipy.integrate import RK45, solve_ivp
 
 from nilflow import (
-    BlowupReport,
     GrfState,
     IntegratorControls,
     KForm,
@@ -29,7 +28,6 @@ from nilflow import (
     gl_action,
     grf_rhs,
     h_circ_h,
-    h_squared_neutral,
     hodge_laplacian,
     integrate_gbf,
     integrate_grf,
@@ -345,8 +343,6 @@ def test_integrator_controls_validation():
         IntegratorControls(atol=-1e-9)
     with pytest.raises(ValidationError):
         IntegratorControls(fixed_step=-0.1)
-    with pytest.raises(ValidationError):
-        IntegratorControls(max_steps=0)
     # a non-finite control makes the error ratio NaN or never leaves t0
     with pytest.raises(ValidationError):
         IntegratorControls(rtol=math.inf)
@@ -916,17 +912,19 @@ def test_integrate_grf_fixed_step_final_state_off_the_domain():
                       controls=IntegratorControls(fixed_step=0.4), direction=-1)
 
 
-def test_fixed_step_respects_max_steps():
+def test_fixed_step_respects_max_steps(monkeypatch):
     # 10 steps of 0.1 over (0, 1), counted against the budget before stepping
     def run(controls):
         return integrate_grf(HEIS, Metric.identity(3), _h3_flux(1.0), (0.0, 1.0),
                              controls=controls)
 
-    with pytest.raises(NumericalError, match="step budget 5 exhausted"):
-        run(IntegratorControls(fixed_step=0.1, max_steps=5))
-    assert run(IntegratorControls(fixed_step=0.1, max_steps=10)).accepted == 10
     with pytest.raises(NumericalError, match="step budget"):  # span / h overflows to inf
         run(IntegratorControls(fixed_step=5e-324))
+    monkeypatch.setattr(flows, "MAX_STEPS", 5)
+    with pytest.raises(NumericalError, match="step budget 5 exhausted"):
+        run(IntegratorControls(fixed_step=0.1))
+    monkeypatch.setattr(flows, "MAX_STEPS", 10)
+    assert run(IntegratorControls(fixed_step=0.1)).accepted == 10
 
 
 def test_fixed_step_lands_on_t_end():
@@ -1043,9 +1041,9 @@ def test_tmin_sweep_even_in_a():
     assert rows[0].g3_limit == pytest.approx(rows[1].g3_limit, abs=1e-9)
 
 
-def test_tmin_sweep_captures_errors():
-    controls = IntegratorControls(max_steps=3)
-    rows = tmin_sweep([0.0], t_long=1.0, horizon_back=1.0, controls=controls)
+def test_tmin_sweep_captures_errors(monkeypatch):
+    monkeypatch.setattr(flows, "MAX_STEPS", 3)
+    rows = tmin_sweep([0.0], t_long=1.0, horizon_back=1.0)
     assert rows[0].status.startswith("error:")
     assert rows[0].t_min is None
     assert math.isnan(rows[0].g3_limit)
@@ -1062,6 +1060,9 @@ def test_tmin_sweep_validation():
         tmin_sweep([1.0], t_long=math.inf)
     with pytest.raises(ValidationError):
         tmin_sweep([1.0], horizon_back=math.nan)
+    # blowup_time cannot take fixed steps: refused up front, not as an error row per a
+    with pytest.raises(ValidationError, match="adaptive controller, not fixed_step"):
+        tmin_sweep([1.0], controls=IntegratorControls(fixed_step=0.1))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

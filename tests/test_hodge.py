@@ -29,7 +29,7 @@ AFFINE = oc.bracket_from(oc.AFFINE, 3)
 
 
 def _basis_form(n, idx):
-    return KForm.from_entries(n, len(idx), [(idx, 1.0)], one_based=False)
+    return KForm.from_entries(n, len(idx), [(tuple(i + 1 for i in idx), 1.0)])
 
 
 # ---------------------------------------------------------------------------

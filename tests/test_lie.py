@@ -12,18 +12,21 @@ from nilflow import (
     LieBracket,
     ValidationError,
     ce_differential,
-    complement,
+    christoffels,
     compound_matrix,
     form_dense,
+    form_inner,
+    generalized_ricci_plus,
     gl_action,
     gl_action_form,
+    hodge_star,
     index_tuples,
     jacobi_residual,
     nilpotency_step,
     pi_form,
     pi_mu,
     sort_sign,
-    shuffle_sign,
+    symmetric_derivations,
     wedge,
 )
 from nilflow import flows, hodge, lie
@@ -50,16 +53,6 @@ def test_sort_sign():
     assert sort_sign((1, 0)) == ((0, 1), -1)
     assert sort_sign((2, 0, 1)) == ((0, 1, 2), 1)
     assert sort_sign((1, 1)) == ((1, 1), 0)
-
-
-def test_complement_and_shuffle_sign(rng):
-    assert complement((0, 2), 4) == (1, 3)
-    assert complement((), 3) == (0, 1, 2)
-    for n in range(2, 6):
-        for k in range(0, n + 1):
-            for I in index_tuples(n, k):
-                Ic = complement(I, n)
-                assert shuffle_sign(I, Ic) == sort_sign(I + Ic)[1]
 
 
 def test_index_array_and_pack_index_at_degree_zero():
@@ -541,17 +534,39 @@ def test_gl_action_rejects_singular():
     with pytest.raises(ValidationError):
         gl_action_form(np.diag([1.0, 1.0, 0.0]),
                        KForm.from_entries(3, 1, [((1,), 1.0)]))
-    # a non-square matrix, or one of the wrong size
+    # a non-square matrix, or one of the wrong size, or a non-finite one
     e1 = KForm(3, 1, [1.0, 0.0, 0.0])
+    H = KForm(3, 3, [1.0])
     for call in (lambda: compound_matrix(np.ones((2, 3)), 2),
                  lambda: compound_matrix(np.ones(3), 1),
                  lambda: gl_action(np.eye(2), np.zeros((3, 3, 3))),
                  lambda: gl_action(np.ones((3, 2)), np.zeros((3, 3, 3))),
+                 lambda: gl_action(np.full((3, 3), np.nan), HEIS),
                  lambda: gl_action_form(np.eye(2), e1),
                  lambda: gl_action_form(np.eye(4), e1),
                  lambda: pi_form(np.eye(4), e1),
                  lambda: pi_form(np.eye(2), e1),
-                 lambda: pi_form(np.ones((3, 2)), e1)):
+                 lambda: pi_form(np.ones((3, 2)), e1),
+                 lambda: pi_mu(np.eye(4), HEIS),
+                 lambda: pi_mu(np.eye(2), HEIS),
+                 lambda: pi_mu(np.ones((3, 2)), HEIS),
+                 # a metric of another dimension than the bracket or the form
+                 lambda: christoffels(HEIS, np.eye(2)),
+                 lambda: form_inner(e1, e1, np.eye(2)),
+                 lambda: hodge_star(e1, np.eye(4)),
+                 lambda: symmetric_derivations(HEIS, np.eye(2)),
+                 # theta of the wrong degree, dimension or length
+                 lambda: generalized_ricci_plus(HEIS, np.eye(3), H, KForm.zero(3, 2)),
+                 lambda: generalized_ricci_plus(HEIS, np.eye(3), H, KForm.zero(4, 1)),
+                 lambda: generalized_ricci_plus(HEIS, np.eye(3), H, np.zeros(4)),
+                 # forms and brackets of a bad dimension, degree, shape or index
+                 lambda: KForm(3.0, 1, [1.0, 0.0, 0.0]),
+                 lambda: KForm(0, 0, [1.0]),
+                 lambda: KForm(3, -1, []),
+                 lambda: KForm.from_dense(np.zeros((3, 2))),
+                 lambda: e1.component((3,)),
+                 lambda: jacobi_residual(np.zeros((3, 3))),
+                 lambda: wedge(e1, KForm.zero(4, 1))):
         with pytest.raises(ValidationError):
             call()
 

@@ -285,10 +285,10 @@ def _forms(nf, workloads, outdir):
 
 
 def _sparse_brackets():
-    """(n, 0-based entries) of the Heisenberg brackets [e_2i-1, e_2i] = e_n, n = 3, 5, 7, and
+    """(n, 1-based entries) of the Heisenberg brackets [e_2i-1, e_2i] = e_n, n = 3, 5, 7, and
     the filiform ones [e_1, e_i] = e_i+1, n = 4..6."""
-    heis = [(n, [(2 * i, 2 * i + 1, n - 1, 1.0) for i in range(n // 2)]) for n in (3, 5, 7)]
-    fili = [(n, [(0, i, i + 1, 1.0) for i in range(1, n - 1)]) for n in (4, 5, 6)]
+    heis = [(n, [(2 * i - 1, 2 * i, n, 1.0) for i in range(1, n // 2 + 1)]) for n in (3, 5, 7)]
+    fili = [(n, [(1, i, i + 1, 1.0) for i in range(2, n)]) for n in (4, 5, 6)]
     return heis + fili
 
 
@@ -297,7 +297,7 @@ def _sparse(nf, workloads, outdir):
 
     out = []
     for n, entries in _sparse_brackets():
-        mu = nf.LieBracket.from_entries(n, entries, one_based=False)
+        mu = nf.LieBracket.from_entries(n, entries)
         # H = e^T - 1/2 e^T' for the first and last basis 3-forms the oracle's d sends to 0
         closed = np.flatnonzero(~np.abs(oracles.packed_ce(np.eye(math.comb(n, 3)),
                                                             mu.coeffs, 3)).any(axis=0))
