@@ -56,6 +56,8 @@ from .config import (
     DEFAULT_ATOL,
     DEFAULT_HORIZON,
     DEFAULT_RTOL,
+    FAMILY_TOL,
+    FIXED_STEP_COUNT_SLACK,
     INITIAL_STEP,
     MAX_GROW,
     MAX_PROBLEM_DIM,
@@ -144,10 +146,6 @@ class BracketState:
     mu: np.ndarray
     H: KForm
 
-    @property
-    def dim(self):
-        return self.mu.shape[0]
-
 
 @dataclass(frozen=True)
 class GrfState:
@@ -155,10 +153,6 @@ class GrfState:
 
     g: Metric
     H: KForm
-
-    @property
-    def dim(self):
-        return self.g.dim
 
 
 @dataclass(frozen=True)
@@ -439,14 +433,15 @@ def _integrate(f, t0, y0, t_end, controls, in_domain=None):
     rejected and the next one is MIN_SHRINK times as long, so steps shrink
     toward the domain's edge instead of crossing it; a trial step below
     STEP_FLOOR, as at a singular time, stalls the run.  Fixed-step runs never
-    stall: they take max(1, ceil(span / h - 1e-12)) classical RK4 steps over a
-    positive span, the last landing on t_end, 4 evaluations each.  They raise
-    NumericalError when f raises inside a step ("integration failed near t"),
-    or when the state after a step is not finite or off the domain ("left the
-    flow's domain after the last valid time t").  The domain test of a state
-    that is not the last is the next step's first stage k1 = f(y), taken right
-    after the step, which raises one of _RHS_FAILURES off the domain; the last
-    state, which takes no further step, is tested by in_domain(y).
+    stall: they take max(1, ceil(span / h - FIXED_STEP_COUNT_SLACK)) classical
+    RK4 steps over a positive span, the last landing on t_end, 4 evaluations
+    each.  They raise NumericalError when f raises inside a step ("integration
+    failed near t"), or when the state after a step is not finite or off the
+    domain ("left the flow's domain after the last valid time t").  The domain
+    test of a state that is not the last is the next step's first stage
+    k1 = f(y), taken right after the step, which raises one of _RHS_FAILURES
+    off the domain; the last state, which takes no further step, is tested by
+    in_domain(y).
     """
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial state must be finite")
@@ -459,7 +454,8 @@ def _integrate(f, t0, y0, t_end, controls, in_domain=None):
     times, rows = [t], [y]
     if controls.fixed_step is not None:
         h = controls.fixed_step
-        count = span / h - 1e-12  # compared as a float, so an overflowing count is caught too
+        # compared as a float, so an overflowing count is caught too
+        count = span / h - FIXED_STEP_COUNT_SLACK
         if count > MAX_STEPS:
             raise NumericalError(
                 f"step budget {MAX_STEPS} exhausted at t={t:.9g} "
@@ -630,21 +626,23 @@ def gbf_decay_bound_check(trajectory, a):
     three-dimensional family started at (1, a), read off the columns
     mu_12_3 and H_123.  Returns False if a stored sample exceeds the bound
     by more than DECAY_BOUND_SLACK; raises if the trajectory is not from
-    that family.
+    that family (to FAMILY_TOL) or a is not finite.
     """
     if not isinstance(trajectory, Trajectory) or trajectory.kind != "gbf":
         raise ValidationError("decay bound check needs a bracket-flow trajectory")
     if trajectory.dim != 3:
         raise ValidationError("decay bound check is for the 3-dimensional family")
     a = float(a)
+    if not math.isfinite(a):
+        raise ValidationError(f"family parameter a must be finite, got {a}")
     labels = trajectory.column_labels()
     ix, iy = labels.index("mu_12_3"), labels.index("H_123")  # mu[0, 1, 2]; the last column
     xs, ys = trajectory.rows[:, ix], trajectory.rows[:, iy]
     stray = np.delete(trajectory.rows[:, :iy], ix, axis=1)  # every other mu column
-    if np.any(np.max(np.abs(stray), axis=1) > 1e-8 * (1.0 + np.abs(xs))):
+    if np.any(np.max(np.abs(stray), axis=1) > FAMILY_TOL * (1.0 + np.abs(xs))):
         raise ValidationError(
             "trajectory leaves the one-parameter Heisenberg family")
-    if abs(xs[0] - 1.0) > 1e-8 or abs(ys[0] - a) > 1e-8:
+    if abs(xs[0] - 1.0) > FAMILY_TOL or abs(ys[0] - a) > FAMILY_TOL:
         raise ValidationError(
             f"family trajectory must start at (1, {a}); got ({xs[0]}, {ys[0]})")
     s0 = 1.0 + a * a

@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import RANK_TOL_FACTOR, SKEW_TOL, STRUCTURE_TOL
+from .config import BASIS_COND_LIMIT, RANK_TOL_FACTOR, SKEW_TOL, STRUCTURE_TOL
 from .errors import ValidationError
 
 
@@ -173,6 +173,15 @@ def _entry_indices(raw, kind, entry):
     return idx
 
 
+def _checked_count(value, what, least):
+    """value if it is an int >= least and not a bool; ValidationError naming what otherwise.
+    The constructors call it before numpy sees a dimension or degree, so each refuses alike."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise ValidationError(f"{what} must be a {kind} int, got {value!r}")
+    return value
+
+
 def _on_slots(A, x, n, k):
     """C_k(A) x = compound_matrix(A, k) @ x for a packed k-form x: one matmul per slot of the
     dense form, unless k = 0 or its n^k entries outnumber the compound's C(n, k)^2 a hundredfold."""
@@ -197,10 +206,8 @@ class KForm:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValidationError(f"form dimension must be a positive int, got {self.dim!r}")
-        if not isinstance(self.degree, int) or self.degree < 0:
-            raise ValidationError(f"form degree must be a nonnegative int, got {self.degree!r}")
+        _checked_count(self.dim, "form dimension", 1)
+        _checked_count(self.degree, "form degree", 0)
         arr = np.array(self.coeffs, dtype=float, copy=True).reshape(-1)
         want = math.comb(self.dim, self.degree)
         if arr.shape != (want,):
@@ -214,7 +221,9 @@ class KForm:
 
     @classmethod
     def zero(cls, dim, degree):
-        return cls(dim, degree, np.zeros(math.comb(dim, max(degree, 0))))
+        _checked_count(dim, "form dimension", 1)
+        _checked_count(degree, "form degree", 0)
+        return cls(dim, degree, np.zeros(math.comb(dim, degree)))
 
     @classmethod
     def from_entries(cls, dim, degree, entries):
@@ -223,6 +232,8 @@ class KForm:
         Listing the same slot twice with inconsistent values is an error;
         consistent repeats are allowed.
         """
+        _checked_count(dim, "form dimension", 1)
+        _checked_count(degree, "form degree", 0)
         ranks = _tuple_rank(dim, degree)
         coeffs = np.zeros(math.comb(dim, degree))
         seen = {}
@@ -345,6 +356,7 @@ class LieBracket:
 
     @classmethod
     def zero(cls, dim):
+        _checked_count(dim, "bracket dimension", 1)
         return cls(np.zeros((dim, dim, dim)))
 
     @classmethod
@@ -354,6 +366,7 @@ class LieBracket:
         Skew completion is automatic.  Giving both orders with inconsistent
         values (or repeating a slot with a different value) is an error.
         """
+        _checked_count(dim, "bracket dimension", 1)
         arr = np.zeros((dim, dim, dim))
         seen = {}
         for row in entries:
@@ -664,7 +677,7 @@ def _checked_inverse(A, n):
         cond = np.linalg.cond(A)
     except np.linalg.LinAlgError:
         cond = np.inf
-    if not cond < 1e12:
+    if not cond < BASIS_COND_LIMIT:
         raise ValidationError("basis change matrix is singular or near-singular")
     return A, np.linalg.inv(A)
 

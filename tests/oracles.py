@@ -6,13 +6,16 @@ plain loops, the star operator goes through the Levi-Civita symbol, and the
 Ricci oracle walks Koszul -> Christoffels -> curvature tensor -> trace.
 They are slow and only meant for small dimensions.
 
-The index-table oracles apply the library's scalar rules (sort_sign,
-_tuple_rank) one tuple at a time, the way the library built its tables
-before one vectorized rule, lie._sort_sign, did; the star's complement and
-shuffle sign are a set difference and an inversion count, not sort_sign.
+The index-table oracles apply the library's scalar rule sort_sign one tuple
+at a time, the way the library built its tables before one vectorized rule,
+lie._sort_sign, did, and rank tuples by a dict over index_tuples; the star's
+complement and shuffle sign are a set difference and an inversion count, not
+sort_sign.
 
-The data generators at the bottom may use the library (conjugating a known
-nilpotent bracket by a random basis change is generation, not verification).
+The data generators at the bottom use the library only for the LieBracket
+container: random_nilpotent moves a known nilpotent bracket to a random basis
+by its own einsum, not by gl_action.  nilflow is imported for public names only
+(a test in test_lie.py parses this file to hold that).
 """
 
 import itertools
@@ -20,8 +23,7 @@ import math
 
 import numpy as np
 
-from nilflow import LieBracket, gl_action, index_tuples, sort_sign
-from nilflow.lie import _tuple_rank
+from nilflow import LieBracket, index_tuples, sort_sign
 
 
 def perm_sign(perm):
@@ -136,10 +138,10 @@ def unpack_tables(n, k):
 
 
 def ce_tables(n, k):
-    """lie._ce_tables, one sort_sign and _tuple_rank lookup per output tuple, slot pair and l."""
+    """lie._ce_tables, one sort_sign and rank lookup per output tuple, slot pair and l."""
     outs = index_tuples(n, k + 1)
     pairs = tuple(itertools.combinations(range(k + 1), 2))
-    ranks = _tuple_rank(n, k)
+    ranks = {T: r for r, T in enumerate(index_tuples(n, k))}
     I = np.zeros((len(outs), len(pairs)), dtype=np.intp)
     J = np.zeros_like(I)
     src = np.zeros((len(outs), len(pairs), n), dtype=np.intp)
@@ -159,7 +161,7 @@ def ce_tables(n, k):
 def star_tables(n, k):
     """hodge._star_tables: the rank of each increasing k-tuple's complement and their
     shuffle sign."""
-    ranks_c = _tuple_rank(n, n - k)
+    ranks_c = {T: r for r, T in enumerate(index_tuples(n, n - k))}
     dest, sign = [], []
     for I in index_tuples(n, k):
         Ic = tuple(i for i in range(n) if i not in I)
@@ -172,7 +174,7 @@ def wedge_coeffs(alpha, beta):
     """Packed coefficients of alpha wedge beta, one sort_sign per pair of nonzero slots, summed
     in the order of the loop."""
     n, k, l = alpha.dim, alpha.degree, beta.degree
-    ranks = _tuple_rank(n, k + l)
+    ranks = {T: r for r, T in enumerate(index_tuples(n, k + l))}
     out = np.zeros(math.comb(n, k + l))
     for ra, A in enumerate(index_tuples(n, k)):
         va = alpha.coeffs[ra]
@@ -501,8 +503,11 @@ def nilpotent_seed(dim):
 
 
 def random_nilpotent(rng, dim):
-    """A Jacobi-exact nilpotent bracket in a random (well-conditioned) basis."""
-    return gl_action(random_basis_change(rng, dim), nilpotent_seed(dim))
+    """A Jacobi-exact nilpotent bracket in a random (well-conditioned) basis A:
+    (A.mu)(X, Y) = A mu(A^-1 X, A^-1 Y) in components, one einsum."""
+    A = random_basis_change(rng, dim)
+    Ai = np.linalg.inv(A)
+    return LieBracket(np.einsum('ai,bj,kc,abc->ijk', Ai, Ai, A, nilpotent_seed(dim).coeffs))
 
 
 def random_spd(rng, n, spread=0.8):

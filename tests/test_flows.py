@@ -737,6 +737,10 @@ def test_gbf_decay_bound_validation():
                         kind="gbf")
     with pytest.raises(ValidationError):
         gbf_decay_bound_check(scaled, 0.0)
+    family = integrate_gbf("ric-h2", HEIS, _h3_flux(1.0), (0.0, 0.1))
+    for a in (math.nan, math.inf, -math.inf):  # a NaN passes every comparison with the run
+        with pytest.raises(ValidationError, match="must be finite"):
+            gbf_decay_bound_check(family, a)
 
 
 # ---------------------------------------------------------------------------

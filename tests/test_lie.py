@@ -1,5 +1,7 @@
 """Brackets, forms, the exterior differential, and the basis-change action."""
 
+import ast
+import inspect
 import itertools
 import math
 
@@ -29,6 +31,7 @@ from nilflow import (
     symmetric_derivations,
     wedge,
 )
+import nilflow
 from nilflow import flows, hodge, lie
 
 import oracles as oc
@@ -394,7 +397,9 @@ def test_structure_row_helpers_round_trip(rng, n):
 
 def test_from_entries_refuses_a_non_integral_index():
     """A fractional or bool index is refused with its entry named, not truncated or read
-    as 1; integral floats and numpy integers still index."""
+    as 1; integral floats and numpy integers still index.  A dimension or degree that is
+    fractional, a bool or too small is refused before numpy sees it, by the classmethods
+    and KForm's own constructor alike."""
     with pytest.raises(ValidationError, match=r"^bracket entry \(1\.5, 2\.9, 3\.2, 1\.0\) has an "
                                               r"index that is not an integer$"):
         LieBracket.from_entries(3, [(1.5, 2.9, 3.2, 1.0)])
@@ -417,6 +422,17 @@ def test_from_entries_refuses_a_non_integral_index():
     assert np.array_equal(mu.coeffs, HEIS.coeffs)
     w = KForm.from_entries(3, 3, [((np.int32(3), 2.0, 1), 2.0)])
     assert np.array_equal(w.coeffs, [-2.0])
+    for dim, degree, what in ((3, -1, "degree"), (3, 1.5, "degree"), (3, False, "degree"),
+                              (3.0, 1, "dimension"), (True, 1, "dimension"), (0, 1, "dimension")):
+        for build in (lambda: KForm.from_entries(dim, degree, []),
+                      lambda: KForm.zero(dim, degree), lambda: KForm(dim, degree, [1.0])):
+            with pytest.raises(ValidationError, match=f"^form {what} must be a "):
+                build()
+    for dim in (2.5, -2, -1, 0, True):
+        with pytest.raises(ValidationError, match="^bracket dimension must be a positive int"):
+            LieBracket.from_entries(dim, [])
+        with pytest.raises(ValidationError, match="^bracket dimension must be a positive int"):
+            LieBracket.zero(dim)
 
 
 def test_dd_equals_jacobiator(rng):
@@ -623,3 +639,21 @@ def test_form_dense_validation(rng):
         form_dense(w, 3, 3)
     with pytest.raises(ValidationError):
         form_dense(np.zeros((3, 3)), 3, 3)
+
+
+def test_oracles_import_only_public_nilflow_names():
+    """tests/oracles.py, the reference the tests and the benchmark's survey checks read, takes
+    from nilflow only public top-level names, and not the basis-change action whose round-off
+    would move the oracle's random inputs; so no library internal reaches an oracle."""
+    with open(oc.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "nilflow" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nilflow"):
+            assert node.module == "nilflow", f"oracles import from {node.module}"
+            names += [alias.name for alias in node.names]
+    assert names and not {"gl_action", "gl_action_form"} & set(names)
+    for name in names:  # a public name of the package, not a module or a private name
+        assert not name.startswith("_") and not inspect.ismodule(getattr(nilflow, name)), name

@@ -44,9 +44,8 @@ last line produced bitwise-equal outputs on these runs:
     a random leak of 1e-12 (accepted, as it is below SKEW_TOL);
   - the random nilpotent brackets of "random brackets", "hodge", "forms" and
     "dorfman_eval" are ``oracles.random_nilpotent``'s, moved to their random
-    basis by ``bench/problems.py``'s ``push_bracket`` rather than by the
-    library's ``gl_action`` (``_nilpotent``), so that those sections do not
-    move with ``gl_action``'s round-off;
+    basis by the oracle's own einsum, not by the library's ``gl_action``, so
+    that those sections do not move with ``gl_action``'s round-off;
   - "sparse": ``codifferential``, ``hodge_laplacian`` and ``ce_differential`` of
     a sparse closed 3-form H, ``grf_rhs`` and both ``gbf_rhs`` on it, at g = I
     on the Heisenberg brackets (n = 3, 5, 7) and the filiform ones (n = 4..6).
@@ -143,17 +142,6 @@ def _sweep(nf, workloads, outdir):
     return nf.tmin_sweep(workloads.HEIS3_A)
 
 
-def _nilpotent(nf, rng, n):
-    """oracles.random_nilpotent's bracket from the same draws of rng, moved to its random basis
-    by problems.push_bracket (a plain einsum), not by the library's gl_action: a change to
-    gl_action's round-off then moves only the sections that digest gl_action."""
-    import oracles
-    import problems
-
-    A = oracles.random_basis_change(rng, n)
-    return nf.LieBracket(problems.push_bracket(A, oracles.nilpotent_seed(n).coeffs))
-
-
 def _or_error(nf, run):
     try:
         return run()
@@ -178,7 +166,7 @@ def _random(nf, workloads, outdir):
     out = []
     for i in range(16):
         n = 3 + i % 4
-        mu = _nilpotent(nf, rng, n)
+        mu = oracles.random_nilpotent(rng, n)
         g = oracles.random_spd(rng, n)
         flux = nf.KForm(n, 3, oracles.random_form_coeffs(rng, n, 3))
         for spec in ("ric", "ric-h2"):
@@ -225,7 +213,7 @@ def _hodge(nf, workloads, outdir):
     rng = np.random.default_rng(20260818)
     out = []
     for n in range(3, 11):
-        mu = _nilpotent(nf, rng, n)
+        mu = oracles.random_nilpotent(rng, n)
         g = oracles.random_spd(rng, n)
         for k in range(n + 1):
             w = nf.KForm(n, k, oracles.random_form_coeffs(rng, n, k))
@@ -239,7 +227,7 @@ def _dorfman_eval(nf, workloads, outdir):
     rng = np.random.default_rng(20260820)
     out = []
     for n in range(3, 8):
-        mu = _nilpotent(nf, rng, n)
+        mu = oracles.random_nilpotent(rng, n)
         H = nf.KForm(n, 3, oracles.random_form_coeffs(rng, n, 3))
         raw_mu, raw_H = rng.standard_normal((2, n, n, n))
         for _ in range(8):
@@ -270,7 +258,7 @@ def _forms(nf, workloads, outdir):
     rng = np.random.default_rng(20260819)
     out = []
     for n in range(3, 8):
-        mu = _nilpotent(nf, rng, n)
+        mu = oracles.random_nilpotent(rng, n)
         g = oracles.random_spd(rng, n)
         forms = []
         for k in range(n + 1):
