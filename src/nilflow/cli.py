@@ -26,8 +26,9 @@ from .curvature import rc_metric, ric_orthonormal
 from .dorfman import dorfman_jacobi_residual, dorfman_total_skew_residual
 from .errors import NumericalError, ValidationError
 from .flows import IntegratorControls, PhiSpec, integrate_gbf, integrate_grf, tmin_sweep
+from .hodge import orthonormalize
 from .io import emit_phase_svg, emit_trajectory_csv, load_problem
-from .lie import index_tuples, nilpotency_step, _structure_residuals, _structure_row
+from .lie import gl_action, index_tuples, nilpotency_step, _structure_residuals, _structure_row
 from .soliton import soliton_fit
 
 __all__ = ["main"]
@@ -89,9 +90,11 @@ def _cmd_check(args):
 
 
 def _cmd_ricci(args):
+    """The Ricci form in a g-orthonormal frame (that of the bracket h.mu, g = h^T h, whose
+    spectrum is g^-1 Rc_g's) and in the problem's basis (Rc_g)."""
     p = load_problem(args.input)
     print("ricci (orthonormal frame):")
-    print(_fmt_mat(ric_orthonormal(p.mu)))
+    print(_fmt_mat(ric_orthonormal(gl_action(orthonormalize(p.g), p.mu))))
     print("ricci (problem metric):")
     print(_fmt_mat(rc_metric(p.mu, p.g)))
     return 0

@@ -34,6 +34,8 @@ MAX_PROBLEM_DIM           10          largest dimension accepted by the problem 
 ==========================================================================================
 """
 
+__all__ = ["DEFAULT_ATOL", "DEFAULT_RTOL", "MAX_PROBLEM_DIM", "STRUCTURE_TOL"]
+
 RANK_TOL_FACTOR = 1e-9
 METRIC_SYMMETRY_TOL = 1e-12
 SKEW_TOL = 1e-8

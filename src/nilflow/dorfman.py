@@ -22,6 +22,12 @@ from .errors import ValidationError
 from .lie import (KForm, LieBracket, bracket_coeffs, ce_differential, form_dense, _as_3form,
                   _as_bracket, _checked_structure_row)
 
+__all__ = [
+    "DorfmanBracket", "GeneralizedVector", "closedness_residual", "dorfman_eval",
+    "dorfman_jacobi_residual", "dorfman_structure_constants", "dorfman_total_skew_residual",
+    "neutral_pairing",
+]
+
 
 @dataclass(frozen=True)
 class GeneralizedVector:

@@ -8,6 +8,8 @@ trajectory) and maps to exit code 3.  I/O failures are left to the builtin
 OSError family and map to exit code 4.
 """
 
+__all__ = ["NilflowError", "NumericalError", "ValidationError"]
+
 
 class NilflowError(Exception):
     """Base class for all library-raised errors."""

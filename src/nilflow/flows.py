@@ -75,8 +75,8 @@ from .curvature import rc_metric, ric_orthonormal  # noqa: F401
 from .errors import NilflowError, NumericalError, ValidationError
 from .hodge import Metric, as_metric, hodge_laplacian, _codiff  # noqa: F401
 from .lie import (KForm, LieBracket, index_tuples, _as_3form, _as_bracket, _checked_structure_row,
-                  _d_block, _frozen, _index_array, _monomials, _raise_pair, _row_bracket,
-                  _row_slots, _structure_failure, _structure_row, _unpack_tables)
+                  _d_block, _frozen, _index_array, _monomials, _raise_pair, _real,
+                  _row_bracket, _row_slots, _structure_failure, _structure_row, _unpack_tables)
 
 __all__ = [
     "PhiSpec",
@@ -116,6 +116,11 @@ def _as_phi(spec):
             f"{[p.value for p in PhiSpec]}") from None
 
 
+def _positive(value):
+    """True for a finite positive real number; a bool is refused, since True would read as 1."""
+    return _real(value) and 0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class IntegratorControls:
     """Tolerances and the step mode of the integrators.
@@ -133,9 +138,9 @@ class IntegratorControls:
 
     def __post_init__(self):
         for name in ("rtol", "atol"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not _positive(getattr(self, name)):
                 raise ValidationError(f"integrator control {name} must be finite and positive")
-        if self.fixed_step is not None and not 0 < self.fixed_step < math.inf:
+        if self.fixed_step is not None and not _positive(self.fixed_step):
             raise ValidationError("fixed_step must be finite and positive when given")
 
 
@@ -799,7 +804,7 @@ def blowup_time(mu, g0, H0, direction=-1, horizon=DEFAULT_HORIZON, controls=None
     before the horizon, time is None and reason "horizon".  Fixed steps
     cannot locate a singular time, so controls.fixed_step must be None.
     """
-    if not 0 < horizon < math.inf:
+    if not _positive(horizon):
         raise ValidationError("horizon must be finite and positive")
     controls = controls if controls is not None else IntegratorControls()
     if controls.fixed_step is not None:
@@ -832,9 +837,9 @@ def tmin_sweep(a_values, t_long=SWEEP_T_LONG, horizon_back=SWEEP_HORIZON_BACK, c
     for a in avals:
         if not math.isfinite(a):
             raise ValidationError(f"a_values must be finite, got {a}")
-    if not 0 < t_long < math.inf:
+    if not _positive(t_long):
         raise ValidationError("t_long must be finite and positive")
-    if not 0 < horizon_back < math.inf:
+    if not _positive(horizon_back):
         raise ValidationError("horizon_back must be finite and positive")
     if controls is not None and controls.fixed_step is not None:
         raise ValidationError("tmin_sweep's backward searches need the adaptive controller, "

@@ -28,6 +28,11 @@ from .errors import ValidationError
 from .lie import (KForm, bracket_coeffs, ce_differential, _d_block, _frozen, _index_array,
                   _on_slots, _raise_pair, _sort_sign)
 
+__all__ = [
+    "Metric", "as_metric", "codifferential", "form_inner", "hodge_laplacian", "hodge_star",
+    "orthonormalize", "vol_form",
+]
+
 
 @dataclass(frozen=True)
 class Metric:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -42,6 +43,12 @@ import numpy as np
 
 from .config import BASIS_COND_LIMIT, RANK_TOL_FACTOR, SKEW_TOL, STRUCTURE_TOL
 from .errors import ValidationError
+
+__all__ = [
+    "KForm", "LieBracket", "ce_differential", "compound_matrix", "form_dense", "gl_action",
+    "gl_action_form", "index_tuples", "jacobi_residual", "nilpotency_step", "pi_form", "pi_mu",
+    "sort_sign", "wedge",
+]
 
 
 @lru_cache(maxsize=None)
@@ -173,6 +180,19 @@ def _entry_indices(raw, kind, entry):
     return idx
 
 
+def _real(value):
+    """True for a real number that is neither a bool (True would read as 1) nor a string."""
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def _entry_value(value, kind, entry):
+    """The value of a from_entries entry as a float; ValidationError naming the entry unless it
+    is a finite real number, so True is not read as 1 nor "1.5" as 1.5 (io._number refuses both)."""
+    if not (_real(value) and math.isfinite(value)):
+        raise ValidationError(f"{kind} entry {entry!r} has a value that is not a finite real number")
+    return float(value)
+
+
 def _checked_count(value, what, least):
     """value if it is an int >= least and not a bool; ValidationError naming what otherwise.
     The constructors call it before numpy sees a dimension or degree, so each refuses alike."""
@@ -247,7 +267,7 @@ class KForm:
             key, sign = sort_sign(idx)
             if sign == 0:
                 raise ValidationError(f"form entry {raw_idx} repeats an index")
-            normalized = sign * float(value)
+            normalized = sign * _entry_value(value, "form", (raw_idx, value))
             if key in seen and seen[key] != normalized:
                 raise ValidationError(
                     f"inconsistent duplicate form entries for slot {tuple(k + 1 for k in key)}")
@@ -374,7 +394,7 @@ class LieBracket:
                 raise ValidationError(f"bracket entry {row!r} must be (i, j, k, value)")
             i, j, k = _entry_indices(row[:3], "bracket", row)
             i, j, k = i - 1, j - 1, k - 1
-            v = float(row[3])
+            v = _entry_value(row[3], "bracket", row)
             for x in (i, j, k):
                 if not 0 <= x < dim:
                     raise ValidationError(f"bracket index out of range in entry {row!r} (dim {dim})")

@@ -26,6 +26,11 @@ from .errors import ValidationError
 from .hodge import as_metric
 from .lie import KForm, ce_differential, _as_bracket, _index_array, _pack
 
+__all__ = [
+    "SolitonData", "derivation_space", "soliton_fit", "soliton_residual",
+    "symmetric_derivations",
+]
+
 
 @dataclass(frozen=True)
 class SolitonData:

@@ -350,6 +350,11 @@ def test_integrator_controls_validation():
         IntegratorControls(atol=math.nan)
     with pytest.raises(ValidationError):
         IntegratorControls(fixed_step=math.inf)
+    # a bool is not a number here: fixed_step=True would be a step of 1
+    for flag in (True, np.True_):
+        for name in ("rtol", "atol", "fixed_step"):
+            with pytest.raises(ValidationError):
+                IntegratorControls(**{name: flag})
 
 
 # ---------------------------------------------------------------------------
@@ -1013,6 +1018,8 @@ def test_blowup_time_validation():
         blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0), horizon=0.0)
     with pytest.raises(ValidationError):
         blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0), horizon=math.inf)
+    with pytest.raises(ValidationError, match="^horizon must be finite and positive$"):
+        blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0), horizon=True)
     with pytest.raises(ValidationError):
         blowup_time(HEIS, Metric.identity(3), _h3_flux(0.0), direction=2)
     with pytest.raises(ValidationError):
@@ -1064,6 +1071,10 @@ def test_tmin_sweep_validation():
         tmin_sweep([1.0], t_long=math.inf)
     with pytest.raises(ValidationError):
         tmin_sweep([1.0], horizon_back=math.nan)
+    with pytest.raises(ValidationError, match="^t_long must be finite and positive$"):
+        tmin_sweep([0.0], t_long=True, horizon_back=1.0)
+    with pytest.raises(ValidationError, match="^horizon_back must be finite and positive$"):
+        tmin_sweep([0.0], t_long=1.0, horizon_back=True)
     # blowup_time cannot take fixed steps: refused up front, not as an error row per a
     with pytest.raises(ValidationError, match="adaptive controller, not fixed_step"):
         tmin_sweep([1.0], controls=IntegratorControls(fixed_step=0.1))

@@ -323,6 +323,40 @@ def test_cli_ricci(capsys):
     assert "-0.5" in out and "0.5" in out
 
 
+# README's JSON schema example, the documented input with a metric other than the identity
+README_SCHEMA_EXAMPLE = {"dim": 3, "name": "optional label", "mu": [[1, 2, 3, 1.0]],
+                         "H": [[1, 2, 3, 0.5]], "theta": [[3, 2.0]], "g_diag": [1.0, 1.0, 4.0]}
+
+
+def _cli_ricci(data, path, capsys):
+    """The two matrices `nilflow ricci` prints for the problem data: orthonormal frame, metric."""
+    path.write_text(json.dumps(data))
+    assert main(["ricci", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    _, frame, metric = out.split(":\n")
+    n = data["dim"]
+    return [np.array(text.split("ricci")[0].replace("[", " ").replace("]", " ").split(),
+                     dtype=float).reshape(n, n) for text in (frame, metric)]
+
+
+def test_cli_ricci_orthonormal_frame_follows_the_metric(tmp_path, rng, capsys):
+    """The frame matrix is the Ricci form of h.mu (g = h^T h), whose spectrum is g^-1 Rc_g's,
+    not the Ricci form of (mu, I); checked against the Koszul oracle for a random SPD g.  The
+    bar is the 12 significant digits the CLI prints, relative to the largest eigenvalue."""
+    path = tmp_path / "problem.json"
+    frame, metric = _cli_ricci(README_SCHEMA_EXAMPLE, path, capsys)
+    assert np.array_equal(frame, np.diag([-2.0, -2.0, 2.0]))
+    assert np.array_equal(metric, np.diag([-2.0, -2.0, 8.0]))
+    for n in (3, 4, 5):
+        m, G = oc.random_nilpotent(rng, n).coeffs, oc.random_spd(rng, n)
+        rows = [[int(i) + 1, int(j) + 1, int(k) + 1, float(m[i, j, k])]
+                for i, j, k in zip(*np.nonzero(m)) if i < j]
+        frame, _ = _cli_ricci({"dim": n, "mu": rows, "g": G.tolist()}, path, capsys)
+        want = np.sort(np.linalg.eigvals(np.linalg.solve(G, oc.ricci_riemann(m, G))).real)
+        assert np.allclose(np.linalg.eigvalsh(frame), want, rtol=0,
+                           atol=1e-11 * np.max(np.abs(want)))
+
+
 def test_cli_soliton_fit_json(capsys):
     assert main(["soliton-fit", "--input", "heisenberg3+H(1)"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -360,6 +394,14 @@ def test_cli_grf_csv_columns(tmp_path, capsys):
     for row in rows:
         assert float(row["g_3"]) == pytest.approx(1.0, abs=1e-7)
         assert float(row["H_123"]) == 1.0
+
+
+def test_cli_grf_svg_below_dimension_3_plots_g_1_against_t(tmp_path, capsys):
+    svg_path = tmp_path / "flow.svg"
+    assert main(["grf", "--input", "abelian(2)", "--t-end", "1", "--svg", str(svg_path)]) == 0
+    text = svg_path.read_text()
+    assert 'text-anchor="middle">t</text>' in text  # x axis label
+    assert ')">g_1</text>' in text  # y axis label, rotated
 
 
 def test_cli_grf_backward_singularity_is_exit_3(capsys):

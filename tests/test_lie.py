@@ -144,6 +144,16 @@ def test_kform_consistent_and_inconsistent_duplicates():
         KForm.from_entries(3, 2, [((0, 1), 1.0)])  # 1-based input
     with pytest.raises(ValidationError):
         KForm.from_entries(3, 2, [((1, 2, 3), 1.0)])
+    # a value must be a finite real number: not a bool or a string, as the JSON reader asks
+    for bad in ("x", None, True, np.True_, "1.5", 1j, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match=r"^form entry \(\(1, 2\), .+\) has a value "
+                                                  r"that is not a finite real number$"):
+            KForm.from_entries(3, 2, [((1, 2), bad)])
+    # two NaNs for one slot are refused as non-finite, not as an inconsistent duplicate
+    with pytest.raises(ValidationError, match="not a finite real number"):
+        KForm.from_entries(3, 3, [((1, 2, 3), math.nan), ((2, 1, 3), math.nan)])
+    w = KForm.from_entries(3, 2, [((1, 2), np.float64(1.5)), ((1, 3), np.int64(2)), ((2, 3), 3)])
+    assert w.coeffs.tolist() == [1.5, 2.0, 3.0]
 
 
 def test_kform_zero_and_overdegree():
@@ -223,6 +233,14 @@ def test_bracket_entry_validation():
         LieBracket.from_entries(3, [(1, 2, 3, 1.0), (2, 1, 3, 1.0)])
     with pytest.raises(ValidationError):
         LieBracket.from_entries(3, [(1, 2, 3)])
+    for bad in ("x", None, True, np.True_, "1.5", 1j, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match=r"^bracket entry \(1, 2, 3, .+\) has a value "
+                                                  r"that is not a finite real number$"):
+            LieBracket.from_entries(3, [(1, 2, 3, bad)])
+    with pytest.raises(ValidationError, match="not a finite real number"):
+        LieBracket.from_entries(3, [(1, 2, 3, math.nan), (2, 1, 3, math.nan)])
+    mu = LieBracket.from_entries(3, [(1, 2, 3, np.float64(0.5)), (1, 3, 2, np.int32(2))])
+    assert mu.coeffs[0, 1, 2] == 0.5 and mu.coeffs[0, 2, 1] == 2.0
     # the skew-completed pair is fine
     mu = LieBracket.from_entries(3, [(1, 2, 3, 1.0), (2, 1, 3, -1.0)])
     assert mu.coeffs[0, 1, 2] == 1.0
@@ -655,5 +673,24 @@ def test_oracles_import_only_public_nilflow_names():
             assert node.module == "nilflow", f"oracles import from {node.module}"
             names += [alias.name for alias in node.names]
     assert names and not {"gl_action", "gl_action_form"} & set(names)
-    for name in names:  # a public name of the package, not a module or a private name
-        assert not name.startswith("_") and not inspect.ismodule(getattr(nilflow, name)), name
+    assert set(names) <= set(nilflow.__all__), set(names) - set(nilflow.__all__)
+
+
+def test_package_all_is_the_module_lists():
+    """Each public name is declared once, in the __all__ of the module that defines it, and
+    nilflow.__all__ is those lists: exactly the package's public non-module attributes."""
+    public = {name for name in dir(nilflow)
+              if not name.startswith("_") and not inspect.ismodule(getattr(nilflow, name))}
+    assert len(nilflow.__all__) == len(set(nilflow.__all__)) and set(nilflow.__all__) == public
+    listed = []
+    for module in (getattr(nilflow, name) for name in dir(nilflow)):
+        if not inspect.ismodule(module) or module.__name__ == "nilflow.cli":
+            continue
+        with open(module.__file__, encoding="utf-8") as fh:
+            body = ast.parse(fh.read()).body
+        defined = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        assert set(module.__all__) <= defined, (module.__name__, set(module.__all__) - defined)
+        listed += module.__all__
+    assert sorted(listed) == sorted(nilflow.__all__)
